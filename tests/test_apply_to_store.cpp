@@ -5,6 +5,8 @@
 // bit patterns, trace order, user ids and the full name table), with the
 // caller's rng advanced identically by both entry points.
 #include <bit>
+#include <cstdio>
+#include <iterator>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "core/output_cache.h"
 #include "mechanisms/registry.h"
 #include "mechanisms/speed_smoothing.h"
 #include "model/event_store.h"
@@ -73,6 +76,74 @@ std::vector<std::string> AllSpecs() {
   specs.push_back("speed_smoothing");
   specs.push_back("wait4me[k=2,delta=800m]");
   return specs;
+}
+
+/// Pinned output of ApplyToStore on World() with Rng(99): the store's
+/// OutputCache::FingerprintView (names, trace table and lat/lng/time bit
+/// patterns) and the caller rng's next draw afterwards. Any change to a
+/// mechanism's bytes or to its rng consumption trips this table.
+struct Golden {
+  const char* spec;
+  std::uint64_t fingerprint;
+  std::uint64_t next_draw;
+};
+
+constexpr Golden kGolden[] = {
+    {"identity", 0x4a8030983a3eb371ULL, 0x2c768082a975fe84ULL},
+    {"ours[speed+mix]", 0x40cfb2807acc7c0dULL, 0x88bab0c07d011226ULL},
+    {"ours[speed]", 0x69b74e0af4aeb991ULL, 0xccc4218daa89f206ULL},
+    {"ours[mix]", 0x0414ddcccc3f600eULL, 0x6e95e031a3371f38ULL},
+    {"geo_ind[eps=0.1000]", 0x4807fce1f295b6a1ULL, 0xccc4218daa89f206ULL},
+    {"geo_ind[eps=0.0100]", 0x1145c8295687f242ULL, 0xccc4218daa89f206ULL},
+    {"wait4me", 0xdf327a63d3e433b7ULL, 0x2c768082a975fe84ULL},
+    {"cloaking", 0x368f9f5fd314a159ULL, 0xccc4218daa89f206ULL},
+    {"gaussian", 0x167a942b5e2b5499ULL, 0xccc4218daa89f206ULL},
+    {"downsampling", 0x664805227ebfa028ULL, 0xccc4218daa89f206ULL},
+    {"mixzone", 0x0414ddcccc3f600eULL, 0x6e95e031a3371f38ULL},
+    {"speed_smoothing", 0x69b74e0af4aeb991ULL, 0xccc4218daa89f206ULL},
+    {"wait4me[k=2,delta=800m]", 0x18a7a02bdda28d8cULL,
+     0x2c768082a975fe84ULL},
+    {"geo_ind[eps=0.01]|downsampling|mixzone", 0xaf52b9c7869c6d64ULL,
+     0x4cc3118b7bac2bf4ULL},
+};
+
+TEST(ApplyToStore, GoldenDigestsForEveryRegistryMechanism) {
+  std::vector<std::string> specs = AllSpecs();
+  specs.push_back("geo_ind[eps=0.01]|downsampling|mixzone");
+  ASSERT_EQ(specs.size(), std::size(kGolden));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const util::ScopedParallelism scope(threads);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const std::string& spec = specs[i];
+      ASSERT_EQ(spec, kGolden[i].spec);
+      const std::string context = spec + " @threads=" + std::to_string(threads);
+      const auto mechanism = mech::CreateMechanism(spec);
+      util::Rng rng(99);
+      const model::EventStore store =
+          mechanism->ApplyToStore(model::DatasetView::Of(World()), rng);
+      const std::uint64_t fingerprint =
+          core::OutputCache::FingerprintView(store.View());
+      const std::uint64_t next_draw = rng.NextU64();
+      EXPECT_EQ(fingerprint, kGolden[i].fingerprint) << context;
+      EXPECT_EQ(next_draw, kGolden[i].next_draw) << context;
+      if (fingerprint != kGolden[i].fingerprint ||
+          next_draw != kGolden[i].next_draw) {
+        // Copy-pastable row for a deliberate re-pin.
+        std::printf("    {\"%s\", 0x%016llxULL, 0x%016llxULL},\n",
+                    spec.c_str(), static_cast<unsigned long long>(fingerprint),
+                    static_cast<unsigned long long>(next_draw));
+      }
+
+      // The AoS adapter publishes the same bytes and draws alike.
+      util::Rng aos_rng(99);
+      const model::Dataset aos = mechanism->Apply(World(), aos_rng);
+      EXPECT_EQ(core::OutputCache::FingerprintView(model::DatasetView::Of(aos)),
+                kGolden[i].fingerprint)
+          << context << " via Apply";
+      EXPECT_EQ(aos_rng.NextU64(), kGolden[i].next_draw)
+          << context << " via Apply";
+    }
+  }
 }
 
 TEST(ApplyToStore, BitIdenticalToApplyForEveryRegistryMechanism) {
