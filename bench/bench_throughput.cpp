@@ -78,16 +78,6 @@ void RunMechanism(benchmark::State& state, const MechanismT& mechanism) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 
-void BM_SpeedSmoothing(benchmark::State& state) {
-  RunMechanism(state, mech::SpeedSmoothing{});
-}
-BENCHMARK(BM_SpeedSmoothing)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
-
-void BM_MixZone(benchmark::State& state) {
-  RunMechanism(state, mech::MixZone{});
-}
-BENCHMARK(BM_MixZone)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
-
 void BM_FullPipeline(benchmark::State& state) {
   RunMechanism(state, core::Anonymizer{});
 }
@@ -97,16 +87,6 @@ BENCHMARK(BM_FullPipeline)
     ->Arg(20)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
-
-void BM_GeoInd(benchmark::State& state) {
-  RunMechanism(state, mech::GeoIndistinguishability{});
-}
-BENCHMARK(BM_GeoInd)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
-
-void BM_Cloaking(benchmark::State& state) {
-  RunMechanism(state, mech::Cloaking{});
-}
-BENCHMARK(BM_Cloaking)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
 
 void BM_Wait4Me(benchmark::State& state) {
   RunMechanism(state, mech::Wait4Me{});
@@ -451,11 +431,11 @@ void BM_EngineGridIndependent(benchmark::State& state) {
         const std::string name = mechanism->Name();
         util::Rng rng(util::DeriveStreamSeed(
             1, model::Fnv1a64(name.data(), name.size()), 0));
-        const model::Dataset published =
-            mechanism->ApplyView(source.view(), rng);
+        const model::EventStore published =
+            mechanism->ApplyToStore(source.view(), rng);
         const auto evaluator = core::CreateEvaluator(evaluator_spec);
         const auto values = evaluator->Evaluate(
-            {source.view(), model::DatasetView::Of(published), frame, 1});
+            {source.view(), published.View(), frame, 1});
         benchmark::DoNotOptimize(values.size());
       }
     }

@@ -183,7 +183,6 @@ int main(int argc, char** argv) {
     // cell, so for unsharded runs a --evaluate report describes exactly
     // the written output; sharded runs use per-shard streams instead
     // (the report then scores an unsharded realization — see below). ----
-    model::Dataset published;
     const std::int64_t shards_arg = cli.GetInt("shards");
     if (shards_arg < 0) {
       std::cerr << "--shards must be >= 0 (got " << shards_arg << ")\n";
@@ -191,25 +190,33 @@ int main(int argc, char** argv) {
     }
     util::Rng rng(util::DeriveStreamSeed(
         run.seed, model::Fnv1a64(name.data(), name.size()), 0));
+    model::EventStore published;
     if (shards_arg > 0) {
       const model::ShardedDataset partition = model::ShardedDataset::Partition(
           source.view().Materialize(), static_cast<std::size_t>(shards_arg));
-      const model::ShardedDataset result =
-          core::ApplyMechanismSharded(*mechanism, partition, rng);
+      const model::ShardedDataset result = model::TransformSharded(
+          partition, rng,
+          [&](const model::Dataset& shard, util::Rng& shard_rng, std::size_t) {
+            return mechanism->Apply(shard, shard_rng);
+          });
       const std::string shard_dir = cli.GetString("output") + ".shards";
       result.SaveShards(shard_dir);
       std::cout << "\n" << name << " over " << shards_arg
                 << " shards; partition persisted to " << shard_dir << "\n";
-      published = result.Merge();
+      published = model::EventStore::FromDataset(result.Merge());
     } else {
-      published = mechanism->ApplyView(source.view(), rng);
+      published = mechanism->ApplyToStore(source.view(), rng);
       std::cout << "\n" << name << ": published "
                 << published.TraceCount() << " traces, "
                 << published.EventCount() << " events\n";
     }
-    model::SaveDataset(published, cli.GetString("output"));
-    std::cout << "Published dataset written to " << cli.GetString("output")
-              << "\n";
+    const std::string output = cli.GetString("output");
+    if (model::IsColumnarPath(output)) {
+      model::WriteColumnar(published, output);
+    } else {
+      model::WriteCsvFile(published.ToDataset(), output);
+    }
+    std::cout << "Published dataset written to " << output << "\n";
 
     // ---- Optional: score the publication with the scenario engine. The
     // engine re-binds the source and re-applies the mechanism (seeded

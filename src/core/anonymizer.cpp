@@ -2,8 +2,8 @@
 
 #include <sstream>
 
+#include "mechanisms/identity.h"
 #include "util/string_utils.h"
-#include "util/thread_pool.h"
 
 namespace mobipriv::core {
 
@@ -61,81 +61,48 @@ std::string Anonymizer::Name() const {
   return name;
 }
 
-model::Dataset Anonymizer::Apply(const model::Dataset& input,
-                                 util::Rng& rng) const {
-  PipelineReport report;
-  return ApplyWithReport(input, rng, report);
-}
-
-model::Dataset Anonymizer::ApplyView(const model::DatasetView& input,
-                                     util::Rng& rng) const {
-  // Mirrors ApplyWithReport stage for stage (same rng draw order), with
-  // every stage consuming a view: no full materialization of the source.
-  if (config_.enable_speed_smoothing) {
-    const model::Dataset smoothed = speed_.ApplyView(input, rng);
-    if (!config_.enable_mixzones) return smoothed;
-    return mixzone_.ApplyView(model::DatasetView::Of(smoothed), rng);
-  }
-  if (config_.enable_mixzones) return mixzone_.ApplyView(input, rng);
-  return input.Materialize();  // no stage ran: publish the input as-is
-}
-
 model::EventStore Anonymizer::ApplyToStore(const model::DatasetView& input,
                                            util::Rng& rng) const {
+  PipelineReport report;
+  return ApplyToStoreWithReport(input, rng, report);
+}
+
+model::EventStore Anonymizer::ApplyToStoreWithReport(
+    const model::DatasetView& input, util::Rng& rng,
+    PipelineReport& report) const {
+  report = PipelineReport{};
+  report.input_events = input.EventCount();
+  report.input_traces = input.TraceCount();
+  report.after_smoothing_events = report.input_events;
+
   // Stage 1 produces columns directly (two-pass per-trace fill); stage 2's
   // detector reads those columns as a view and assembles its output
   // straight into store columns — the whole pipeline is SoA end to end.
+  model::EventStore smoothed;
   if (config_.enable_speed_smoothing) {
-    const model::EventStore smoothed = speed_.ApplyToStore(input, rng);
-    if (!config_.enable_mixzones) return smoothed;
-    return mixzone_.ApplyToStore(smoothed.View(), rng);
+    smoothed = speed_.ApplyToStore(input, rng);
+    report.after_smoothing_events = smoothed.EventCount();
+    report.dropped_traces = report.input_traces - smoothed.TraceCount();
   }
-  if (config_.enable_mixzones) return mixzone_.ApplyToStore(input, rng);
-  return Mechanism::ApplyToStore(input, rng);
+  model::EventStore output;
+  if (config_.enable_mixzones) {
+    output = mixzone_.ApplyToStoreWithReport(
+        config_.enable_speed_smoothing ? smoothed.View() : input, rng,
+        report.mixzone);
+  } else if (config_.enable_speed_smoothing) {
+    output = std::move(smoothed);
+  } else {
+    output = mech::Identity().ApplyToStore(input, rng);  // no stage ran
+  }
+  report.output_events = output.EventCount();
+  return output;
 }
 
 model::Dataset Anonymizer::ApplyWithReport(const model::Dataset& input,
                                            util::Rng& rng,
                                            PipelineReport& report) const {
-  report = PipelineReport{};
-  report.input_events = input.EventCount();
-  report.input_traces = input.TraceCount();
-
-  // Pass-through stages never copy: `current` points at the last produced
-  // dataset and the input is only cloned when no stage ran at all.
-  const model::Dataset* current = &input;
-  model::Dataset smoothed;
-  if (config_.enable_speed_smoothing) {
-    smoothed = speed_.Apply(input, rng);
-    current = &smoothed;
-  }
-  report.after_smoothing_events = current->EventCount();
-  report.dropped_traces = report.input_traces - current->TraceCount();
-
-  if (config_.enable_mixzones) {
-    model::Dataset mixed = mixzone_.ApplyWithReport(*current, rng, report.mixzone);
-    report.output_events = mixed.EventCount();
-    return mixed;
-  }
-  report.output_events = current->EventCount();
-  return current == &input ? input.Clone() : std::move(smoothed);
-}
-
-model::ShardedDataset Anonymizer::ApplySharded(
-    const model::ShardedDataset& input, util::Rng& rng,
-    std::vector<PipelineReport>* reports) const {
-  // NOTE: the caller's rng advances by exactly ONE draw (the master seed),
-  // unlike an unsharded Apply whose draw count depends on the data (mix
-  // zones draw per occurrence). Sharded and unsharded runs are therefore
-  // not interchangeable mid-stream of one rng.
-  std::vector<PipelineReport> shard_reports(input.ShardCount());
-  model::ShardedDataset result = model::TransformSharded(
-      input, rng,
-      [&](const model::Dataset& shard, util::Rng& shard_rng, std::size_t s) {
-        return ApplyWithReport(shard, shard_rng, shard_reports[s]);
-      });
-  if (reports != nullptr) *reports = std::move(shard_reports);
-  return result;
+  return ApplyToStoreWithReport(model::DatasetView::Of(input), rng, report)
+      .ToDataset();
 }
 
 }  // namespace mobipriv::core

@@ -6,13 +6,9 @@
 // stage 1 alone, stage 2 alone and the full pipeline).
 #pragma once
 
-#include <memory>
-#include <vector>
-
 #include "mechanisms/mechanism.h"
 #include "mechanisms/mixzone.h"
 #include "mechanisms/speed_smoothing.h"
-#include "model/sharded_dataset.h"
 
 namespace mobipriv::core {
 
@@ -44,34 +40,20 @@ class Anonymizer final : public mech::Mechanism {
     return config_;
   }
 
-  [[nodiscard]] model::Dataset Apply(const model::Dataset& input,
-                                     util::Rng& rng) const override;
-
-  /// View-native pipeline: stage 1 streams the view per trace, stage 2
-  /// runs the view-native mix-zone engine — no full-dataset materialization
-  /// of the source for mmap'd `.mpc` inputs.
-  [[nodiscard]] model::Dataset ApplyView(const model::DatasetView& input,
-                                         util::Rng& rng) const override;
-
   /// SoA-native pipeline: stage 1 fills an EventStore via the two-pass
-  /// per-trace path, stage 2 consumes that store's view directly. Draws
-  /// from `rng` exactly like Apply, so outputs are bit-identical.
+  /// per-trace path, stage 2 consumes that store's view directly.
   [[nodiscard]] model::EventStore ApplyToStore(const model::DatasetView& input,
                                                util::Rng& rng) const override;
 
+  /// ApplyToStore variant that also fills the per-stage report.
+  [[nodiscard]] model::EventStore ApplyToStoreWithReport(
+      const model::DatasetView& input, util::Rng& rng,
+      PipelineReport& report) const;
+
+  /// AoS adapter over ApplyToStoreWithReport, for Dataset-holding callers.
   [[nodiscard]] model::Dataset ApplyWithReport(const model::Dataset& input,
                                                util::Rng& rng,
                                                PipelineReport& report) const;
-
-  /// Shard-wise run: the full pipeline applies to every shard
-  /// independently, with per-shard RNG streams derived from one master
-  /// draw (byte-identical at any worker count; the caller's rng advances
-  /// once). Mix zones never span shards — users in different shards do not
-  /// meet, which is the deliberate scale-out trade-off: a shard is the
-  /// future process/NUMA boundary. `reports` gets one entry per shard.
-  [[nodiscard]] model::ShardedDataset ApplySharded(
-      const model::ShardedDataset& input, util::Rng& rng,
-      std::vector<PipelineReport>* reports = nullptr) const;
 
  private:
   AnonymizerConfig config_;

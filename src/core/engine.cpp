@@ -296,10 +296,7 @@ struct ScenarioEngine::Compiled {
   /// pair. The instance is built from the stage's ORIGINAL spec text,
   /// never from the canonical name — Name() prints numbers at fixed
   /// precision, so re-parsing it could silently change parameters (e.g.
-  /// eps=0.00004 -> "eps=0.0000" -> 0.0). One instance per node because
-  /// some baselines keep mutable per-Apply scratch (e.g. Wait4Me's
-  /// suppression ratio) that must not be shared between
-  /// concurrently-running nodes.
+  /// eps=0.00004 -> "eps=0.0000" -> 0.0).
   struct StagePlan {
     std::string prefix_name;  ///< stage names [0..k] joined with '|'
     std::string spec_text;    ///< original stage spec text (worker dispatch)

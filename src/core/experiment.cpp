@@ -5,7 +5,6 @@
 
 #include "mechanisms/registry.h"
 #include "util/string_utils.h"
-#include "util/thread_pool.h"
 
 namespace mobipriv::core {
 
@@ -94,16 +93,6 @@ std::vector<std::unique_ptr<mech::Mechanism>> StandardRoster(
     roster.push_back(mech::CreateMechanism(spec));
   }
   return roster;
-}
-
-model::ShardedDataset ApplyMechanismSharded(const mech::Mechanism& mechanism,
-                                            const model::ShardedDataset& input,
-                                            util::Rng& rng) {
-  return model::TransformSharded(
-      input, rng,
-      [&](const model::Dataset& shard, util::Rng& shard_rng, std::size_t) {
-        return mechanism.Apply(shard, shard_rng);
-      });
 }
 
 }  // namespace mobipriv::core

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "mechanisms/mechanism.h"
-#include "model/sharded_dataset.h"
 
 namespace mobipriv::core {
 
@@ -48,13 +47,5 @@ class Table {
 /// StandardRosterSpecs instantiated through the mechanism registry.
 [[nodiscard]] std::vector<std::unique_ptr<mech::Mechanism>> StandardRoster(
     const std::vector<double>& geo_ind_epsilons = {0.001, 0.01, 0.1});
-
-/// Runs any mechanism shard-wise: every shard transforms independently on
-/// its own derived RNG stream (one master draw from `rng`; byte-identical
-/// at any worker count). The generic form of Anonymizer::ApplySharded for
-/// roster sweeps over sharded corpora.
-[[nodiscard]] model::ShardedDataset ApplyMechanismSharded(
-    const mech::Mechanism& mechanism, const model::ShardedDataset& input,
-    util::Rng& rng);
 
 }  // namespace mobipriv::core

@@ -29,24 +29,6 @@ std::string ChainMechanism::Name() const {
   return name;
 }
 
-model::Dataset ChainMechanism::Apply(const model::Dataset& input,
-                                     util::Rng& rng) const {
-  model::Dataset current = stages_.front()->Apply(input, rng);
-  for (std::size_t i = 1; i < stages_.size(); ++i) {
-    current = stages_[i]->Apply(current, rng);
-  }
-  return current;
-}
-
-model::Dataset ChainMechanism::ApplyView(const model::DatasetView& input,
-                                         util::Rng& rng) const {
-  model::Dataset current = stages_.front()->ApplyView(input, rng);
-  for (std::size_t i = 1; i < stages_.size(); ++i) {
-    current = stages_[i]->ApplyView(model::DatasetView::Of(current), rng);
-  }
-  return current;
-}
-
 model::EventStore ChainMechanism::ApplyToStore(const model::DatasetView& input,
                                                util::Rng& rng) const {
   model::EventStore current = stages_.front()->ApplyToStore(input, rng);

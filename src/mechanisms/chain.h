@@ -5,12 +5,11 @@
 // stage Name()s joined with '|', so chain names round-trip exactly like
 // single-stage names.
 //
-// RNG discipline (monolithic object): all three entry points thread the
-// single caller-supplied rng through the stages in order — stage k starts
+// RNG discipline (monolithic object): ApplyToStore threads the single
+// caller-supplied rng through the stages in order — stage k starts
 // drawing exactly where stage k-1 stopped. This makes ChainMechanism
 // output trivially bitwise identical to manually applying the stages in
-// sequence with one rng, and (by each stage's own contract) keeps
-// ApplyToStore bit-for-bit FromDataset(Apply(...)).
+// sequence with one rng.
 //
 // The scenario engine intentionally does NOT run chains through this
 // object: it compiles each chain into per-stage nodes with per-PREFIX rng
@@ -36,10 +35,6 @@ class ChainMechanism final : public Mechanism {
 
   [[nodiscard]] std::string Name() const override;
 
-  [[nodiscard]] model::Dataset Apply(const model::Dataset& input,
-                                     util::Rng& rng) const override;
-  [[nodiscard]] model::Dataset ApplyView(const model::DatasetView& input,
-                                         util::Rng& rng) const override;
   [[nodiscard]] model::EventStore ApplyToStore(const model::DatasetView& input,
                                                util::Rng& rng) const override;
 

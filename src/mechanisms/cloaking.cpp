@@ -63,9 +63,4 @@ void Cloaking::ApplyToTraceColumns(const model::TraceView& trace,
   }
 }
 
-model::Trace Cloaking::ApplyToTrace(const model::Trace& trace,
-                                    util::Rng& rng) const {
-  return ApplyToTraceViaColumns(trace, rng);
-}
-
 }  // namespace mobipriv::mech

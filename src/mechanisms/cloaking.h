@@ -22,8 +22,6 @@ class Cloaking final : public PerTraceMechanism {
   }
 
  protected:
-  [[nodiscard]] model::Trace ApplyToTrace(const model::Trace& trace,
-                                          util::Rng& rng) const override;
   void ApplyToTraceColumns(const model::TraceView& trace,
                            model::TraceBuffer& out,
                            util::Rng& rng) const override;

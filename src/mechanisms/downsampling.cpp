@@ -65,9 +65,4 @@ void Downsampling::ApplyToTraceColumns(const model::TraceView& trace,
   }
 }
 
-model::Trace Downsampling::ApplyToTrace(const model::Trace& trace,
-                                        util::Rng& rng) const {
-  return ApplyToTraceViaColumns(trace, rng);
-}
-
 }  // namespace mobipriv::mech

@@ -21,8 +21,6 @@ class Downsampling final : public PerTraceMechanism {
   }
 
  protected:
-  [[nodiscard]] model::Trace ApplyToTrace(const model::Trace& trace,
-                                          util::Rng& rng) const override;
   void ApplyToTraceColumns(const model::TraceView& trace,
                            model::TraceBuffer& out,
                            util::Rng& rng) const override;

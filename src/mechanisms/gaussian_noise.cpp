@@ -62,9 +62,4 @@ void GaussianNoise::ApplyToTraceColumns(const model::TraceView& trace,
   }
 }
 
-model::Trace GaussianNoise::ApplyToTrace(const model::Trace& trace,
-                                         util::Rng& rng) const {
-  return ApplyToTraceViaColumns(trace, rng);
-}
-
 }  // namespace mobipriv::mech

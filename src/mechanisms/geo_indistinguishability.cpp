@@ -115,9 +115,4 @@ void GeoIndistinguishability::ApplyToTraceColumns(
   }
 }
 
-model::Trace GeoIndistinguishability::ApplyToTrace(const model::Trace& trace,
-                                                   util::Rng& rng) const {
-  return ApplyToTraceViaColumns(trace, rng);
-}
-
 }  // namespace mobipriv::mech

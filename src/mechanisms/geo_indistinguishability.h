@@ -42,8 +42,6 @@ class GeoIndistinguishability final : public PerTraceMechanism {
   }
 
  protected:
-  [[nodiscard]] model::Trace ApplyToTrace(const model::Trace& trace,
-                                          util::Rng& rng) const override;
   void ApplyToTraceColumns(const model::TraceView& trace,
                            model::TraceBuffer& out,
                            util::Rng& rng) const override;

@@ -2,12 +2,6 @@
 
 namespace mobipriv::mech {
 
-model::Dataset Identity::Apply(const model::Dataset& input,
-                               util::Rng& rng) const {
-  (void)rng;
-  return input.Clone();
-}
-
 model::EventStore Identity::ApplyToStore(const model::DatasetView& input,
                                          util::Rng& rng) const {
   (void)rng;

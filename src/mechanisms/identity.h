@@ -9,10 +9,8 @@ namespace mobipriv::mech {
 class Identity final : public Mechanism {
  public:
   [[nodiscard]] std::string Name() const override { return "identity"; }
-  [[nodiscard]] model::Dataset Apply(const model::Dataset& input,
-                                     util::Rng& rng) const override;
   /// Straight column copy of the view — no AoS dataset, no re-interning,
-  /// empty traces preserved (exactly what Apply's Clone keeps).
+  /// empty traces preserved.
   [[nodiscard]] model::EventStore ApplyToStore(const model::DatasetView& input,
                                                util::Rng& rng) const override;
 };

@@ -7,110 +7,19 @@
 
 namespace mobipriv::mech {
 
-model::Dataset Mechanism::ApplyView(const model::DatasetView& input,
-                                    util::Rng& rng) const {
-  // Default adapter: materialize once, run the AoS implementation.
-  const model::Dataset materialized = input.Materialize();
-  return Apply(materialized, rng);
-}
-
-model::EventStore Mechanism::ApplyToStore(const model::DatasetView& input,
-                                          util::Rng& rng) const {
-  // Default adapter: run the view path, convert the output once. The
-  // conversion is O(output events) column scatter — mechanisms whose
-  // output is much smaller than their input (mixzone, wait4me) lose
-  // little; per-trace mechanisms override this with the two-pass fill.
-  return model::EventStore::FromDataset(ApplyView(input, rng));
-}
-
-void PerTraceMechanism::ApplyToTraceColumns(const model::TraceView& trace,
-                                            model::TraceBuffer& out,
-                                            util::Rng& rng) const {
-  // Default adapter for subclasses that only implement ApplyToTrace:
-  // materialize the one trace (counted by model::TraceCopyCount), run the
-  // AoS kernel, append its output.
-  const model::Trace transformed = ApplyToTrace(trace.Materialize(), rng);
-  for (const model::Event& e : transformed) {
-    out.Append(e.position, e.time);
-  }
-}
-
-model::Trace PerTraceMechanism::ApplyToTraceViaColumns(
-    const model::Trace& trace, util::Rng& rng) const {
-  model::TraceBuffer buffer;
-  ApplyToTraceColumns(model::TraceView::Of(trace), buffer, rng);
-  return buffer.ToTrace(trace.user());
-}
-
-template <typename NameOf, typename UserOf, typename Transform>
-model::Dataset PerTraceMechanism::ApplyEngine(model::UserId user_count,
-                                              NameOf&& name_of, std::size_t n,
-                                              UserOf&& user_of,
-                                              Transform&& transform,
-                                              util::Rng& rng) const {
-  model::Dataset output;
-  // Re-intern users in id order so ids are identical in input and output.
-  for (model::UserId id = 0; id < user_count; ++id) {
-    output.InternUser(name_of(id));
-  }
-  // One master draw whatever the worker count: the caller's rng advances
-  // identically in serial and parallel runs, and every trace derives its
-  // own independent stream from (master, user, trace index). Output is
-  // therefore byte-identical at any parallelism level — and identical
-  // between the AoS, view and store entry points, which all use this
-  // stream scheme.
-  const std::uint64_t master = rng.NextU64();
-  std::vector<model::Trace> transformed(n);
-  util::ParallelFor(n, [&](std::size_t begin, std::size_t end) {
-    model::TraceBuffer buffer;  // per-chunk scratch, reused across traces
-    for (std::size_t t = begin; t < end; ++t) {
-      util::Rng trace_rng(util::DeriveStreamSeed(
-          master, static_cast<std::uint64_t>(user_of(t)),
-          static_cast<std::uint64_t>(t)));
-      transformed[t] = transform(t, trace_rng, buffer);
-    }
-  });
-
-  for (std::size_t t = 0; t < n; ++t) {
-    if (transformed[t].empty()) continue;  // mechanism suppressed the trace
-    transformed[t].set_user(user_of(t));
-    output.AddTrace(std::move(transformed[t]));
-  }
-  return output;
-}
-
-model::Dataset PerTraceMechanism::Apply(const model::Dataset& input,
-                                        util::Rng& rng) const {
-  const auto& traces = input.traces();
-  return ApplyEngine(
-      static_cast<model::UserId>(input.UserCount()),
-      [&](model::UserId id) { return input.UserName(id); }, traces.size(),
-      [&](std::size_t t) { return traces[t].user(); },
-      [&](std::size_t t, util::Rng& trace_rng, model::TraceBuffer&) {
-        return ApplyToTrace(traces[t], trace_rng);
-      },
-      rng);
-}
-
-model::Dataset PerTraceMechanism::ApplyView(const model::DatasetView& input,
-                                            util::Rng& rng) const {
-  const auto& traces = input.traces();
-  return ApplyEngine(
-      static_cast<model::UserId>(input.UserCount()),
-      [&](model::UserId id) { return input.UserName(id); }, traces.size(),
-      [&](std::size_t t) { return traces[t].user(); },
-      [&](std::size_t t, util::Rng& trace_rng, model::TraceBuffer& buffer) {
-        buffer.Clear();
-        ApplyToTraceColumns(traces[t], buffer, trace_rng);
-        return buffer.ToTrace(traces[t].user());
-      },
-      rng);
+model::Dataset Mechanism::Apply(const model::Dataset& input,
+                                util::Rng& rng) const {
+  return ApplyToStore(model::DatasetView::Of(input), rng).ToDataset();
 }
 
 model::EventStore PerTraceMechanism::ApplyToStore(
     const model::DatasetView& input, util::Rng& rng) const {
   const auto& traces = input.traces();
   const std::size_t n = traces.size();
+  // One master draw whatever the worker count: the caller's rng advances
+  // identically in serial and parallel runs, and every trace derives its
+  // own independent stream from (master, user, trace index), so output is
+  // byte-identical at any parallelism level.
   const std::uint64_t master = rng.NextU64();
 
   // ---- Pass 1: transform. ----
@@ -162,8 +71,7 @@ model::EventStore PerTraceMechanism::ApplyToStore(
     std::copy(buffer.time().begin(), buffer.time().end(), time.begin() + at);
   });
 
-  // Trace table in input order, skipping suppressed (empty) outputs —
-  // exactly the traces Apply would keep.
+  // Trace table in input order, skipping suppressed (empty) outputs.
   std::vector<model::EventStore::TraceRange> table;
   table.reserve(n);
   for (std::size_t b = 0; b < blocks; ++b) {

@@ -2,17 +2,12 @@
 // every baseline). A mechanism maps a raw dataset to a sanitized dataset;
 // randomness is supplied by the caller so runs are reproducible.
 //
-// Three entry points, one determinism contract:
-//   * Apply(Dataset)          — AoS in, AoS out (the historical API);
-//   * ApplyView(DatasetView)  — any storage layout in (AoS, EventStore,
-//                               mmap'd .mpc), AoS out;
-//   * ApplyToStore(DatasetView) — any layout in, columnar EventStore out:
-//                               the SoA-native path the scenario engine
-//                               runs, with no per-trace std::vector<Event>
-//                               and no name re-interning on the way out.
-// All three draw from `rng` identically, so for the same input and seed
-// ApplyToStore(view) is bit-for-bit FromDataset(Apply(dataset)) — the
-// equivalence the test suite pins for every registry mechanism.
+// One implementation per mechanism: ApplyToStore(DatasetView) takes any
+// storage layout (AoS, EventStore, mmap'd .mpc) and returns the columnar
+// EventStore the scenario engine runs, caches and evaluates — with no
+// per-trace std::vector<Event> and no name re-interning on the way out.
+// Apply(Dataset) is the AoS adapter over it, so for the same input and
+// seed both entry points produce the same bytes and advance `rng` alike.
 #pragma once
 
 #include <memory>
@@ -34,49 +29,27 @@ class Mechanism {
   /// "geo_ind[eps=0.01]", ...).
   [[nodiscard]] virtual std::string Name() const = 0;
 
-  /// Produces the sanitized dataset. Implementations must not mutate the
-  /// input and must leave `rng` in a valid (advanced) state.
-  [[nodiscard]] virtual model::Dataset Apply(const model::Dataset& input,
-                                             util::Rng& rng) const = 0;
-
-  /// View-based entry point (named, not overloaded, so derived classes
-  /// overriding Apply don't hide it): lets columnar stores (EventStore)
-  /// and shard slices feed mechanisms without building an AoS dataset
-  /// first. The default adapter materializes the view; PerTraceMechanism
-  /// overrides it to run per trace without any full materialization.
-  [[nodiscard]] virtual model::Dataset ApplyView(
-      const model::DatasetView& input, util::Rng& rng) const;
-
-  /// SoA-native entry point: the sanitized dataset as an EventStore
-  /// (contiguous lat/lng/time columns + trace table), the layout the
-  /// scenario engine memoizes, fans out to evaluators zero-copy, and
-  /// spills to `.mpc`. The default adapter converts ApplyView's output;
-  /// PerTraceMechanism overrides it with a two-pass fill that never builds
-  /// an AoS dataset at all. Same rng stream discipline as Apply: for a
-  /// given input and rng state the store is bit-for-bit
-  /// EventStore::FromDataset(Apply(...)).
+  /// Produces the sanitized dataset as an EventStore (contiguous
+  /// lat/lng/time columns + trace table). Implementations must not mutate
+  /// the input and must leave `rng` in a valid (advanced) state.
   [[nodiscard]] virtual model::EventStore ApplyToStore(
-      const model::DatasetView& input, util::Rng& rng) const;
+      const model::DatasetView& input, util::Rng& rng) const = 0;
+
+  /// AoS adapter: ApplyToStore(DatasetView::Of(input), rng).ToDataset().
+  /// Virtual only so instrumentation wrappers can intercept it; mechanisms
+  /// implement ApplyToStore and never override this.
+  [[nodiscard]] virtual model::Dataset Apply(const model::Dataset& input,
+                                             util::Rng& rng) const;
 };
 
 /// Helper base for mechanisms that transform each trace independently.
 class PerTraceMechanism : public Mechanism {
  public:
-  [[nodiscard]] model::Dataset Apply(const model::Dataset& input,
-                                     util::Rng& rng) const final;
-
-  /// Per-trace view adapter: workers stream the view one trace at a time
-  /// through the columns kernel (peak extra memory = one trace per lane,
-  /// not one dataset).
-  [[nodiscard]] model::Dataset ApplyView(const model::DatasetView& input,
-                                         util::Rng& rng) const final;
-
   /// The allocation-free path: two-pass ParallelFor (transform each trace
   /// into a per-chunk column buffer recording output sizes, prefix-sum the
   /// offsets, bulk-copy every chunk into its pre-sized slot). Zero
   /// per-trace vector<Event> allocations, zero per-trace view
-  /// materializations for mechanisms implementing the columns kernel, and
-  /// names carried through without re-interning.
+  /// materializations, and names carried through without re-interning.
   [[nodiscard]] model::EventStore ApplyToStore(const model::DatasetView& input,
                                                util::Rng& rng) const final;
 
@@ -96,39 +69,12 @@ class PerTraceMechanism : public Mechanism {
   }
 
  protected:
-  /// Transforms one trace. The returned trace keeps the input's user id.
-  /// Built-in mechanisms implement this as ApplyToTraceViaColumns (one
-  /// kernel, two layouts); external subclasses may implement it directly
-  /// and inherit the materializing ApplyToTraceColumns adapter.
-  [[nodiscard]] virtual model::Trace ApplyToTrace(const model::Trace& trace,
-                                                  util::Rng& rng) const = 0;
-
   /// SoA per-trace kernel: transforms `trace` and APPENDS the output fixes
   /// to `out` (which may already hold earlier traces' output — kernels must
-  /// only append, never clear). The default adapter materializes the view
-  /// and routes through ApplyToTrace (counting one model::TraceCopyCount
-  /// per trace); built-in mechanisms override it with the real kernel.
+  /// only append, never clear). Appending nothing suppresses the trace.
   virtual void ApplyToTraceColumns(const model::TraceView& trace,
                                    model::TraceBuffer& out,
-                                   util::Rng& rng) const;
-
-  /// Implements ApplyToTrace on top of an overridden ApplyToTraceColumns
-  /// (views the AoS trace zero-copy, runs the kernel, assembles the Trace).
-  [[nodiscard]] model::Trace ApplyToTraceViaColumns(const model::Trace& trace,
-                                                    util::Rng& rng) const;
-
- private:
-  /// Shared engine of Apply/ApplyView, so the determinism scheme (user
-  /// re-interning order, one master draw, DeriveStreamSeed(master, user,
-  /// trace index) per-trace streams, suppressed-trace merge) lives in one
-  /// place. `transform(t, rng, buffer)` yields the t-th output trace; the
-  /// buffer is per-chunk scratch reused across that chunk's traces.
-  template <typename NameOf, typename UserOf, typename Transform>
-  [[nodiscard]] model::Dataset ApplyEngine(model::UserId user_count,
-                                           NameOf&& name_of, std::size_t n,
-                                           UserOf&& user_of,
-                                           Transform&& transform,
-                                           util::Rng& rng) const;
+                                   util::Rng& rng) const = 0;
 };
 
 }  // namespace mobipriv::mech

@@ -44,9 +44,8 @@ struct ZonePassage {
 };
 
 /// One output trace as bare columns — the mechanism's native result form.
-/// The Dataset entry points assemble Events from these; the store entry
-/// point concatenates them into EventStore columns without ever building
-/// an Event.
+/// ApplyToStoreWithReport concatenates them into EventStore columns
+/// without ever building an Event.
 struct StitchedColumns {
   model::UserId user = model::kInvalidUser;
   std::vector<double> lat, lng;
@@ -354,10 +353,9 @@ void SortColumnsByTime(StitchedColumns& st) {
 
 /// The whole mechanism: detection, clustering, occurrence grouping,
 /// identity permutation and reassembly — everything except the final
-/// packaging of the stitched columns, which the Dataset and EventStore
-/// entry points each do natively. Output traces arrive per-trace
-/// time-sorted, in (ascending final identity, chronological) order — the
-/// exact trace order and bytes of the historical Dataset path.
+/// packaging of the stitched columns into an EventStore. Output traces
+/// arrive per-trace time-sorted, in (ascending final identity,
+/// chronological) order.
 std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
                                      const model::DatasetView& input,
                                      util::Rng& rng, MixZoneReport& report) {
@@ -700,8 +698,8 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
   // Stitching is per-identity independent: each identity sorts and stitches
   // its own segments into traces in parallel, and the per-identity results
   // concatenate in ascending identity order — the order the serial map walk
-  // emitted them in. Each finished trace gets the stable per-trace time
-  // sort the Dataset path historically applied via SortAll().
+  // emitted them in. Each finished trace gets a stable per-trace time
+  // sort.
   std::vector<std::pair<const model::UserId, std::vector<Segment>>*> by_id;
   by_id.reserve(segments.size());
   for (auto& entry : segments) by_id.push_back(&entry);
@@ -776,49 +774,17 @@ std::string MixZone::Name() const {
          "m,w=" + std::to_string(config_.time_window_s) + "s]";
 }
 
-model::Dataset MixZone::Apply(const model::Dataset& input,
-                              util::Rng& rng) const {
+model::EventStore MixZone::ApplyToStore(const model::DatasetView& input,
+                                        util::Rng& rng) const {
   MixZoneReport report;
-  return ApplyWithReport(input, rng, report);
-}
-
-model::Dataset MixZone::ApplyView(const model::DatasetView& input,
-                                  util::Rng& rng) const {
-  MixZoneReport report;
-  return ApplyViewWithReport(input, rng, report);
+  return ApplyToStoreWithReport(input, rng, report);
 }
 
 model::Dataset MixZone::ApplyWithReport(const model::Dataset& input,
                                         util::Rng& rng,
                                         MixZoneReport& report) const {
-  return ApplyViewWithReport(model::DatasetView::Of(input), rng, report);
-}
-
-model::Dataset MixZone::ApplyViewWithReport(const model::DatasetView& input,
-                                            util::Rng& rng,
-                                            MixZoneReport& report) const {
-  const std::vector<StitchedColumns> stitched =
-      MixCore(config_, input, rng, report);
-  model::Dataset output;
-  for (model::UserId id = 0; id < input.UserCount(); ++id) {
-    output.InternUser(input.UserName(id));
-  }
-  for (const StitchedColumns& st : stitched) {
-    std::vector<model::Event> events;
-    events.reserve(st.size());
-    for (std::size_t i = 0; i < st.size(); ++i) {
-      events.push_back(
-          model::Event{geo::LatLng{st.lat[i], st.lng[i]}, st.time[i]});
-    }
-    output.AddTrace(model::Trace(st.user, std::move(events)));
-  }
-  return output;
-}
-
-model::EventStore MixZone::ApplyToStore(const model::DatasetView& input,
-                                        util::Rng& rng) const {
-  MixZoneReport report;
-  return ApplyToStoreWithReport(input, rng, report);
+  return ApplyToStoreWithReport(model::DatasetView::Of(input), rng, report)
+      .ToDataset();
 }
 
 model::EventStore MixZone::ApplyToStoreWithReport(
@@ -853,8 +819,8 @@ model::EventStore MixZone::ApplyToStoreWithReport(
                                                   offset[t], offset[t + 1]});
   }
 
-  // Names carried through in id order, exactly like the Dataset path's
-  // InternUser loop (and the per-trace mechanisms' store path).
+  // Names carried through in id order, exactly like the per-trace
+  // mechanisms' store path.
   std::vector<std::string> names;
   names.reserve(input.UserCount());
   for (model::UserId id = 0;

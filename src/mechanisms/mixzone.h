@@ -86,35 +86,18 @@ class MixZone final : public Mechanism {
     return config_;
   }
 
-  [[nodiscard]] model::Dataset Apply(const model::Dataset& input,
-                                     util::Rng& rng) const override;
+  /// Detection, clustering and reassembly run off the view's columns and
+  /// the suppressed/cut traces are assembled directly into EventStore
+  /// columns — no AoS dataset and no per-trace Event vectors anywhere
+  /// between input view and store (the scenario engine's
+  /// zero-TraceCopyCount contract).
+  [[nodiscard]] model::EventStore ApplyToStore(const model::DatasetView& input,
+                                               util::Rng& rng) const override;
 
-  /// View-native entry point: detection, clustering and reassembly all run
-  /// off the view's columns directly — mmap'd `.mpc` sources and EventStore
-  /// outputs feed the detector without a full-dataset materialization.
-  [[nodiscard]] model::Dataset ApplyView(const model::DatasetView& input,
-                                         util::Rng& rng) const override;
-
-  /// Apply() variant that also returns the detection/swap report.
+  /// AoS adapter over ApplyToStoreWithReport, for Dataset-holding callers.
   [[nodiscard]] model::Dataset ApplyWithReport(const model::Dataset& input,
                                                util::Rng& rng,
                                                MixZoneReport& report) const;
-
-  /// The shared view engine: the AoS entry points wrap this one (viewing
-  /// their input zero-copy), so all Dataset-producing paths are
-  /// byte-identical by construction.
-  [[nodiscard]] model::Dataset ApplyViewWithReport(
-      const model::DatasetView& input, util::Rng& rng,
-      MixZoneReport& report) const;
-
-  /// SoA-native output: detection, clustering and reassembly run off the
-  /// view's columns and the suppressed/cut traces are assembled directly
-  /// into EventStore columns — no AoS dataset and no per-trace Event
-  /// vectors anywhere between input view and store (the scenario engine's
-  /// zero-TraceCopyCount contract). Same rng discipline as Apply: the
-  /// store is bit-for-bit EventStore::FromDataset(Apply(...)).
-  [[nodiscard]] model::EventStore ApplyToStore(const model::DatasetView& input,
-                                               util::Rng& rng) const override;
 
   /// ApplyToStore variant that also returns the detection/swap report.
   [[nodiscard]] model::EventStore ApplyToStoreWithReport(

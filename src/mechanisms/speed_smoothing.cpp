@@ -125,10 +125,4 @@ void SpeedSmoothing::ApplyToTraceColumns(const model::TraceView& trace,
   SmoothColumns(trace, config_.spacing_m, config_.min_length_m, out);
 }
 
-model::Trace SpeedSmoothing::ApplyToTrace(const model::Trace& trace,
-                                          util::Rng& rng) const {
-  (void)rng;
-  return Smooth(trace);
-}
-
 }  // namespace mobipriv::mech

@@ -59,9 +59,7 @@ class SpeedSmoothing final : public PerTraceMechanism {
   [[nodiscard]] model::Trace Smooth(const model::Trace& trace) const;
 
  protected:
-  [[nodiscard]] model::Trace ApplyToTrace(const model::Trace& trace,
-                                          util::Rng& rng) const override;
-  /// The real kernel: projects the view's columns, chord-resamples, and
+  /// The kernel: projects the view's columns, chord-resamples, and
   /// appends the published fixes — no AoS trace is ever built on this path.
   void ApplyToTraceColumns(const model::TraceView& trace,
                            model::TraceBuffer& out,

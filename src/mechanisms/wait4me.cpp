@@ -37,21 +37,15 @@ std::string Wait4Me::Name() const {
          ",delta=" + util::FormatDouble(config_.delta_m, 0) + "m]";
 }
 
-model::Dataset Wait4Me::Apply(const model::Dataset& input,
-                              util::Rng& rng) const {
-  return ApplyView(model::DatasetView::Of(input), rng);
-}
-
-model::Dataset Wait4Me::ApplyView(const model::DatasetView& input,
-                                  util::Rng& rng) const {
+model::EventStore Wait4Me::ApplyToStore(const model::DatasetView& input,
+                                        util::Rng& rng) const {
   (void)rng;  // deterministic given the input
   model::Dataset output;
   for (model::UserId id = 0; id < input.UserCount(); ++id) {
     output.InternUser(input.UserName(id));
   }
-  last_suppression_ratio_ = 0.0;
   const auto& traces = input.traces();
-  if (traces.empty()) return output;
+  if (traces.empty()) return model::EventStore::FromDataset(output);
 
   // ---- 1. Temporal alignment onto the median common span. ----
   // Use the span covered by most traces: [median of starts, median of ends].
@@ -62,19 +56,13 @@ model::Dataset Wait4Me::ApplyView(const model::DatasetView& input,
     starts.push_back(static_cast<double>(t.time(0)));
     ends.push_back(static_cast<double>(t.time(t.size() - 1)));
   }
-  if (starts.empty()) {
-    last_suppression_ratio_ = 1.0;
-    return output;
-  }
+  if (starts.empty()) return model::EventStore::FromDataset(output);
   std::sort(starts.begin(), starts.end());
   std::sort(ends.begin(), ends.end());
   const auto span_start =
       static_cast<util::Timestamp>(starts[starts.size() / 2]);
   const auto span_end = static_cast<util::Timestamp>(ends[ends.size() / 2]);
-  if (span_end <= span_start) {
-    last_suppression_ratio_ = 1.0;
-    return output;
-  }
+  if (span_end <= span_start) return model::EventStore::FromDataset(output);
 
   const geo::LocalProjection projection(input.BoundingBox().Center());
   std::vector<std::size_t> alive;  // indices into traces
@@ -132,7 +120,6 @@ model::Dataset Wait4Me::ApplyView(const model::DatasetView& input,
   }
 
   // ---- 3. Space translation into the delta/2 cylinder. ----
-  std::size_t published = 0;
   for (const auto& cluster : clusters) {
     // Per-time-step centroid.
     std::vector<geo::Point2> centroid(grid.size());
@@ -160,13 +147,9 @@ model::Dataset Wait4Me::ApplyView(const model::DatasetView& input,
             model::Event{projection.Unproject(p), grid[step]});
       }
       output.AddTrace(std::move(out_trace));
-      ++published;
     }
   }
-  last_suppression_ratio_ =
-      1.0 - static_cast<double>(published) /
-                static_cast<double>(traces.size());
-  return output;
+  return model::EventStore::FromDataset(output);
 }
 
 }  // namespace mobipriv::mech

@@ -38,25 +38,16 @@ class Wait4Me final : public Mechanism {
     return config_;
   }
 
-  [[nodiscard]] model::Dataset Apply(const model::Dataset& input,
-                                     util::Rng& rng) const override;
-
-  /// View-native entry point: alignment, clustering and translation build
-  /// their working sets (aligned planar tracks) straight from the view's
-  /// columns — no full-dataset materialization for mmap'd sources. Apply
-  /// wraps this with a zero-copy view, so both paths are one algorithm.
-  [[nodiscard]] model::Dataset ApplyView(const model::DatasetView& input,
-                                         util::Rng& rng) const override;
-
-  /// Fraction of input traces suppressed on the last Apply call (the
-  /// original paper's headline utility cost). Valid after Apply.
-  [[nodiscard]] double LastSuppressionRatio() const noexcept {
-    return last_suppression_ratio_;
-  }
+  /// Alignment, clustering and translation build their working sets
+  /// (aligned planar tracks) straight from the view's columns — no
+  /// full-dataset materialization for mmap'd sources. Suppressed traces
+  /// are simply absent from the output, so the original paper's headline
+  /// utility cost is 1 - output traces / input traces.
+  [[nodiscard]] model::EventStore ApplyToStore(const model::DatasetView& input,
+                                               util::Rng& rng) const override;
 
  private:
   Wait4MeConfig config_;
-  mutable double last_suppression_ratio_ = 0.0;
 };
 
 }  // namespace mobipriv::mech

@@ -13,10 +13,11 @@
 //     worker count, ingestion chunking or trace order — so sharded
 //     ingestion is deterministic by construction.
 //
-// Shard-wise pipeline runs (core::Anonymizer::ApplySharded) process each
-// shard independently; this is the in-process form of the multi-process /
-// NUMA sharding the roadmap targets — the shard boundary is already the
-// process boundary, one serialization step away.
+// Shard-wise mechanism runs (TransformSharded below, as used by
+// `anonymize_csv --shards`) process each shard independently; this is the
+// in-process form of the multi-process / NUMA sharding the roadmap
+// targets — the shard boundary is already the process boundary, one
+// serialization step away.
 #pragma once
 
 #include <cstddef>

@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "core/anonymizer.h"
-#include "core/experiment.h"
 #include "mechanisms/identity.h"
 #include "model/columnar_file.h"
 #include "model/event_store.h"
@@ -101,26 +100,30 @@ TEST(ShardedDataset, AllTracesOfAUserLandInOneShard) {
   }
 }
 
-TEST(ShardedDataset, ApplyShardedIsWorkerCountInvariant) {
+TEST(ShardedDataset, TransformShardedIsWorkerCountInvariant) {
   const model::Dataset dataset = TestWorld();
   const auto sharded = model::ShardedDataset::Partition(dataset, 3);
   const core::Anonymizer anonymizer;
+  const auto run = [&](std::size_t threads, util::Rng& rng,
+                       std::vector<core::PipelineReport>& reports) {
+    const util::ScopedParallelism scope(threads);
+    reports.assign(sharded.ShardCount(), {});
+    return model::TransformSharded(
+        sharded, rng,
+        [&](const model::Dataset& shard, util::Rng& shard_rng,
+            std::size_t s) {
+          return anonymizer.ApplyWithReport(shard, shard_rng, reports[s]);
+        });
+  };
 
   util::Rng serial_rng(2015);
-  model::ShardedDataset serial_out;
   std::vector<core::PipelineReport> serial_reports;
-  {
-    const util::ScopedParallelism one(1);
-    serial_out = anonymizer.ApplySharded(sharded, serial_rng, &serial_reports);
-  }
+  const model::ShardedDataset serial_out =
+      run(1, serial_rng, serial_reports);
   util::Rng parallel_rng(2015);
-  model::ShardedDataset parallel_out;
   std::vector<core::PipelineReport> parallel_reports;
-  {
-    const util::ScopedParallelism eight(8);
-    parallel_out =
-        anonymizer.ApplySharded(sharded, parallel_rng, &parallel_reports);
-  }
+  const model::ShardedDataset parallel_out =
+      run(8, parallel_rng, parallel_reports);
   EXPECT_EQ(serial_rng.NextU64(), parallel_rng.NextU64());
   ASSERT_EQ(serial_reports.size(), parallel_reports.size());
   for (std::size_t s = 0; s < serial_reports.size(); ++s) {
@@ -134,7 +137,11 @@ TEST(ShardedDataset, IdentityMechanismShardwisePreservesEverything) {
   const auto sharded = model::ShardedDataset::Partition(dataset, 5);
   util::Rng rng(1);
   const mech::Identity identity;
-  const auto out = core::ApplyMechanismSharded(identity, sharded, rng);
+  const auto out = model::TransformSharded(
+      sharded, rng,
+      [&](const model::Dataset& shard, util::Rng& shard_rng, std::size_t) {
+        return identity.Apply(shard, shard_rng);
+      });
   EXPECT_EQ(out.ShardCount(), sharded.ShardCount());
   EXPECT_EQ(out.EventCount(), dataset.EventCount());
   EXPECT_EQ(out.TraceCount(), dataset.TraceCount());
