@@ -10,12 +10,12 @@
 //         [--shards 0] [--evaluate coverage,spatial_distortion]
 //         [--spacing 100] [--zone-radius 150] [--window 600]
 //         [--no-mixzones] [--no-smoothing] [--mech-cache DIR]
-//   $ ./anonymize_csv --sweep sweep.cfg
+//   $ ./anonymize_csv --sweep sweep.cfg [--workers N]
 //
 // --sweep runs a whole scenario grid (sources x mechanisms — chains
 // included — x evaluators x seeds) declared in a config file (see
 // docs/FORMAT.md, "Sweep config files" and examples/sweep.cfg) and prints
-// the unified report as CSV; every other option is ignored.
+// the unified report as CSV; every other option but --workers is ignored.
 //
 // Input format is dispatched on the path (`.mpc` = columnar, a directory
 // with manifest.mpm = shard dir, else CSV); `.mpc` inputs are mmap-opened
@@ -23,10 +23,18 @@
 // registry spec string ("geo_ind[eps=0.01]", "wait4me[k=4,delta=500m]",
 // ...); the legacy pipeline flags (--spacing etc.) are shorthand that
 // assembles the "ours[...]" spec when --mechanism is not given.
-// `--shards N` runs the mechanism shard-wise (per-shard RNG streams) and
-// persists the published partition next to --output via
-// ShardedDataset::SaveShards. `--evaluate e1,e2,...` runs a one-mechanism
-// scenario-engine grid over the input and prints the unified report.
+//
+// Without --shards the mechanism runs exactly once, as the single row of
+// a scenario-engine grid: the written file is that row's output (a chain
+// is published as the engine's per-prefix realization), and
+// `--evaluate e1,e2,...` scores exactly that file and prints the unified
+// report. --mech-cache DIR serves this run, so a rerun reads the output
+// back instead of recomputing it. A failed mechanism writes nothing and
+// exits 1; so does any failed report row (after the file is written).
+// `--shards N` instead runs the mechanism shard-wise (per-shard RNG
+// streams) and persists the published partition next to --output via
+// ShardedDataset::SaveShards; its --evaluate report scores an unsharded
+// realization.
 //
 // With --demo (no input file), generates a synthetic dataset, writes it to
 // --output-raw, anonymizes it, and writes the result — a self-contained
@@ -83,18 +91,19 @@ int main(int argc, char** argv) {
   cli.AddOption("window", "mix-zone time window, seconds", "600");
   cli.AddOption("mech-cache",
                 "directory for the engine's .mpc mechanism-output cache "
-                "(reused across runs keyed by mechanism+data+seed; applies "
-                "to the --evaluate engine run; empty = off)", "");
+                "(reused across runs keyed by mechanism+data+seed; serves "
+                "every unsharded publish; empty = off)", "");
   cli.AddOption("mech-cache-max",
                 "LRU byte cap for --mech-cache (0 = unbounded)", "0");
   cli.AddOption("sweep",
                 "run a full scenario grid from a sweep config file "
                 "(docs/FORMAT.md, \"Sweep config files\") and print the "
-                "report CSV; all other options are ignored", "");
+                "report CSV; all other options but --workers are ignored",
+                "");
   cli.AddOption("workers",
-                "worker PROCESSES for shard-dir engine runs (0 = in-process; "
-                "supervised, crash-tolerant, byte-identical reports at any "
-                "value; applies to --sweep and --evaluate)", "0");
+                "worker PROCESSES for shard-dir --sweep grids (0 = "
+                "in-process; supervised, crash-tolerant, byte-identical "
+                "reports at any value; applies to --sweep only)", "0");
   cli.AddFlag("no-mixzones", "disable stage 2 (swapping)");
   cli.AddFlag("no-smoothing", "disable stage 1 (constant speed)");
   cli.AddFlag("demo", "generate a synthetic input instead of reading one");
@@ -154,8 +163,8 @@ int main(int argc, char** argv) {
     }
   }
 
+  bool rows_ok = true;  // a failed report row exits 1, as --sweep does
   try {
-    // ---- Bind the input (zero-copy for .mpc / shard dirs). -------------
     core::DatasetSourceSpec source_spec;
     if (cli.GetBool("demo") || cli.GetString("input").empty()) {
       std::cout << "No --input given: generating a demo dataset...\n";
@@ -171,41 +180,74 @@ int main(int argc, char** argv) {
     } else {
       source_spec = core::DatasetSourceSpec::FromPath(cli.GetString("input"));
     }
-    const core::BoundSource source = core::BoundSource::Bind(source_spec);
-    std::cout << "Input (" << source.description() << "): "
-              << source.view().TraceCount() << " traces, "
-              << source.view().EventCount() << " events\n";
-
-    const auto mechanism = mech::CreateMechanism(mechanism_spec);
-    const std::string name = mechanism->Name();
-
-    // ---- Publish. Uses the same stream derivation as an engine grid
-    // cell, so for unsharded runs a --evaluate report describes exactly
-    // the written output; sharded runs use per-shard streams instead
-    // (the report then scores an unsharded realization — see below). ----
     const std::int64_t shards_arg = cli.GetInt("shards");
     if (shards_arg < 0) {
       std::cerr << "--shards must be >= 0 (got " << shards_arg << ")\n";
       return 1;
     }
-    util::Rng rng(util::DeriveStreamSeed(
-        run.seed, model::Fnv1a64(name.data(), name.size()), 0));
+    const std::int64_t cache_max = cli.GetInt("mech-cache-max");
+    if (cache_max < 0) {
+      std::cerr << "--mech-cache-max must be >= 0 (got " << cache_max
+                << ")\n";
+      return 1;
+    }
+
+    // One grid row: the mechanism, scored by --evaluate's evaluators (none
+    // when it is absent — the run then only publishes).
+    const std::string evaluate = cli.GetString("evaluate");
+    core::ScenarioSpec spec;
+    spec.source = source_spec;
+    spec.mechanisms = {mechanism_spec};
+    spec.evaluators = SplitSpecList(evaluate);
+    spec.seeds = {run.seed};
+    spec.threads = run.threads;
+    spec.mechanism_cache_dir = cli.GetString("mech-cache");
+    spec.mechanism_cache_max_bytes = static_cast<std::uint64_t>(cache_max);
+    core::ScenarioEngine engine(std::move(spec));
+    const auto mechanism = mech::CreateMechanism(mechanism_spec);
+    const std::string name = mechanism->Name();
+
     model::EventStore published;
-    if (shards_arg > 0) {
-      const model::ShardedDataset partition = model::ShardedDataset::Partition(
-          source.view().Materialize(), static_cast<std::size_t>(shards_arg));
-      const model::ShardedDataset result = model::TransformSharded(
-          partition, rng,
-          [&](const model::Dataset& shard, util::Rng& shard_rng, std::size_t) {
-            return mechanism->Apply(shard, shard_rng);
-          });
-      const std::string shard_dir = cli.GetString("output") + ".shards";
-      result.SaveShards(shard_dir);
-      std::cout << "\n" << name << " over " << shards_arg
-                << " shards; partition persisted to " << shard_dir << "\n";
-      published = model::EventStore::FromDataset(result.Merge());
-    } else {
-      published = mechanism->ApplyToStore(source.view(), rng);
+    core::Report report;
+    {
+      // Bound here for the summary line and the shard-wise path; released
+      // before the engine binds its own copy.
+      const core::BoundSource source = core::BoundSource::Bind(source_spec);
+      std::cout << "Input (" << source.description() << "): "
+                << source.view().TraceCount() << " traces, "
+                << source.view().EventCount() << " events\n";
+      if (shards_arg > 0) {
+        util::Rng rng(util::DeriveStreamSeed(
+            run.seed, model::Fnv1a64(name.data(), name.size()), 0));
+        const model::ShardedDataset partition =
+            model::ShardedDataset::Partition(
+                source.view().Materialize(),
+                static_cast<std::size_t>(shards_arg));
+        const model::ShardedDataset result = model::TransformSharded(
+            partition, rng,
+            [&](const model::Dataset& shard, util::Rng& shard_rng,
+                std::size_t) { return mechanism->Apply(shard, shard_rng); });
+        const std::string shard_dir = cli.GetString("output") + ".shards";
+        result.SaveShards(shard_dir);
+        std::cout << "\n" << name << " over " << shards_arg
+                  << " shards; partition persisted to " << shard_dir << "\n";
+        published = model::EventStore::FromDataset(result.Merge());
+      }
+    }
+    if (shards_arg == 0) {
+      // ---- Publish: the engine's single mechanism node IS the
+      // publication, so the file and the report cannot disagree. ------
+      std::vector<model::EventStore> terminals;
+      report = engine.Run(&terminals);
+      for (const core::ReportRow& row : report.rows()) {
+        if (!row.evaluator.empty()) continue;
+        // Only the mechanism node's own row has no evaluator.
+        std::cerr << "Publish of " << row.mechanism << " "
+                  << core::ToString(row.status) << ": " << row.error
+                  << "\nNothing was written.\n";
+        return 1;
+      }
+      published = std::move(terminals.front());
       std::cout << "\n" << name << ": published "
                 << published.TraceCount() << " traces, "
                 << published.EventCount() << " events\n";
@@ -218,43 +260,18 @@ int main(int argc, char** argv) {
     }
     std::cout << "Published dataset written to " << output << "\n";
 
-    // ---- Optional: score the publication with the scenario engine. The
-    // engine re-binds the source and re-applies the mechanism (seeded
-    // identically, so unsharded reports describe the written output) —
-    // for .mpc inputs the re-bind is a microsecond mmap; for huge CSV
-    // inputs prefer converting to .mpc first (see README quickstart). ---
-    const std::string evaluate = cli.GetString("evaluate");
-    if (evaluate.empty() && !cli.GetString("mech-cache").empty()) {
-      std::cout << "note: --mech-cache only affects the --evaluate engine "
-                   "run; the publish path above did not use it.\n";
-    }
     if (!evaluate.empty()) {
       if (shards_arg > 0) {
         std::cout << "\nnote: --evaluate scores an unsharded realization "
                      "of " << name << "; the written sharded output used "
                      "per-shard RNG streams and differs for stochastic "
                      "mechanisms.\n";
+        report = engine.Run();
       }
-      core::ScenarioSpec spec;
-      spec.source = source_spec;
-      spec.mechanisms = {mechanism_spec};
-      spec.evaluators = SplitSpecList(evaluate);
-      spec.seeds = {run.seed};
-      spec.threads = run.threads;
-      spec.workers = static_cast<std::size_t>(workers_arg);
-      spec.mechanism_cache_dir = cli.GetString("mech-cache");
-      const std::int64_t cache_max = cli.GetInt("mech-cache-max");
-      if (cache_max < 0) {
-        std::cerr << "--mech-cache-max must be >= 0 (got " << cache_max
-                  << ")\n";
-        return 1;
-      }
-      spec.mechanism_cache_max_bytes = static_cast<std::uint64_t>(cache_max);
-      core::ScenarioEngine engine(std::move(spec));
-      const core::Report report = engine.Run();
       std::cout << "\nEvaluation (" << engine.stats().ToString() << "):\n"
                 << report.ToTable().ToString();
     }
+    rows_ok = report.AllOk();
   } catch (const model::IoError& e) {
     std::cerr << "I/O error: " << e.what() << "\n";
     return 1;
@@ -267,5 +284,5 @@ int main(int argc, char** argv) {
     std::cerr << "Error: " << e.what() << "\n";
     return 1;
   }
-  return util::FlushStdout("anonymize_csv") ? 0 : 1;
+  return util::FlushStdout("anonymize_csv") && rows_ok ? 0 : 1;
 }

@@ -329,9 +329,6 @@ ScenarioEngine::ScenarioEngine(ScenarioSpec spec)
   if (s.mechanisms.empty()) {
     throw util::SpecError("scenario has no mechanisms");
   }
-  if (s.evaluators.empty()) {
-    throw util::SpecError("scenario has no evaluators");
-  }
   if (s.seeds.empty()) throw util::SpecError("scenario has no seeds");
 
   const std::size_t seed_count = s.seeds.size();
@@ -397,7 +394,7 @@ ScenarioEngine::ScenarioEngine(ScenarioSpec spec)
 
 ScenarioEngine::~ScenarioEngine() = default;
 
-Report ScenarioEngine::Run() {
+Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
   Compiled& c = *compiled_;
   if (c.ran) throw std::logic_error("ScenarioEngine::Run called twice");
   c.ran = true;
@@ -477,9 +474,12 @@ Report ScenarioEngine::Run() {
   // grid row a single-stage per-trace mechanism (cross-trace mechanisms
   // and chains need the whole view), every evaluator foldable
   // (core::TraceFold), no output cache (its keys fingerprint the whole
-  // source) and no watchdog (a per-node wall clock has no meaning for
-  // interleaved shard passes). Everything else falls back to the DAG.
+  // source), no watchdog (a per-node wall clock has no meaning for
+  // interleaved shard passes) and no caller asking for the terminal
+  // outputs (streaming never holds them). Everything else falls back to
+  // the DAG.
   bool foldable =
+      terminals == nullptr &&
       c.spec.source.kind == DatasetSourceSpec::Kind::kShardDir &&
       c.spec.mechanism_cache_dir.empty();
   for (std::size_t i = 0; foldable && i < stage_count; ++i) {
@@ -1099,6 +1099,19 @@ Report ScenarioEngine::Run() {
   stats_.cache_misses = cache_misses.load(std::memory_order_relaxed);
   stats_.cache_read_retries = cache ? cache->read_retries() : 0;
   stats_.cache_evictions = cache ? cache->evictions() : 0;
+  if (terminals != nullptr) {
+    // Every consumer has finished, so the stores can leave the engine.
+    // Distinct rows have distinct chain names, hence distinct terminal
+    // nodes: each store moves at most once.
+    terminals->clear();
+    for (const Compiled::RowPlan& row : c.rows) {
+      for (const std::size_t terminal : row.terminal) {
+        terminals->push_back(node_results[terminal].status == NodeStatus::kOk
+                                 ? std::move(outputs[terminal])
+                                 : model::EventStore());
+      }
+    }
+  }
   return assemble(node_results, results);
 }
 

@@ -53,6 +53,7 @@
 
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "model/event_store.h"
 
 namespace mobipriv::core {
 
@@ -140,7 +141,8 @@ struct EngineStats {
   /// a shard directory whose layout ProbeShardStream accepts AND every
   /// grid row is a single-stage per-trace mechanism AND every evaluator
   /// is foldable (core::TraceFold) AND no output cache or watchdog is
-  /// configured; reports are byte-identical on either path.
+  /// configured AND Run() was not asked for the terminal outputs; reports
+  /// are byte-identical on either path.
   std::size_t streamed_shards = 0;
   /// Multi-process supervision accounting (core/shard_exec.h), all 0
   /// unless ScenarioSpec::workers engaged the worker path:
@@ -173,7 +175,16 @@ class ScenarioEngine {
   ScenarioEngine& operator=(const ScenarioEngine&) = delete;
 
   /// Binds the source and executes the DAG. Safe to call once.
-  [[nodiscard]] Report Run();
+  ///
+  /// With `terminals` non-null the caller keeps the mechanism outputs:
+  /// the run takes the whole-view DAG (the caller holds every output
+  /// anyway, so streaming would save nothing) and, once it completes,
+  /// `*terminals` receives one store per (row, seed) in report order,
+  /// each moved out of the engine. A row whose terminal stage did not
+  /// finish ok gets an empty store; its report error row says why. Such
+  /// a run may have no evaluators at all — this is how a publisher runs
+  /// the mechanism exactly once and both writes and scores its output.
+  [[nodiscard]] Report Run(std::vector<model::EventStore>* terminals = nullptr);
 
   /// Valid after Run().
   [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }

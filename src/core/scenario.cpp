@@ -231,6 +231,12 @@ ScenarioSpec ParseSweepConfig(std::string_view text,
                      "node_timeout_ms)");
     }
   }
+  // A grid scores its cells; one with nothing to score is a typo (the
+  // engine itself accepts it, for callers that keep the outputs).
+  if (spec.evaluators.empty()) {
+    throw util::SpecError("sweep config " + context +
+                          ": scenario has no evaluators");
+  }
   if (spec.seeds.empty()) spec.seeds = {1};
   return spec;
 }

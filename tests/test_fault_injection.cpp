@@ -373,6 +373,30 @@ TEST(Degradation, FailedMechanismDegradesDeterministically) {
             std::string::npos);
 }
 
+TEST(Degradation, FailedTerminalHandsBackAnEmptyStore) {
+  // A caller keeping the outputs (anonymize_csv's publish) must be able
+  // to tell a failed row from a published one: its store comes back
+  // empty and the report carries the row's mechanism error row.
+  DisarmGuard guard;
+  const std::string victim = "cloaking[cell=250m]";
+  fault::Arm(fault::points::kEngineMechanismRun, FailTimes(1000, victim));
+  core::ScenarioSpec spec = EngineSpec();
+  spec.evaluators.clear();
+  core::ScenarioEngine engine(spec);
+  std::vector<model::EventStore> terminals;
+  const core::Report report = engine.Run(&terminals);
+  fault::DisarmAll();
+
+  ASSERT_EQ(terminals.size(), 3u);  // identity, cloaking, geo_ind
+  EXPECT_GT(terminals[0].EventCount(), 0u);
+  EXPECT_EQ(terminals[1].TraceCount(), 0u);
+  EXPECT_GT(terminals[2].EventCount(), 0u);
+  ASSERT_EQ(report.rows().size(), 1u);
+  EXPECT_EQ(report.rows()[0].mechanism, victim);
+  EXPECT_EQ(report.rows()[0].evaluator, "");
+  EXPECT_EQ(report.rows()[0].status, core::RowStatus::kFailed);
+}
+
 TEST(Degradation, FailedEvaluatorKeepsSiblingCells) {
   DisarmGuard guard;
   fault::Arm(fault::points::kEngineEvaluatorRun,

@@ -6,12 +6,16 @@
 #include <filesystem>
 
 #include "core/evaluator.h"
+#include "core/output_cache.h"
 #include "core/scenario.h"
+#include "mechanisms/registry.h"
 #include "model/columnar_file.h"
 #include "model/event_store.h"
 #include "model/sharded_dataset.h"
 #include "synth/population.h"
+#include "util/rng.h"
 #include "util/spec.h"
+#include "util/string_utils.h"
 #include "util/thread_pool.h"
 
 namespace mobipriv {
@@ -238,6 +242,104 @@ TEST(ScenarioEngine, RunTwiceThrows) {
   core::ScenarioEngine engine(BaseSpec());
   (void)engine.Run();
   EXPECT_THROW((void)engine.Run(), std::logic_error);
+}
+
+// ---- Run(&terminals): the caller keeps the mechanism outputs. -----------
+
+TEST(ScenarioEngine, KeepingTerminalsLeavesTheReportUnchanged) {
+  const fs::path dir = fs::temp_directory_path() / "mobipriv_engine_keep";
+  fs::remove_all(dir);
+  model::ShardedDataset::Partition(World(), 4).SaveShards(dir.string());
+
+  // Returns the streamed shard count of the plain run, after checking
+  // that keeping the terminals changes nothing in the report.
+  const auto check = [](const core::ScenarioSpec& spec) {
+    core::ScenarioEngine plain(spec);
+    const std::string reference = plain.Run().ToCsv();
+    core::ScenarioEngine keeping(spec);
+    std::vector<model::EventStore> terminals;
+    EXPECT_EQ(keeping.Run(&terminals).ToCsv(), reference);
+    EXPECT_EQ(terminals.size(), spec.mechanisms.size() * spec.seeds.size());
+    EXPECT_EQ(keeping.stats().streamed_shards, 0u);  // whole-view DAG
+    return plain.stats().streamed_shards;
+  };
+
+  // A shard-dir grid that a plain Run() streams ...
+  core::ScenarioSpec streamable;
+  streamable.source = core::DatasetSourceSpec::ShardDir(dir.string());
+  streamable.mechanisms = {"gaussian", "geo_ind[eps=0.01]"};
+  streamable.evaluators = {"trajectory_stats", "range_queries[n=32]"};
+  streamable.seeds = {5, 9};
+  EXPECT_GT(check(streamable), 0u);
+
+  // ... and a chained grid whose rows share a prefix.
+  core::ScenarioSpec chained = BaseSpec();
+  chained.mechanisms = {"geo_ind[eps=0.05]|downsampling[dt=120]",
+                        "geo_ind[eps=0.05]|downsampling[dt=120]|cloaking",
+                        "geo_ind[eps=0.05]"};
+  chained.seeds = {3, 4};
+  EXPECT_EQ(check(chained), 0u);
+  fs::remove_all(dir);
+}
+
+TEST(ScenarioEngine, TerminalsAreThePerPrefixRealizations) {
+  // Each kept store is the row's last stage under the engine's per-prefix
+  // streams, recomputed here by hand; report order is row-major, then
+  // seed.
+  const std::vector<std::vector<std::string>> rows = {
+      {"geo_ind[eps=0.05]", "downsampling[dt=120]", "mixzone[r=100m]"},
+      {"cloaking"},
+      {"geo_ind[eps=0.05]", "downsampling[dt=120]"}};
+  core::ScenarioSpec spec = BaseSpec();
+  spec.mechanisms.clear();
+  for (const auto& stages : rows) {
+    spec.mechanisms.push_back(util::Join(stages, "|"));
+  }
+  spec.seeds = {3, 8};
+  core::ScenarioEngine engine(spec);
+  std::vector<model::EventStore> terminals;
+  ASSERT_TRUE(engine.Run(&terminals).AllOk());
+  ASSERT_EQ(terminals.size(), rows.size() * spec.seeds.size());
+
+  std::size_t next = 0;
+  for (const auto& stages : rows) {
+    for (const std::uint64_t seed : spec.seeds) {
+      model::EventStore manual;
+      model::DatasetView input = model::DatasetView::Of(World());
+      std::string prefix;
+      for (const std::string& text : stages) {
+        const auto mechanism = mech::CreateMechanism(text);
+        if (!prefix.empty()) prefix += "|";
+        prefix += mechanism->Name();
+        util::Rng rng(util::DeriveStreamSeed(
+            seed, model::Fnv1a64(prefix.data(), prefix.size()), 0));
+        manual = mechanism->ApplyToStore(input, rng);
+        input = manual.View();
+      }
+      EXPECT_EQ(core::OutputCache::FingerprintView(terminals[next].View()),
+                core::OutputCache::FingerprintView(manual.View()))
+          << prefix << " seed " << seed;
+      ++next;
+    }
+  }
+}
+
+TEST(ScenarioEngine, KeepingTerminalsNeedsNoEvaluators) {
+  core::ScenarioSpec spec = BaseSpec();
+  spec.evaluators.clear();
+  core::ScenarioEngine engine(spec);
+  std::vector<model::EventStore> terminals;
+  const core::Report report = engine.Run(&terminals);
+  EXPECT_TRUE(report.rows().empty());
+  EXPECT_TRUE(report.AllOk());
+  EXPECT_EQ(engine.stats().evaluator_nodes, 0u);
+  ASSERT_EQ(terminals.size(), 3u);
+  // Row 0 is identity: its store is the source, unchanged.
+  const model::DatasetView source = model::DatasetView::Of(World());
+  EXPECT_EQ(core::OutputCache::FingerprintView(terminals[0].View()),
+            core::OutputCache::FingerprintView(source));
+  EXPECT_GT(terminals[1].EventCount(), 0u);
+  EXPECT_GT(terminals[2].EventCount(), 0u);
 }
 
 }  // namespace

@@ -76,9 +76,17 @@ TEST(SweepConfig, BracketCommasStayInsideOneListEntry) {
 }
 
 TEST(SweepConfig, SeedsDefaultToOneWhenUnset) {
-  const core::ScenarioSpec spec =
-      core::ParseSweepConfig("mechanisms = identity\n", "cfg");
+  const core::ScenarioSpec spec = core::ParseSweepConfig(
+      "mechanisms = identity\nevaluators = coverage\n", "cfg");
   EXPECT_EQ(spec.seeds, (std::vector<std::uint64_t>{1}));
+}
+
+TEST(SweepConfig, RejectsAGridWithNoEvaluators) {
+  // The engine runs evaluator-less specs for callers that keep the
+  // outputs; a sweep keeps nothing, so its config must score something.
+  // (ErrorOf catches util::SpecError only.)
+  EXPECT_EQ(ErrorOf("mechanisms = identity\n"),
+            "sweep config cfg: scenario has no evaluators");
 }
 
 TEST(SweepConfig, PinnedLineNumberedErrors) {
@@ -117,7 +125,9 @@ TEST(SweepConfig, SynthSourceRoundTripsThroughDescribe) {
   core::DatasetSourceSpec source =
       core::DatasetSourceSpec::Synthetic(7, 2, 123);
   const core::ScenarioSpec reparsed = core::ParseSweepConfig(
-      "source = " + source.Describe() + "\nmechanisms = identity\n", "cfg");
+      "source = " + source.Describe() +
+          "\nmechanisms = identity\nevaluators = coverage\n",
+      "cfg");
   EXPECT_EQ(reparsed.source.Describe(), source.Describe());
   EXPECT_EQ(reparsed.source.agents, 7u);
   EXPECT_EQ(reparsed.source.days, 2u);
