@@ -26,6 +26,7 @@
 #include "mechanisms/mixzone.h"
 #include "mechanisms/speed_smoothing.h"
 #include "mechanisms/wait4me.h"
+#include "metrics/range_queries.h"
 #include "model/io.h"
 #include "model/sharded_dataset.h"
 #include "synth/population.h"
@@ -126,6 +127,28 @@ void BM_Reident(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_Reident)->Arg(5)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
+
+/// The range-query utility metric on the whole-view path: 200 queries
+/// against the raw world and its geo-indistinguishable publication (index
+/// build of both datasets + every count). Items are the events of both
+/// sides.
+void BM_RangeQueryError(benchmark::State& state) {
+  const auto& world = WorldOfSize(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(1);
+  const model::Dataset published =
+      mech::GeoIndistinguishability{}.Apply(world.dataset(), rng);
+  metrics::RangeQueryConfig config;
+  config.query_count = 200;
+  const auto queries = metrics::SampleQueries(world.dataset(), config, rng);
+  std::size_t events = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(metrics::MeasureRangeQueryError(
+        world.dataset(), published, queries));
+    events += world.dataset().EventCount() + published.EventCount();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_RangeQueryError)->Arg(100)->Unit(benchmark::kMillisecond);
 
 /// The acceptance workload: full anonymization pipeline (speed smoothing +
 /// mix zones) followed by the POI-extraction attack on the published data.

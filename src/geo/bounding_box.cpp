@@ -25,11 +25,6 @@ void GeoBoundingBox::Extend(const GeoBoundingBox& other) noexcept {
   Extend(other.ne_);
 }
 
-bool GeoBoundingBox::Contains(LatLng p) const noexcept {
-  return initialized_ && p.lat >= sw_.lat && p.lat <= ne_.lat &&
-         p.lng >= sw_.lng && p.lng <= ne_.lng;
-}
-
 bool GeoBoundingBox::Intersects(const GeoBoundingBox& other) const noexcept {
   if (IsEmpty() || other.IsEmpty()) return false;
   return sw_.lat <= other.ne_.lat && other.sw_.lat <= ne_.lat &&

@@ -19,7 +19,11 @@ class GeoBoundingBox {
   void Extend(const GeoBoundingBox& other) noexcept;
 
   [[nodiscard]] bool IsEmpty() const noexcept { return !initialized_; }
-  [[nodiscard]] bool Contains(LatLng p) const noexcept;
+  /// Closed on all sides; false for empty boxes and NaN coordinates.
+  [[nodiscard]] bool Contains(LatLng p) const noexcept {
+    return initialized_ && p.lat >= sw_.lat && p.lat <= ne_.lat &&
+           p.lng >= sw_.lng && p.lng <= ne_.lng;
+  }
   [[nodiscard]] bool Intersects(const GeoBoundingBox& other) const noexcept;
   [[nodiscard]] LatLng SouthWest() const noexcept { return sw_; }
   [[nodiscard]] LatLng NorthEast() const noexcept { return ne_; }

@@ -145,15 +145,14 @@ class RangeQueryFold final : public core::TraceFold {
       count_original_.assign(queries_.size(), 0);
       count_published_.assign(queries_.size(), 0);
     }
+    // One index per side, freed on return. Suppressed outputs are empty
+    // views and index no events — the same zero the whole-view path gets
+    // from dropping them.
+    const RangeCountIndex original(slice.original);
+    const RangeCountIndex published(slice.published);
     for (std::size_t q = 0; q < queries_.size(); ++q) {
-      for (const model::TraceView& trace : slice.original) {
-        count_original_[q] += CountEvents(trace, queries_[q]);
-      }
-      // Suppressed outputs are empty views and count zero events — the
-      // same zero the whole-view path gets from dropping them.
-      for (const model::TraceView& trace : slice.published) {
-        count_published_[q] += CountEvents(trace, queries_[q]);
-      }
+      count_original_[q] += original.Count(queries_[q]);
+      count_published_[q] += published.Count(queries_[q]);
     }
   }
 

@@ -13,6 +13,7 @@
 #include "metrics/coverage.h"
 #include "metrics/heatmap.h"
 #include "metrics/kdelta.h"
+#include "metrics/range_queries.h"
 #include "metrics/spatial_distortion.h"
 #include "metrics/trajectory_stats.h"
 #include "mechanisms/mixzone.h"
@@ -139,6 +140,12 @@ TEST(PathologicalInputs, MetricsSurviveTheZoo) {
     ASSERT_NO_THROW((void)metrics::HeatmapSimilarity(dataset, dataset));
     ASSERT_NO_THROW((void)metrics::MeasureKDeltaAnonymity(dataset));
     ASSERT_NO_THROW((void)metrics::CompareTrajectoryStats(dataset, dataset));
+    ASSERT_NO_THROW({
+      util::Rng rng(1);
+      const auto queries = metrics::SampleQueries(
+          dataset, metrics::RangeQueryConfig{}, rng);
+      (void)metrics::MeasureRangeQueryError(dataset, dataset, queries);
+    });
     ASSERT_NO_THROW((void)privacy::CertifyConstantSpeed(dataset));
   }
 }
@@ -158,6 +165,15 @@ TEST(PathologicalInputs, MetricsOnSelfAreReflexive) {
       const auto distortion = metrics::MeasureDistortion(dataset, dataset);
       EXPECT_DOUBLE_EQ(distortion.synchronized_m.max, 0.0);
     }
+    // Every range query counts the same events on both sides.
+    util::Rng rng(1);
+    const auto queries =
+        metrics::SampleQueries(dataset, metrics::RangeQueryConfig{}, rng);
+    const auto report =
+        metrics::MeasureRangeQueryError(dataset, dataset, queries);
+    EXPECT_EQ(report.queries, queries.size());
+    EXPECT_EQ(report.relative_error.count, queries.size());
+    EXPECT_DOUBLE_EQ(report.relative_error.max, 0.0);
   }
 }
 
