@@ -16,6 +16,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -142,6 +144,56 @@ TEST_F(ShardExec, MergedReportByteIdenticalAcrossWorkerCounts) {
     EXPECT_EQ(engine.stats().streamed_shards, 4u) << "workers=" << workers;
     EXPECT_GE(engine.stats().workers_spawned, 1u) << "workers=" << workers;
     EXPECT_EQ(engine.stats().worker_failures, 0u) << "workers=" << workers;
+  }
+  fs::remove_all(dir);
+}
+
+TEST_F(ShardExec, DegradedReportsAgreeAcrossExecutors) {
+  REQUIRE_WORKER_BINARY();
+  const std::string dir = MakeShardDir("mobipriv_exec_degraded", 4);
+
+  // An engine-side fault on a mechanism stage, then on an evaluator,
+  // must degrade the same rows with the same text whichever executor
+  // runs the grid: the whole-view DAG over the borrowed world, the
+  // shard stream in-process, and the shard stream under workers.
+  struct Placement {
+    core::DatasetSourceSpec source;
+    std::size_t workers;
+    std::size_t streamed_shards;
+  };
+  const std::vector<Placement> placements = {
+      {core::DatasetSourceSpec::Borrowed(World()), 0, 0},
+      {core::DatasetSourceSpec::ShardDir(dir), 0, 4},
+      {core::DatasetSourceSpec::ShardDir(dir), 2, 4},
+  };
+  const std::vector<std::pair<std::string_view, std::string>> arms = {
+      {fault::points::kEngineMechanismRun, "cloaking*"},
+      {fault::points::kEngineEvaluatorRun, "range_queries*"},
+  };
+  for (const auto& [point, key] : arms) {
+    std::string reference;
+    for (const Placement& placement : placements) {
+      fault::Config config;
+      config.mode = fault::Mode::kFailTimes;
+      config.times = 1000;
+      config.key_filter = key;
+      fault::Arm(point, config);
+      core::ScenarioSpec spec = FoldableSpec();
+      spec.source = placement.source;
+      spec.workers = placement.workers;
+      core::ScenarioEngine engine(std::move(spec));
+      const std::string csv = engine.Run().ToCsv();
+      fault::DisarmAll();
+      EXPECT_EQ(engine.stats().streamed_shards, placement.streamed_shards)
+          << point << " workers=" << placement.workers;
+      EXPECT_NE(csv.find("injected fault"), std::string::npos) << point;
+      if (reference.empty()) {
+        reference = csv;
+      } else {
+        EXPECT_EQ(csv, reference)
+            << point << " workers=" << placement.workers;
+      }
+    }
   }
   fs::remove_all(dir);
 }
