@@ -9,6 +9,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -418,7 +419,7 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
   stats_.stage_reuses = c.stage_refs - stage_count;
   stats_.evaluator_nodes = eval_nodes;
 
-  // ---- Report assembly, shared by both executors. ---------------------
+  // ---- Report assembly, shared by the DAG and the shard stream. -------
   // A row whose terminal did not finish ok contributes one
   // mechanism-level error row (empty evaluator/metric) followed by one
   // skipped row per evaluator; a terminal skipped by an interior stage
@@ -468,8 +469,8 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
         return report;
       };
 
-  // ---- Shard-streamed path (out-of-core execution). -------------------
-  // Engages only when semantics are provably identical to the whole-view
+  // ---- Shard-streamed eligibility (out-of-core execution). ------------
+  // The shard stream engages only when semantics are provably identical to the whole-view
   // DAG: a shard-dir source whose layout ProbeShardStream accepts, every
   // grid row a single-stage per-trace mechanism (cross-trace mechanisms
   // and chains need the whole view), every evaluator foldable
@@ -490,9 +491,9 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
   for (std::size_t e = 0; foldable && e < eval_count; ++e) {
     foldable = c.evaluators[e]->MakeTraceFold(seeds[0]) != nullptr;
   }
-  // The multi-process path additionally needs a worker binary; the
+  // The worker placement additionally needs a worker binary; the
   // watchdog is COMPATIBLE with it (it becomes the per-request deadline,
-  // with real preemption), while the in-process streamed path must leave
+  // with real preemption), while the in-process placement must leave
   // watchdogged grids to the DAG.
   std::string worker_binary;
   if (foldable && c.spec.workers > 0) {
@@ -512,259 +513,35 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
                           .count();
   }
 
-  // ---- Supervised multi-process path (core/shard_exec.h). -------------
-  // Mechanism stages run in disposable worker processes (one per shard
-  // subset) with heartbeat liveness, per-request deadlines and bounded
-  // retry; the supervisor-side merge below then mirrors the streamed
-  // path, reading each stage's published columns from the workers'
-  // atomically-written `.mpc` result files instead of recomputing them.
-  // `.mpc` round-trips doubles bitwise and per-trace RNG streams are
-  // partition-independent, so the merged report is byte-identical to the
-  // in-process run at any worker count. A stage whose retries exhaust
-  // (or whose worker reports a permanent error) degrades to the same
+  // ---- The shard-streamed executor. -----------------------------------
+  // One fold merge, two placements. The merge is the same either way: a
+  // stage-fault sweep, pass 0 folding the original and published extents,
+  // one fold per live grid cell, pass 1 feeding every fold its slice
+  // shard by shard, and a finalize sweep that applies the skip rule. The
+  // placement decides only how stage n's published views of shard s are
+  // produced (`publish` below):
+  //   * in-process: ApplyToIndexedTrace into a per-shard TraceBuffer;
+  //   * workers (core/shard_exec.h): every stage first runs in disposable
+  //     worker processes with heartbeat liveness, per-request deadlines
+  //     and bounded retry; `publish` then maps the stage's atomically
+  //     written `.mpc` result file for the shard. `.mpc` round-trips
+  //     doubles bitwise and per-trace RNG streams are partition-
+  //     independent, so the report is byte-identical at any worker count.
+  // A stage that fails (retries exhausted, a worker-reported permanent
+  // error, a torn result, a throwing kernel) degrades to the same
   // failed/skipped rows the DAG would produce.
-  if (stream && want_workers) {
+  if (stream) {
     const ShardStreamPlan& plan = *stream;
     stats_.streamed_shards = plan.shard_count;
     std::vector<NodeResult> node_results(stage_count + eval_nodes);
     std::vector<std::vector<MetricValue>> results(eval_nodes);
     stats_.run_ms = TimeMs([&] {
-      // Engine-side injected stage faults fire before any dispatch, with
-      // the same error text as the other executors.
-      for (std::size_t i = 0; i < stage_count; ++i) {
-        const Compiled::StagePlan& stage = c.stage_nodes[i];
-        if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kEngineMechanismRun,
-                                       stage.prefix_name)) {
-          node_results[i] = {
-              NodeStatus::kFailed,
-              "injected fault (" +
-                  std::string(fault::points::kEngineMechanismRun) +
-                  "): " + stage.prefix_name};
-        }
-      }
-
-      // Result handoff directory, removed wholesale on exit (including
-      // any torn temp a killed worker left behind).
-      struct ScratchDir {
-        std::string path;
-        ~ScratchDir() {
-          if (path.empty()) return;
-          std::error_code ec;
-          std::filesystem::remove_all(path, ec);
-        }
-      } scratch;
-      scratch.path = MakeScratchDir();
-
-      const auto stage_stem = [](std::size_t n) {
-        return "stage-" + std::to_string(n);
-      };
-      std::vector<ShardStageTask> tasks;
-      std::vector<std::size_t> task_stage;
-      for (std::size_t i = 0; i < stage_count; ++i) {
-        if (node_results[i].status != NodeStatus::kOk) continue;
-        const Compiled::StagePlan& stage = c.stage_nodes[i];
-        ShardStageTask task;
-        task.spec_text = stage.spec_text;
-        task.prefix_name = stage.prefix_name;
-        task.stem = stage_stem(i);
-        task.seed = seeds[stage.seed_index];
-        tasks.push_back(std::move(task));
-        task_stage.push_back(i);
-      }
-      ShardExecOptions exec_options;
-      exec_options.worker_binary = worker_binary;
-      exec_options.workers = c.spec.workers;
-      exec_options.request_timeout_ms = c.spec.node_timeout_ms;
-      ShardExecStats exec_stats;
-      const std::vector<ShardStageOutcome> outcomes =
-          RunShardStagesMultiProcess(plan, tasks, scratch.path, exec_options,
-                                     &exec_stats);
-      stats_.workers_spawned = exec_stats.workers_spawned;
-      stats_.worker_restarts = exec_stats.worker_restarts;
-      stats_.worker_failures = exec_stats.worker_failures;
-      for (std::size_t t = 0; t < tasks.size(); ++t) {
-        if (!outcomes[t].ok) {
-          node_results[task_stage[t]] = {NodeStatus::kFailed,
-                                         outcomes[t].error};
-        }
-      }
-
-      // Post-supervision result loss is not retryable any more; the
-      // stage degrades with a deterministic (basename-only) error.
-      const auto torn_error = [&](std::size_t n, std::size_t s) {
-        return "result missing or torn after supervision: " +
-               std::filesystem::path(
-                   wp::StageShardPath(scratch.path, stage_stem(n), s))
-                   .filename()
-                   .string();
-      };
-
-      // Merge pass 0 (extents): original bbox/time span from the source
-      // shards, published bbox from each surviving stage's result files.
-      geo::GeoBoundingBox original_bbox;
-      std::vector<geo::GeoBoundingBox> published_bbox(stage_count);
-      util::Timestamp t_min = std::numeric_limits<util::Timestamp>::max();
-      util::Timestamp t_max = std::numeric_limits<util::Timestamp>::min();
-      for (std::size_t s = 0; s < plan.shard_count; ++s) {
-        const model::MappedColumnar mapped =
-            model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        for (std::size_t i = 0; i < mapped.TraceCount(); ++i) {
-          const model::TraceView trace = mapped.View(i);
-          original_bbox.Extend(trace.BoundingBox());
-          if (!trace.empty()) {
-            t_min = std::min(t_min, trace.time(0));
-            t_max = std::max(t_max, trace.time(trace.size() - 1));
-          }
-        }
-        for (std::size_t n = 0; n < stage_count; ++n) {
-          if (node_results[n].status != NodeStatus::kOk) continue;
-          try {
-            const model::MappedColumnar result = model::MapColumnar(
-                wp::StageShardPath(scratch.path, stage_stem(n), s));
-            for (std::size_t i = 0; i < result.TraceCount(); ++i) {
-              const model::TraceView trace = result.View(i);
-              for (std::size_t f = 0; f < trace.size(); ++f) {
-                published_bbox[n].Extend(trace.position(f));
-              }
-            }
-          } catch (const std::exception&) {
-            node_results[n] = {NodeStatus::kFailed, torn_error(n, s)};
-          }
-        }
-      }
-
-      // One fold per grid cell whose terminal survived (skip and fault
-      // verdicts mirror the DAG's evaluator nodes exactly).
-      std::vector<std::unique_ptr<TraceFold>> folds(eval_nodes);
-      for (std::size_t r = 0; r < row_count; ++r) {
-        for (std::size_t s = 0; s < seed_count; ++s) {
-          const std::size_t terminal = c.rows[r].terminal[s];
-          for (std::size_t e = 0; e < eval_count; ++e) {
-            const std::size_t slot = (r * seed_count + s) * eval_count + e;
-            NodeResult& cell = node_results[stage_count + slot];
-            if (node_results[terminal].status != NodeStatus::kOk) {
-              cell = {NodeStatus::kSkipped,
-                      "dependency failed: " + node_results[terminal].error};
-              continue;
-            }
-            if (MOBIPRIV_FAULT_POINT_KEYED(
-                    fault::points::kEngineEvaluatorRun, c.eval_names[e])) {
-              cell = {NodeStatus::kFailed,
-                      "injected fault (" +
-                          std::string(fault::points::kEngineEvaluatorRun) +
-                          "): " + c.eval_names[e]};
-              continue;
-            }
-            folds[slot] = c.evaluators[e]->MakeTraceFold(seeds[s]);
-          }
-        }
-      }
-
-      // Merge pass 1 (folds): per shard, the original views come from
-      // the source shard and each stage's published views from its
-      // result file (same trace order, re-labelled into the global user
-      // id space); every live fold gets its slice in ascending shard
-      // order, exactly like the in-process streamed executor.
-      for (std::size_t s = 0; s < plan.shard_count; ++s) {
-        const model::MappedColumnar mapped =
-            model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        const std::vector<model::UserId>& l2g = plan.local_to_global[s];
-        const std::size_t trace_count = mapped.TraceCount();
-        std::vector<model::TraceView> original(trace_count);
-        for (std::size_t i = 0; i < trace_count; ++i) {
-          original[i] = mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]);
-        }
-        std::vector<model::MappedColumnar> stage_results(stage_count);
-        std::vector<std::vector<model::TraceView>> published(stage_count);
-        for (std::size_t n = 0; n < stage_count; ++n) {
-          if (node_results[n].status != NodeStatus::kOk) continue;
-          try {
-            stage_results[n] = model::MapColumnar(
-                wp::StageShardPath(scratch.path, stage_stem(n), s));
-            if (stage_results[n].TraceCount() != trace_count) {
-              throw model::IoError("trace count mismatch");
-            }
-          } catch (const std::exception&) {
-            node_results[n] = {NodeStatus::kFailed, torn_error(n, s)};
-            continue;
-          }
-          published[n].resize(trace_count);
-          for (std::size_t i = 0; i < trace_count; ++i) {
-            published[n][i] =
-                stage_results[n].View(i).WithUser(original[i].user());
-          }
-        }
-        for (std::size_t r = 0; r < row_count; ++r) {
-          for (std::size_t ss = 0; ss < seed_count; ++ss) {
-            const std::size_t terminal = c.rows[r].terminal[ss];
-            if (node_results[terminal].status != NodeStatus::kOk) continue;
-            for (std::size_t e = 0; e < eval_count; ++e) {
-              const std::size_t slot =
-                  (r * seed_count + ss) * eval_count + e;
-              NodeResult& cell = node_results[stage_count + slot];
-              if (cell.status != NodeStatus::kOk || !folds[slot]) continue;
-              ShardSlice slice;
-              slice.original = original;
-              slice.canonical_index = plan.origin[s];
-              slice.published = published[terminal];
-              slice.user_count = plan.global_names.size();
-              slice.original_bbox = original_bbox;
-              slice.published_bbox = published_bbox[terminal];
-              slice.original_t_min = t_min;
-              slice.original_t_max = t_max;
-              try {
-                folds[slot]->AccumulateShard(slice);
-              } catch (const std::exception& ex) {
-                cell = {NodeStatus::kFailed, ex.what()};
-              } catch (...) {
-                cell = {NodeStatus::kFailed, "unknown exception"};
-              }
-            }
-          }
-        }
-      }
-
-      // A stage failing mid-merge strands its cells' partial folds: mark
-      // them skipped exactly like the DAG would, then finalize survivors.
-      for (std::size_t r = 0; r < row_count; ++r) {
-        for (std::size_t s = 0; s < seed_count; ++s) {
-          const std::size_t terminal = c.rows[r].terminal[s];
-          for (std::size_t e = 0; e < eval_count; ++e) {
-            const std::size_t slot = (r * seed_count + s) * eval_count + e;
-            NodeResult& cell = node_results[stage_count + slot];
-            if (node_results[terminal].status != NodeStatus::kOk &&
-                cell.status == NodeStatus::kOk) {
-              cell = {NodeStatus::kSkipped,
-                      "dependency failed: " + node_results[terminal].error};
-              folds[slot].reset();
-            }
-            if (cell.status != NodeStatus::kOk || !folds[slot]) continue;
-            try {
-              results[slot] = folds[slot]->Finalize();
-            } catch (const std::exception& ex) {
-              cell = {NodeStatus::kFailed, ex.what()};
-            } catch (...) {
-              cell = {NodeStatus::kFailed, "unknown exception"};
-            }
-          }
-        }
-      }
-    });
-    return assemble(node_results, results);
-  }
-
-  if (stream && streamable) {
-    const ShardStreamPlan& plan = *stream;
-    stats_.streamed_shards = plan.shard_count;
-    std::vector<NodeResult> node_results(stage_count + eval_nodes);
-    std::vector<std::vector<MetricValue>> results(eval_nodes);
-    stats_.run_ms = TimeMs([&] {
-      // Per-stage master draws: the one NextU64 ApplyToStore makes, from
-      // the same per-prefix stream — so every per-trace rng
-      // (master, user, original index) matches the DAG path bit for bit.
+      // Engine-side injected stage faults fire before any work, with the
+      // same error text as the DAG. Per-stage master draws: the one
+      // NextU64 ApplyToStore makes, from the same per-prefix stream — so
+      // every per-trace rng (master, user, original index) matches the
+      // DAG path bit for bit.
       std::vector<std::uint64_t> masters(stage_count, 0);
-      std::vector<const mech::PerTraceMechanism*> kernels(stage_count,
-                                                          nullptr);
       for (std::size_t i = 0; i < stage_count; ++i) {
         const Compiled::StagePlan& stage = c.stage_nodes[i];
         if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kEngineMechanismRun,
@@ -782,55 +559,173 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
                            stage.prefix_name.size()),
             0));
         masters[i] = rng.NextU64();
-        kernels[i] = static_cast<const mech::PerTraceMechanism*>(
-            stage.instance.get());
       }
-      const auto fail_stage = [&](std::size_t n) {
+
+      // Worker result handoff directory, removed wholesale on exit
+      // (including any torn temp a killed worker left behind).
+      struct ScratchDir {
+        std::string path;
+        ~ScratchDir() {
+          if (path.empty()) return;
+          std::error_code ec;
+          std::filesystem::remove_all(path, ec);
+        }
+      } scratch;
+      const auto stage_stem = [](std::size_t n) {
+        return "stage-" + std::to_string(n);
+      };
+      if (want_workers) {
+        scratch.path = MakeScratchDir();
+        std::vector<ShardStageTask> tasks;
+        std::vector<std::size_t> task_stage;
+        for (std::size_t i = 0; i < stage_count; ++i) {
+          if (node_results[i].status != NodeStatus::kOk) continue;
+          const Compiled::StagePlan& stage = c.stage_nodes[i];
+          ShardStageTask task;
+          task.spec_text = stage.spec_text;
+          task.prefix_name = stage.prefix_name;
+          task.stem = stage_stem(i);
+          task.seed = seeds[stage.seed_index];
+          tasks.push_back(std::move(task));
+          task_stage.push_back(i);
+        }
+        ShardExecOptions exec_options;
+        exec_options.worker_binary = worker_binary;
+        exec_options.workers = c.spec.workers;
+        exec_options.request_timeout_ms = c.spec.node_timeout_ms;
+        ShardExecStats exec_stats;
+        const std::vector<ShardStageOutcome> outcomes =
+            RunShardStagesMultiProcess(plan, tasks, scratch.path,
+                                       exec_options, &exec_stats);
+        stats_.workers_spawned = exec_stats.workers_spawned;
+        stats_.worker_restarts = exec_stats.worker_restarts;
+        stats_.worker_failures = exec_stats.worker_failures;
+        for (std::size_t t = 0; t < tasks.size(); ++t) {
+          if (!outcomes[t].ok) {
+            node_results[task_stage[t]] = {NodeStatus::kFailed,
+                                           outcomes[t].error};
+          }
+        }
+      }
+
+      // Shard s's original views, re-labelled into the global user id
+      // space.
+      const auto original_views = [&](const model::MappedColumnar& mapped,
+                                       std::size_t s) {
+        const std::vector<model::UserId>& l2g = plan.local_to_global[s];
+        std::vector<model::TraceView> views(mapped.TraceCount());
+        for (std::size_t i = 0; i < views.size(); ++i) {
+          views[i] = mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]);
+        }
+        return views;
+      };
+
+      // One stage's published views of one shard, with the storage they
+      // alias: a TraceBuffer in-process, a mapped result file under
+      // workers.
+      struct StageShard {
+        model::TraceBuffer buffer;
+        model::MappedColumnar mapped;
+        std::vector<model::TraceView> views;
+      };
+      // The placement step: fills `out` with stage n's output for shard s
+      // (same trace order as `original`, same user labels). On failure it
+      // records the stage's verdict and returns false. Post-supervision
+      // result loss is not retryable any more, so a missing or torn
+      // worker result degrades with a deterministic (basename-only) error.
+      const auto publish = [&](std::size_t n, std::size_t s,
+                               std::span<const model::TraceView> original,
+                               StageShard& out) {
+        const std::size_t trace_count = original.size();
+        out.views.resize(trace_count);
+        if (want_workers) {
+          const std::string path =
+              wp::StageShardPath(scratch.path, stage_stem(n), s);
+          try {
+            out.mapped = model::MapColumnar(path);
+            if (out.mapped.TraceCount() != trace_count) {
+              throw model::IoError("trace count mismatch");
+            }
+          } catch (const std::exception&) {
+            node_results[n] = {
+                NodeStatus::kFailed,
+                "result missing or torn after supervision: " +
+                    std::filesystem::path(path).filename().string()};
+            return false;
+          }
+          for (std::size_t i = 0; i < trace_count; ++i) {
+            out.views[i] = out.mapped.View(i).WithUser(original[i].user());
+          }
+          return true;
+        }
+        out.buffer.Clear();
+        std::vector<std::size_t> ends(trace_count);
         try {
-          throw;
+          for (std::size_t i = 0; i < trace_count; ++i) {
+            static_cast<const mech::PerTraceMechanism*>(
+                c.stage_nodes[n].instance.get())
+                ->ApplyToIndexedTrace(original[i], masters[n],
+                                      plan.origin[s][i], out.buffer);
+            ends[i] = out.buffer.size();
+          }
         } catch (const std::exception& e) {
           node_results[n] = {NodeStatus::kFailed, e.what()};
+          return false;
         } catch (...) {
           node_results[n] = {NodeStatus::kFailed, "unknown exception"};
+          return false;
         }
+        // Views over the filled buffer (stable now: no more appends). An
+        // empty range is a suppressed trace.
+        const std::span<const double> lat = out.buffer.lat();
+        const std::span<const double> lng = out.buffer.lng();
+        const std::span<const util::Timestamp> time = out.buffer.time();
+        std::size_t begin = 0;
+        for (std::size_t i = 0; i < trace_count; ++i) {
+          const std::size_t count = ends[i] - begin;
+          out.views[i] = model::TraceView(
+              original[i].user(),
+              model::StridedSpan<double>(lat.data() + begin, count,
+                                         sizeof(double)),
+              model::StridedSpan<double>(lng.data() + begin, count,
+                                         sizeof(double)),
+              model::StridedSpan<util::Timestamp>(
+                  time.data() + begin, count, sizeof(util::Timestamp)));
+          begin = ends[i];
+        }
+        return true;
       };
 
       // Pass 0 (extents): fold the full-dataset bounding boxes and time
-      // span every fold's slice must carry, running each surviving
-      // mechanism trace by trace into a reused scratch buffer. Pass 1
-      // re-derives the identical per-trace streams, so recomputing is a
-      // determinism no-op — the price of never holding two passes' state.
+      // span every fold's slice must carry, publishing each surviving
+      // stage one shard at a time into a reused StageShard. Pass 1
+      // publishes again; in-process it re-derives the identical per-trace
+      // streams, so recomputing is a determinism no-op — the price of
+      // never holding more than one shard's outputs.
       geo::GeoBoundingBox original_bbox;
       std::vector<geo::GeoBoundingBox> published_bbox(stage_count);
       util::Timestamp t_min = std::numeric_limits<util::Timestamp>::max();
       util::Timestamp t_max = std::numeric_limits<util::Timestamp>::min();
-      model::TraceBuffer scratch;
+      StageShard extent_scratch;
       for (std::size_t s = 0; s < plan.shard_count; ++s) {
         const model::MappedColumnar mapped =
             model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        const std::vector<model::UserId>& l2g = plan.local_to_global[s];
-        for (std::size_t i = 0; i < mapped.TraceCount(); ++i) {
-          const model::TraceView trace =
-              mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]);
+        const std::vector<model::TraceView> original =
+            original_views(mapped, s);
+        for (const model::TraceView& trace : original) {
           original_bbox.Extend(trace.BoundingBox());
           if (!trace.empty()) {
             t_min = std::min(t_min, trace.time(0));
             t_max = std::max(t_max, trace.time(trace.size() - 1));
           }
-          for (std::size_t n = 0; n < stage_count; ++n) {
-            if (node_results[n].status != NodeStatus::kOk) continue;
-            scratch.Clear();
-            try {
-              kernels[n]->ApplyToIndexedTrace(trace, masters[n],
-                                              plan.origin[s][i], scratch);
-            } catch (...) {
-              fail_stage(n);
-              continue;
-            }
-            for (std::size_t f = 0; f < scratch.size(); ++f) {
-              published_bbox[n].Extend(
-                  geo::LatLng{scratch.lat()[f], scratch.lng()[f]});
-            }
+        }
+        for (std::size_t n = 0; n < stage_count; ++n) {
+          if (node_results[n].status != NodeStatus::kOk ||
+              !publish(n, s, original, extent_scratch)) {
+            continue;
+          }
+          for (const model::TraceView& trace : extent_scratch.views) {
+            published_bbox[n].Extend(trace.BoundingBox());
           }
         }
       }
@@ -862,54 +757,20 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
         }
       }
 
-      // Pass 1 (folds): map one shard, materialize each surviving stage's
-      // output for THAT shard only, feed every live fold its slice, drop
-      // everything, move on — the resident set the streamed path
-      // promises: one shard's input plus one shard's outputs.
+      // Pass 1 (folds): map one shard, publish each surviving stage's
+      // output for THAT shard only, feed every live fold its slice in
+      // ascending shard order, drop everything, move on — the resident
+      // set the streamed path promises: one shard's input plus one
+      // shard's outputs.
       for (std::size_t s = 0; s < plan.shard_count; ++s) {
         const model::MappedColumnar mapped =
             model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        const std::vector<model::UserId>& l2g = plan.local_to_global[s];
-        const std::size_t trace_count = mapped.TraceCount();
-        std::vector<model::TraceView> original(trace_count);
-        for (std::size_t i = 0; i < trace_count; ++i) {
-          original[i] = mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]);
-        }
-        std::vector<model::TraceBuffer> buffers(stage_count);
-        std::vector<std::vector<std::size_t>> ends(stage_count);
-        std::vector<std::vector<model::TraceView>> published(stage_count);
+        const std::vector<model::TraceView> original =
+            original_views(mapped, s);
+        std::vector<StageShard> published(stage_count);
         for (std::size_t n = 0; n < stage_count; ++n) {
-          if (node_results[n].status != NodeStatus::kOk) continue;
-          ends[n].resize(trace_count);
-          try {
-            for (std::size_t i = 0; i < trace_count; ++i) {
-              kernels[n]->ApplyToIndexedTrace(original[i], masters[n],
-                                              plan.origin[s][i],
-                                              buffers[n]);
-              ends[n][i] = buffers[n].size();
-            }
-          } catch (...) {
-            fail_stage(n);
-            continue;
-          }
-          // Views over the filled buffer (stable now: no more appends).
-          // An empty range is a suppressed trace.
-          published[n].resize(trace_count);
-          const std::span<const double> lat = buffers[n].lat();
-          const std::span<const double> lng = buffers[n].lng();
-          const std::span<const util::Timestamp> time = buffers[n].time();
-          std::size_t begin = 0;
-          for (std::size_t i = 0; i < trace_count; ++i) {
-            const std::size_t count = ends[n][i] - begin;
-            published[n][i] = model::TraceView(
-                original[i].user(),
-                model::StridedSpan<double>(lat.data() + begin, count,
-                                           sizeof(double)),
-                model::StridedSpan<double>(lng.data() + begin, count,
-                                           sizeof(double)),
-                model::StridedSpan<util::Timestamp>(
-                    time.data() + begin, count, sizeof(util::Timestamp)));
-            begin = ends[n][i];
+          if (node_results[n].status == NodeStatus::kOk) {
+            publish(n, s, original, published[n]);
           }
         }
         for (std::size_t r = 0; r < row_count; ++r) {
@@ -924,7 +785,7 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
               ShardSlice slice;
               slice.original = original;
               slice.canonical_index = plan.origin[s];
-              slice.published = published[terminal];
+              slice.published = published[terminal].views;
               slice.user_count = plan.global_names.size();
               slice.original_bbox = original_bbox;
               slice.published_bbox = published_bbox[terminal];

@@ -48,8 +48,10 @@ struct MetricValue {
 };
 
 /// One resident shard of a shard-streamed evaluation (see TraceFold).
-/// The spans alias the currently mapped shard plus the per-shard mechanism
-/// output buffer; they are valid only for the duration of one
+/// `original` aliases the currently mapped shard. `published` aliases the
+/// stage's output for that shard: a per-shard TraceBuffer when the stage
+/// runs in-process, a mapped worker result file when it runs under
+/// workers. All spans are valid only for the duration of one
 /// AccumulateShard call. Trace order within a shard is canonical-order
 /// restricted: shard-local index ascending == original dataset order
 /// filtered to this shard's traces, and every trace of one user lives in
