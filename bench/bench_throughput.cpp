@@ -55,15 +55,19 @@ const synth::SyntheticWorld& WorldOfSize(std::size_t agents) {
   return *it->second;
 }
 
-/// Attaches the process peak-RSS counter to a row (MB). getrusage reports
-/// a lifetime high-water mark, so inside a full suite run the value is an
-/// upper bound shaped by whatever ran earlier; run a benchmark alone
-/// (--benchmark_filter) for its true residency — the out-of-core
-/// acceptance procedure does exactly that. compare_bench.py prints these
-/// counters as an informational (never gated) delta table.
-void RecordPeakRss(benchmark::State& state) {
+/// Attaches the benchmark's peak-RSS counter to a row (MB). Each row that
+/// records it calls util::ResetPeakRss() first, so on Linux the value is
+/// the VmHWM high-water mark since this benchmark function's last entry:
+/// the RSS already resident then (shared worlds, allocator-retained
+/// memory of earlier rows) plus this row's own peak. When the reset is
+/// unavailable (`rss_reset` false: non-Linux, or a kernel that refuses)
+/// the value is the process lifetime high-water mark instead, and the row
+/// is labelled so. compare_bench.py prints these counters as an
+/// informational (never gated) delta table.
+void RecordPeakRss(benchmark::State& state, bool rss_reset) {
   state.counters["peak_rss_mb"] =
       static_cast<double>(util::PeakRssBytes()) / (1024.0 * 1024.0);
+  if (!rss_reset) state.SetLabel("peak_rss_mb: process high-water mark");
 }
 
 template <typename MechanismT>
@@ -207,6 +211,7 @@ const std::string& CsvOfSize(std::size_t agents) {
 }
 
 void BM_IngestCsv(benchmark::State& state) {
+  const bool rss_reset = util::ResetPeakRss();
   const std::string& text = CsvOfSize(static_cast<std::size_t>(state.range(0)));
   std::size_t bytes = 0;
   for (auto _ : state) {
@@ -215,7 +220,7 @@ void BM_IngestCsv(benchmark::State& state) {
     bytes += text.size();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-  RecordPeakRss(state);
+  RecordPeakRss(state, rss_reset);
 }
 BENCHMARK(BM_IngestCsv)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 
@@ -278,6 +283,7 @@ const std::string& ColumnarPathOfSize(std::size_t agents) {
 }
 
 void BM_WriteColumnar(benchmark::State& state) {
+  const bool rss_reset = util::ResetPeakRss();
   const model::EventStore store = model::EventStore::FromDataset(
       WorldOfSize(static_cast<std::size_t>(state.range(0))).dataset());
   const std::string path =
@@ -289,12 +295,13 @@ void BM_WriteColumnar(benchmark::State& state) {
     bytes += static_cast<std::size_t>(std::filesystem::file_size(path));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-  RecordPeakRss(state);
+  RecordPeakRss(state, rss_reset);
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_WriteColumnar)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_ReadColumnar(benchmark::State& state) {
+  const bool rss_reset = util::ResetPeakRss();
   const std::string& path =
       ColumnarPathOfSize(static_cast<std::size_t>(state.range(0)));
   const auto file_bytes =
@@ -306,7 +313,7 @@ void BM_ReadColumnar(benchmark::State& state) {
     bytes += file_bytes;
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
-  RecordPeakRss(state);
+  RecordPeakRss(state, rss_reset);
 }
 BENCHMARK(BM_ReadColumnar)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 
@@ -314,6 +321,7 @@ void BM_OpenColumnarMmap(benchmark::State& state) {
   // Open + build the whole-file DatasetView: what a pipeline run pays
   // before its first kernel touches a column. Pages fault lazily, so this
   // is metadata-decode cost, independent of the event count.
+  const bool rss_reset = util::ResetPeakRss();
   const std::string& path =
       ColumnarPathOfSize(static_cast<std::size_t>(state.range(0)));
   std::size_t events = 0;
@@ -323,7 +331,7 @@ void BM_OpenColumnarMmap(benchmark::State& state) {
     events += mapped.EventCount();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  RecordPeakRss(state);
+  RecordPeakRss(state, rss_reset);
 }
 BENCHMARK(BM_OpenColumnarMmap)
     ->Arg(100)
@@ -378,6 +386,7 @@ const std::vector<std::string>& GridEvaluators() {
 }
 
 void BM_EngineGrid(benchmark::State& state) {
+  const bool rss_reset = util::ResetPeakRss();
   const auto agents = static_cast<std::size_t>(state.range(0));
   const std::string& path = ColumnarPathOfSize(agents);
   std::size_t events = 0;
@@ -395,7 +404,7 @@ void BM_EngineGrid(benchmark::State& state) {
     events += WorldOfSize(agents).dataset().EventCount();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  RecordPeakRss(state);
+  RecordPeakRss(state, rss_reset);
 }
 BENCHMARK(BM_EngineGrid)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 
@@ -404,6 +413,7 @@ void BM_EngineGridCached(benchmark::State& state) {
   // mechanism output (cold), later iterations reuse them (warm) — the
   // cross-run reuse path. cache_hits/cache_misses counters accumulate
   // across iterations, so hits > 0 proves reuse happened in-run.
+  const bool rss_reset = util::ResetPeakRss();
   const auto agents = static_cast<std::size_t>(state.range(0));
   const std::string& path = ColumnarPathOfSize(agents);
   const std::string cache_dir =
@@ -431,7 +441,7 @@ void BM_EngineGridCached(benchmark::State& state) {
   state.counters["cache_hits"] = hits;
   state.counters["cache_misses"] = misses;
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  RecordPeakRss(state);
+  RecordPeakRss(state, rss_reset);
   std::filesystem::remove_all(cache_dir);
 }
 BENCHMARK(BM_EngineGridCached)
@@ -440,6 +450,7 @@ BENCHMARK(BM_EngineGridCached)
     ->Unit(benchmark::kMillisecond);
 
 void BM_EngineGridIndependent(benchmark::State& state) {
+  const bool rss_reset = util::ResetPeakRss();
   const auto agents = static_cast<std::size_t>(state.range(0));
   const std::string& path = ColumnarPathOfSize(agents);
   std::size_t events = 0;
@@ -467,7 +478,7 @@ void BM_EngineGridIndependent(benchmark::State& state) {
     events += WorldOfSize(agents).dataset().EventCount();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  RecordPeakRss(state);
+  RecordPeakRss(state, rss_reset);
 }
 BENCHMARK(BM_EngineGridIndependent)
     ->Arg(100)
@@ -480,6 +491,7 @@ void BM_EngineGridChainShared(benchmark::State& state) {
   // node per distinct chain prefix, so the shared stages run once per
   // iteration instead of once per row — stage_reuses counts the sharing
   // (docs/FORMAT.md, "Chain prefixes and cache keys").
+  const bool rss_reset = util::ResetPeakRss();
   const auto agents = static_cast<std::size_t>(state.range(0));
   const std::string& path = ColumnarPathOfSize(agents);
   std::size_t events = 0;
@@ -503,7 +515,7 @@ void BM_EngineGridChainShared(benchmark::State& state) {
     events += WorldOfSize(agents).dataset().EventCount();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  RecordPeakRss(state);
+  RecordPeakRss(state, rss_reset);
 }
 BENCHMARK(BM_EngineGridChainShared)
     ->Arg(100)
@@ -743,6 +755,7 @@ synth::StreamingWorldConfig GenerateWorldConfig(std::size_t agents) {
 }
 
 void BM_GenerateWorld(benchmark::State& state) {
+  const bool rss_reset = util::ResetPeakRss();
   const auto agents = static_cast<std::size_t>(state.range(0));
   const std::string dir =
       (std::filesystem::temp_directory_path() /
@@ -758,7 +771,7 @@ void BM_GenerateWorld(benchmark::State& state) {
         static_cast<double>(stats.bytes_written) / (1024.0 * 1024.0);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));  // rows/sec
-  RecordPeakRss(state);
+  RecordPeakRss(state, rss_reset);
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_GenerateWorld)
@@ -810,6 +823,7 @@ core::ScenarioSpec ShardGridSpec(const std::string& dir) {
 }
 
 void BM_EngineGridShardStream(benchmark::State& state) {
+  const bool rss_reset = util::ResetPeakRss();
   const auto agents = static_cast<std::size_t>(state.range(0));
   const std::string& dir = ShardDirOfSize(agents);
   const std::size_t dir_events = ShardDirEventCount(dir);
@@ -823,7 +837,7 @@ void BM_EngineGridShardStream(benchmark::State& state) {
     events += dir_events;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  RecordPeakRss(state);
+  RecordPeakRss(state, rss_reset);
 }
 BENCHMARK(BM_EngineGridShardStream)
     ->Arg(100)
@@ -834,6 +848,7 @@ void BM_EngineGridShardWhole(benchmark::State& state) {
   // Whole-view control: an (idle) watchdog disqualifies streaming without
   // changing any result, so this row is the same grid over the same bytes
   // with every shard resident at once.
+  const bool rss_reset = util::ResetPeakRss();
   const auto agents = static_cast<std::size_t>(state.range(0));
   const std::string& dir = ShardDirOfSize(agents);
   const std::size_t dir_events = ShardDirEventCount(dir);
@@ -847,7 +862,7 @@ void BM_EngineGridShardWhole(benchmark::State& state) {
     events += dir_events;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  RecordPeakRss(state);
+  RecordPeakRss(state, rss_reset);
 }
 BENCHMARK(BM_EngineGridShardWhole)
     ->Arg(100)

@@ -14,8 +14,11 @@ Gated benchmarks (override with --benchmarks REGEX):
 
 Benchmarks carrying a peak_rss_mb user counter (the memory-relevant
 rows: I/O ladder, engine grids, out-of-core generation) additionally get
-an informational residency delta table — printed always, gated never,
-because ru_maxrss is a process high-water mark.
+an informational residency delta table — printed always, gated never.
+On Linux each row's value is the VmHWM high-water mark since that
+benchmark started (bench_throughput resets it per row); elsewhere, and in
+baselines recorded before the reset existed, it is the process
+high-water mark, which depends on what ran earlier.
 
 Flakiness control: absolute wall times only compare meaningfully on the
 hardware the baseline was recorded on. In the default mode (auto) the gate
@@ -169,10 +172,10 @@ def main():
                     100.0 * (ratio - 1.0)))
 
     # Peak RSS rides along as a user counter (peak_rss_mb) on the
-    # memory-relevant benchmarks. It is NEVER gated: getrusage reports a
-    # process high-water mark, so within one suite run the value is an
-    # upper bound shaped by whatever ran earlier — the table exists to
-    # make residency drift visible, not to fail builds.
+    # memory-relevant benchmarks. It is NEVER gated: on non-Linux rows
+    # (and in baselines recorded before the per-benchmark reset) it is a
+    # process high-water mark shaped by whatever ran earlier — the table
+    # exists to make residency drift visible, not to fail builds.
     rss_names = sorted(set(base_rss) | set(cur_rss))
     if rss_names:
         rss_width = max(len(name) for name in rss_names)

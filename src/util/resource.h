@@ -9,10 +9,18 @@
 
 namespace mobipriv::util {
 
-/// Peak resident set size of the current process in bytes, as reported by
-/// getrusage(RUSAGE_SELF). Monotone over the process lifetime (the kernel
-/// high-water mark never resets), so deltas across a phase only bound that
-/// phase from above. Returns 0 on platforms without getrusage.
+/// Peak resident set size of the current process in bytes. On Linux this
+/// is VmHWM from /proc/self/status, which ResetPeakRss can lower to the
+/// current RSS, so a reset followed by a read measures one phase. Where
+/// VmHWM is unreadable it falls back to getrusage(RUSAGE_SELF) ru_maxrss,
+/// the lifetime high-water mark that never resets. Returns 0 on platforms
+/// without either.
 [[nodiscard]] std::uint64_t PeakRssBytes() noexcept;
+
+/// Resets the peak RSS that PeakRssBytes reports to the current RSS
+/// (Linux: writes "5" to /proc/self/clear_refs, proc(5)). Returns false
+/// when the platform or the kernel refuses, in which case PeakRssBytes
+/// stays a process-lifetime high-water mark.
+bool ResetPeakRss() noexcept;
 
 }  // namespace mobipriv::util
