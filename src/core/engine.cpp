@@ -515,11 +515,12 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
 
   // ---- The shard-streamed executor. -----------------------------------
   // One fold merge, two placements. The merge is the same either way: a
-  // stage-fault sweep, pass 0 folding the original and published extents,
-  // one fold per live grid cell, pass 1 feeding every fold its slice
-  // shard by shard, and a finalize sweep that applies the skip rule. The
-  // placement decides only how stage n's published views of shard s are
-  // produced (`publish` below):
+  // stage-fault sweep, pass 0 scanning the source for the original's
+  // extents, one fold per live grid cell, pass 1 publishing each
+  // (stage, shard) once and feeding every fold its slice shard by shard,
+  // and a finalize sweep that applies the skip rule. The placement
+  // decides only how stage n's published views of shard s are produced
+  // (`publish` below):
   //   * in-process: ApplyToIndexedTrace into a per-shard TraceBuffer;
   //   * workers (core/shard_exec.h): every stage first runs in disposable
   //     worker processes with heartbeat liveness, per-request deadlines
@@ -629,8 +630,8 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
         std::vector<model::TraceView> views;
       };
       // The placement step: fills `out` with stage n's output for shard s
-      // (same trace order as `original`, same user labels). On failure it
-      // records the stage's verdict and returns false. Post-supervision
+      // (same trace order as `original`, same user labels), or records the
+      // stage's failure verdict in `node_results`. Post-supervision
       // result loss is not retryable any more, so a missing or torn
       // worker result degrades with a deterministic (basename-only) error.
       const auto publish = [&](std::size_t n, std::size_t s,
@@ -651,14 +652,13 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
                 NodeStatus::kFailed,
                 "result missing or torn after supervision: " +
                     std::filesystem::path(path).filename().string()};
-            return false;
+            return;
           }
           for (std::size_t i = 0; i < trace_count; ++i) {
             out.views[i] = out.mapped.View(i).WithUser(original[i].user());
           }
-          return true;
+          return;
         }
-        out.buffer.Clear();
         std::vector<std::size_t> ends(trace_count);
         try {
           for (std::size_t i = 0; i < trace_count; ++i) {
@@ -670,10 +670,10 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
           }
         } catch (const std::exception& e) {
           node_results[n] = {NodeStatus::kFailed, e.what()};
-          return false;
+          return;
         } catch (...) {
           node_results[n] = {NodeStatus::kFailed, "unknown exception"};
-          return false;
+          return;
         }
         // Views over the filled buffer (stable now: no more appends). An
         // empty range is a suppressed trace.
@@ -693,44 +693,27 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
                   time.data() + begin, count, sizeof(util::Timestamp)));
           begin = ends[i];
         }
-        return true;
       };
 
-      // Pass 0 (extents): fold the full-dataset bounding boxes and time
-      // span every fold's slice must carry, publishing each surviving
-      // stage one shard at a time into a reused StageShard. Pass 1
-      // publishes again; in-process it re-derives the identical per-trace
-      // streams, so recomputing is a determinism no-op — the price of
-      // never holding more than one shard's outputs.
+      // Pass 0 (extents): a read-only scan of the source shards for the
+      // full original's bounding box and time span every fold's slice
+      // must carry. Nothing is published here.
       geo::GeoBoundingBox original_bbox;
-      std::vector<geo::GeoBoundingBox> published_bbox(stage_count);
       util::Timestamp t_min = std::numeric_limits<util::Timestamp>::max();
       util::Timestamp t_max = std::numeric_limits<util::Timestamp>::min();
-      StageShard extent_scratch;
       for (std::size_t s = 0; s < plan.shard_count; ++s) {
         const model::MappedColumnar mapped =
             model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        const std::vector<model::TraceView> original =
-            original_views(mapped, s);
-        for (const model::TraceView& trace : original) {
+        for (const model::TraceView& trace : original_views(mapped, s)) {
           original_bbox.Extend(trace.BoundingBox());
           if (!trace.empty()) {
             t_min = std::min(t_min, trace.time(0));
             t_max = std::max(t_max, trace.time(trace.size() - 1));
           }
         }
-        for (std::size_t n = 0; n < stage_count; ++n) {
-          if (node_results[n].status != NodeStatus::kOk ||
-              !publish(n, s, original, extent_scratch)) {
-            continue;
-          }
-          for (const model::TraceView& trace : extent_scratch.views) {
-            published_bbox[n].Extend(trace.BoundingBox());
-          }
-        }
       }
 
-      // One fold per grid cell whose terminal survived pass 0 (skip and
+      // One fold per grid cell whose terminal has not failed yet (skip and
       // fault verdicts mirror the DAG's evaluator nodes exactly).
       std::vector<std::unique_ptr<TraceFold>> folds(eval_nodes);
       for (std::size_t r = 0; r < row_count; ++r) {
@@ -758,10 +741,10 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
       }
 
       // Pass 1 (folds): map one shard, publish each surviving stage's
-      // output for THAT shard only, feed every live fold its slice in
-      // ascending shard order, drop everything, move on — the resident
-      // set the streamed path promises: one shard's input plus one
-      // shard's outputs.
+      // output for THAT shard only — the only time any (stage, shard) is
+      // published — feed every live fold its slice in ascending shard
+      // order, drop everything, move on: the resident set the streamed
+      // path promises is one shard's input plus one shard's outputs.
       for (std::size_t s = 0; s < plan.shard_count; ++s) {
         const model::MappedColumnar mapped =
             model::MapColumnar(model::ShardDataPath(plan.dir, s));
@@ -788,7 +771,6 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
               slice.published = published[terminal].views;
               slice.user_count = plan.global_names.size();
               slice.original_bbox = original_bbox;
-              slice.published_bbox = published_bbox[terminal];
               slice.original_t_min = t_min;
               slice.original_t_max = t_max;
               try {
@@ -803,16 +785,18 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
         }
       }
 
-      // A stage failing mid-stream strands its cells' partial folds: mark
-      // them skipped exactly like the DAG would, then finalize survivors.
+      // A stage failing mid-stream strands its cells' partial folds. The
+      // DAG never runs a dependent of a failed node, so every cell of a
+      // failed terminal is skipped whatever its own verdict so far (an
+      // armed evaluator fault or a throwing fold included); then finalize
+      // survivors.
       for (std::size_t r = 0; r < row_count; ++r) {
         for (std::size_t s = 0; s < seed_count; ++s) {
           const std::size_t terminal = c.rows[r].terminal[s];
           for (std::size_t e = 0; e < eval_count; ++e) {
             const std::size_t slot = (r * seed_count + s) * eval_count + e;
             NodeResult& cell = node_results[stage_count + slot];
-            if (node_results[terminal].status != NodeStatus::kOk &&
-                cell.status == NodeStatus::kOk) {
+            if (node_results[terminal].status != NodeStatus::kOk) {
               cell = {NodeStatus::kSkipped,
                       "dependency failed: " + node_results[terminal].error};
               folds[slot].reset();

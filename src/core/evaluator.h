@@ -67,20 +67,21 @@ struct ShardSlice {
   std::span<const model::TraceView> published;
   /// Global user count (names table size) of the full dataset.
   std::size_t user_count = 0;
-  /// Extents of the FULL datasets, folded by the engine's pre-pass before
-  /// any fold runs: exactly what DatasetView::BoundingBox() over the whole
-  /// data would return, and the min first-fix / max last-fix timestamp
-  /// over non-empty original traces (t_min > t_max when there are none).
+  /// Extents of the FULL original dataset, folded by the engine's
+  /// read-only source scan before any fold runs: exactly what
+  /// DatasetView::BoundingBox() over the whole original would return, and
+  /// the min first-fix / max last-fix timestamp over non-empty original
+  /// traces (t_min > t_max when there are none). There is no published
+  /// extent: folds measure published geometry in the original's frame.
   geo::GeoBoundingBox original_bbox;
-  geo::GeoBoundingBox published_bbox;
   util::Timestamp original_t_min = 0;
   util::Timestamp original_t_max = 0;
 };
 
 /// Streaming accumulator for one (mechanism output, evaluator, seed) grid
 /// cell: the shard-streamed engine maps one shard at a time and calls
-/// AccumulateShard once per shard in ascending shard order (full-dataset
-/// extents already folded into every slice), then Finalize once.
+/// AccumulateShard once per shard in ascending shard order (the full
+/// original's extents already folded into every slice), then Finalize once.
 /// Contract: the returned metrics must be bit-identical to Evaluate()
 /// over the whole views — folds replicate their evaluator's arithmetic,
 /// not approximate it. Implementations are single-threaded (one fold per

@@ -23,15 +23,14 @@ constexpr std::uint64_t kRangeQuerySalt = 0x5251554552590001ULL;
 /// Shard-streamed trajectory_stats. Trip lengths are per-trace, so each
 /// lands in its canonical slot and Finalize replays the whole-view trace
 /// order; gyration is per-user and every user's traces share a home shard,
-/// so each radius computes whole from one slice. The projection frames
-/// come from the engine-folded full-dataset bounding boxes — identical to
-/// the ones CompareTrajectoryStats builds.
+/// so each radius computes whole from one slice. Both sides project in the
+/// original's frame, built from the engine-folded full-dataset bounding
+/// box — the frame CompareTrajectoryStats builds.
 class TrajectoryStatsFold final : public core::TraceFold {
  public:
   void AccumulateShard(const core::ShardSlice& slice) override {
-    if (!frame_original_) {
-      frame_original_.emplace(slice.original_bbox.Center());
-      frame_published_.emplace(slice.published_bbox.Center());
+    if (!frame_) {
+      frame_.emplace(slice.original_bbox.Center());
       gyration_original_.assign(slice.user_count, 0.0);
       gyration_published_.assign(slice.user_count, 0.0);
     }
@@ -48,10 +47,10 @@ class TrajectoryStatsFold final : public core::TraceFold {
         published_alive_[slot] = 1;
       }
     }
-    AccumulateGyration(slice.original, *frame_original_, /*skip_empty=*/false,
+    AccumulateGyration(slice.original, *frame_, /*skip_empty=*/false,
                        gyration_original_);
-    AccumulateGyration(slice.published, *frame_published_,
-                       /*skip_empty=*/true, gyration_published_);
+    AccumulateGyration(slice.published, *frame_, /*skip_empty=*/true,
+                       gyration_published_);
   }
 
   std::vector<core::MetricValue> Finalize() override {
@@ -115,8 +114,7 @@ class TrajectoryStatsFold final : public core::TraceFold {
     }
   }
 
-  std::optional<geo::LocalProjection> frame_original_;
-  std::optional<geo::LocalProjection> frame_published_;
+  std::optional<geo::LocalProjection> frame_;
   /// Canonical-slot trip lengths; `published_alive_` marks non-suppressed
   /// outputs (the whole-view published dataset keeps exactly those).
   std::vector<double> trip_original_;

@@ -32,43 +32,9 @@ std::vector<double> TripLengths(const model::Dataset& dataset,
   return TripLengths(model::DatasetView::Of(dataset), min_length_m);
 }
 
-namespace {
-
-/// Gyration radius of `user` in a pre-built projection frame (the frame is
-/// shared across users by AllRadiiOfGyration so it projects once).
-double RadiusOfGyrationInFrame(const model::DatasetView& dataset,
-                               model::UserId user,
-                               const geo::LocalProjection& projection) {
-  geo::Point2 centroid{};
-  std::size_t n = 0;
-  for (const model::TraceView& trace : dataset.traces()) {
-    if (trace.user() != user) continue;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      centroid = centroid + projection.Project(trace.position(i));
-      ++n;
-    }
-  }
-  if (n == 0) return 0.0;
-  centroid = centroid / static_cast<double>(n);
-  double sum_sq = 0.0;
-  for (const model::TraceView& trace : dataset.traces()) {
-    if (trace.user() != user) continue;
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      sum_sq += geo::DistanceSquared(projection.Project(trace.position(i)),
-                                     centroid);
-    }
-  }
-  return std::sqrt(sum_sq / static_cast<double>(n));
-}
-
-}  // namespace
-
 double RadiusOfGyrationOfTraces(std::span<const model::TraceView> traces,
                                 const geo::LocalProjection& projection) {
-  // Same two passes RadiusOfGyrationInFrame runs, over an explicit trace
-  // sequence: centroid first, then RMS distance — identical accumulation
-  // order, so callers that hand in a user's traces in dataset order get
-  // the bit-identical radius.
+  // Two passes over the sequence: centroid first, then RMS distance.
   geo::Point2 centroid{};
   std::size_t n = 0;
   for (const model::TraceView& trace : traces) {
@@ -91,8 +57,14 @@ double RadiusOfGyrationOfTraces(std::span<const model::TraceView> traces,
 
 double RadiusOfGyration(const model::DatasetView& dataset,
                         model::UserId user) {
-  const geo::LocalProjection projection(dataset.BoundingBox().Center());
-  return RadiusOfGyrationInFrame(dataset, user, projection);
+  // The user's traces in dataset order: the sequence AllRadiiOfGyration's
+  // per-user bucket holds, so both give the bit-identical radius.
+  std::vector<model::TraceView> own;
+  for (const model::TraceView& trace : dataset.traces()) {
+    if (trace.user() == user) own.push_back(trace);
+  }
+  return RadiusOfGyrationOfTraces(
+      own, geo::LocalProjection(dataset.BoundingBox().Center()));
 }
 
 double RadiusOfGyration(const model::Dataset& dataset, model::UserId user) {
@@ -100,7 +72,12 @@ double RadiusOfGyration(const model::Dataset& dataset, model::UserId user) {
 }
 
 std::vector<double> AllRadiiOfGyration(const model::DatasetView& dataset) {
-  const geo::LocalProjection projection(dataset.BoundingBox().Center());
+  return AllRadiiOfGyration(
+      dataset, geo::LocalProjection(dataset.BoundingBox().Center()));
+}
+
+std::vector<double> AllRadiiOfGyration(const model::DatasetView& dataset,
+                                       const geo::LocalProjection& projection) {
   // Bucket trace indices by user first, so each user's scan walks only its
   // own traces — O(traces + events) overall instead of the quadratic
   // users x traces of a per-user full scan (which is what caps dataset
@@ -169,8 +146,12 @@ TrajectoryStatsReport CompareTrajectoryStats(
   report.trip_length_published = util::Summary::Of(trips_pub);
   report.trip_length_emd = EarthMoversDistance(trips_orig, trips_pub);
 
-  const auto gyr_orig = AllRadiiOfGyration(original);
-  const auto gyr_pub = AllRadiiOfGyration(published);
+  // Both radii in the original's frame, so a published outlier cannot
+  // rescale every user's axes (the streamed fold builds the same frame
+  // from the folded original extent).
+  const geo::LocalProjection frame(original.BoundingBox().Center());
+  const auto gyr_orig = AllRadiiOfGyration(original, frame);
+  const auto gyr_pub = AllRadiiOfGyration(published, frame);
   report.gyration_original = util::Summary::Of(gyr_orig);
   report.gyration_published = util::Summary::Of(gyr_pub);
   double rel_sum = 0.0;

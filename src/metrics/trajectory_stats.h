@@ -34,16 +34,21 @@ namespace mobipriv::metrics {
                                       model::UserId user);
 
 /// Radius of gyration of every user id in [0, UserCount()); users fan out
-/// on the pool (each user's fix scan is independent).
+/// on the pool (each user's fix scan is independent). The one-argument
+/// forms project in the dataset's own frame (centred on its bounding box);
+/// the `projection` form takes a caller-built frame.
 [[nodiscard]] std::vector<double> AllRadiiOfGyration(
     const model::DatasetView& dataset);
+[[nodiscard]] std::vector<double> AllRadiiOfGyration(
+    const model::DatasetView& dataset, const geo::LocalProjection& projection);
 [[nodiscard]] std::vector<double> AllRadiiOfGyration(
     const model::Dataset& dataset);
 
 /// Gyration radius over an explicit trace sequence in a caller-built frame
-/// — the building block AllRadiiOfGyration and the shard-streamed
-/// trajectory-stats fold share. Handing in one user's traces in dataset
-/// order reproduces RadiusOfGyration for that user bit for bit.
+/// — the one kernel RadiusOfGyration, AllRadiiOfGyration and the
+/// shard-streamed trajectory-stats fold share. Handing in one user's
+/// traces in dataset order reproduces RadiusOfGyration for that user bit
+/// for bit.
 [[nodiscard]] double RadiusOfGyrationOfTraces(
     std::span<const model::TraceView> traces,
     const geo::LocalProjection& projection);
@@ -67,6 +72,9 @@ struct TrajectoryStatsReport {
 };
 
 /// Full preservation report between an original and a published dataset.
+/// Both radii of gyration are measured in the ORIGINAL's frame (centred on
+/// original.BoundingBox()), so published points far from the original
+/// extent change only their own user's radius.
 [[nodiscard]] TrajectoryStatsReport CompareTrajectoryStats(
     const model::DatasetView& original, const model::DatasetView& published);
 [[nodiscard]] TrajectoryStatsReport CompareTrajectoryStats(

@@ -156,6 +156,22 @@ TEST_F(ShardExec, DegradedReportsAgreeAcrossExecutors) {
   // must degrade the same rows with the same text whichever executor
   // runs the grid: the whole-view DAG over the borrowed world, the
   // shard stream in-process, and the shard stream under workers.
+  //
+  // The third case fails a stage partway through its input:
+  // test_fail_on_user (tests/support/test_mechanisms.cpp, also linked
+  // into the test worker) throws on a user of the LAST shard, so
+  // in-process the stage fails only after shards 0-2 have fed its row's
+  // folds, while an armed evaluator fault has already failed the row's
+  // range_queries cells. The DAG never runs a dependent of a failed
+  // node, so every cell of that row must read "skipped".
+  const auto plan = core::ProbeShardStream(dir);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_FALSE(plan->origin[3].empty());
+  const std::string failing =
+      "test_fail_on_user[user=" +
+      std::to_string(World().traces()[plan->origin[3].front()].user()) +
+      "]";
+
   struct Placement {
     core::DatasetSourceSpec source;
     std::size_t workers;
@@ -166,32 +182,49 @@ TEST_F(ShardExec, DegradedReportsAgreeAcrossExecutors) {
       {core::DatasetSourceSpec::ShardDir(dir), 0, 4},
       {core::DatasetSourceSpec::ShardDir(dir), 2, 4},
   };
-  const std::vector<std::pair<std::string_view, std::string>> arms = {
-      {fault::points::kEngineMechanismRun, "cloaking*"},
-      {fault::points::kEngineEvaluatorRun, "range_queries*"},
+  struct Case {
+    std::string_view point;
+    std::string key;
+    std::string extra_mechanism;  ///< appended to the grid when non-empty
   };
-  for (const auto& [point, key] : arms) {
+  const std::vector<Case> cases = {
+      {fault::points::kEngineMechanismRun, "cloaking*", ""},
+      {fault::points::kEngineEvaluatorRun, "range_queries*", ""},
+      {fault::points::kEngineEvaluatorRun, "range_queries*", failing},
+  };
+  for (const Case& c : cases) {
     std::string reference;
     for (const Placement& placement : placements) {
       fault::Config config;
       config.mode = fault::Mode::kFailTimes;
       config.times = 1000;
-      config.key_filter = key;
-      fault::Arm(point, config);
+      config.key_filter = c.key;
+      fault::Arm(c.point, config);
       core::ScenarioSpec spec = FoldableSpec();
+      if (!c.extra_mechanism.empty()) {
+        spec.mechanisms.push_back(c.extra_mechanism);
+      }
       spec.source = placement.source;
       spec.workers = placement.workers;
+      spec.worker_binary = MOBIPRIV_TEST_WORKER;
       core::ScenarioEngine engine(std::move(spec));
       const std::string csv = engine.Run().ToCsv();
       fault::DisarmAll();
+      const std::string label =
+          std::string(c.point) + " " + c.extra_mechanism +
+          " workers=" + std::to_string(placement.workers);
       EXPECT_EQ(engine.stats().streamed_shards, placement.streamed_shards)
-          << point << " workers=" << placement.workers;
-      EXPECT_NE(csv.find("injected fault"), std::string::npos) << point;
+          << label;
+      EXPECT_NE(csv.find("injected fault"), std::string::npos) << label;
+      if (!c.extra_mechanism.empty()) {
+        EXPECT_NE(csv.find("dependency failed: test_fail_on_user: user"),
+                  std::string::npos)
+            << label << "\n" << csv;
+      }
       if (reference.empty()) {
         reference = csv;
       } else {
-        EXPECT_EQ(csv, reference)
-            << point << " workers=" << placement.workers;
+        EXPECT_EQ(csv, reference) << label;
       }
     }
   }

@@ -5,11 +5,14 @@
 // eligibility gating around it.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
+#include <memory>
 #include <string>
 
 #include "core/engine.h"
 #include "core/scenario.h"
+#include "mechanisms/registry.h"
 #include "model/sharded_dataset.h"
 #include "model/views.h"
 #include "synth/population.h"
@@ -93,6 +96,48 @@ TEST(ShardStream, ReportByteIdenticalToWholeView) {
     EXPECT_EQ(model::FullMaterializeCount(), materialized_before);
     EXPECT_EQ(model::TraceCopyCount(), copies_before);
   }
+  fs::remove_all(dir);
+}
+
+/// Per-trace test mechanism that copies its input and counts kernel calls.
+/// ApplyToIndexedTrace runs the kernel exactly once per call, so the count
+/// is the number of ApplyToIndexedTrace calls of the streamed executor.
+std::atomic<std::size_t> g_kernel_calls{0};
+
+class CountKernelCalls final : public mech::PerTraceMechanism {
+ public:
+  [[nodiscard]] std::string Name() const override {
+    return "test_count_kernel_calls";
+  }
+
+ protected:
+  void ApplyToTraceColumns(const model::TraceView& trace,
+                           model::TraceBuffer& out,
+                           util::Rng& /*rng*/) const override {
+    g_kernel_calls.fetch_add(1, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      out.Append(trace.position(i), trace.time(i));
+    }
+  }
+};
+
+TEST(ShardStream, PublishesEachStageShardOnce) {
+  // The streamed executor's only source-wide pre-pass is a read-only
+  // extent scan; every (stage, shard) is published once, in pass 1. Two
+  // seeds give two stage nodes.
+  mech::RegisterMechanism("test_count_kernel_calls", [](const util::Spec&) {
+    return std::make_unique<CountKernelCalls>();
+  });
+  const std::string dir = MakeShardDir("mobipriv_stream_publish_once", 4);
+  core::ScenarioSpec spec = FoldableSpec();
+  spec.source = core::DatasetSourceSpec::ShardDir(dir);
+  spec.mechanisms = {"test_count_kernel_calls"};
+  g_kernel_calls.store(0);
+  core::ScenarioEngine engine(std::move(spec));
+  const core::Report report = engine.Run();
+  EXPECT_EQ(engine.stats().streamed_shards, 4u);
+  EXPECT_TRUE(report.AllOk()) << report.ToCsv();
+  EXPECT_EQ(g_kernel_calls.load(), 2 * World().TraceCount());
   fs::remove_all(dir);
 }
 

@@ -2,14 +2,25 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <unistd.h>
 
+#include <cmath>
+#include <filesystem>
+#include <memory>
+#include <string>
+
+#include "core/engine.h"
+#include "core/scenario.h"
 #include "geo/projection.h"
+#include "mechanisms/registry.h"
 #include "mechanisms/speed_smoothing.h"
+#include "model/sharded_dataset.h"
 #include "synth/population.h"
 
 namespace mobipriv::metrics {
 namespace {
+
+namespace fs = std::filesystem;
 
 constexpr geo::LatLng kOrigin{45.7640, 4.8357};
 
@@ -49,6 +60,28 @@ TEST(RadiusOfGyration, UniformLineIsKnown) {
   const double rg = RadiusOfGyration(dataset, 0);
   const double expected = 100.0 * std::sqrt((121.0 - 1.0) / 12.0);
   EXPECT_NEAR(rg, expected, 3.0);
+  // One kernel: the single-user form is the all-users form's entry, bit
+  // for bit.
+  const auto radii = AllRadiiOfGyration(dataset);
+  EXPECT_EQ(rg, radii[0]);
+  EXPECT_EQ(RadiusOfGyration(dataset, 1), radii[1]);
+}
+
+TEST(RadiusOfGyration, MatchesAllRadiiOnASyntheticWorld) {
+  // Users with many interleaved traces: RadiusOfGyration's dataset-order
+  // scan and AllRadiiOfGyration's per-user buckets visit the same fixes in
+  // the same order.
+  synth::PopulationConfig config;
+  config.agents = 6;
+  config.days = 2;
+  config.seed = 7;
+  const synth::SyntheticWorld world(config);
+  const auto radii = AllRadiiOfGyration(world.dataset());
+  ASSERT_EQ(radii.size(), world.dataset().UserCount());
+  for (model::UserId u = 0; u < radii.size(); ++u) {
+    EXPECT_GT(radii[u], 0.0) << u;
+    EXPECT_EQ(RadiusOfGyration(world.dataset(), u), radii[u]) << u;
+  }
 }
 
 TEST(RadiusOfGyration, UnknownUserIsZero) {
@@ -95,6 +128,101 @@ TEST(CompareTrajectoryStats, IdentityPreservesEverything) {
   EXPECT_NEAR(report.trip_length_emd, 0.0, 1e-6);
   EXPECT_NEAR(report.gyration_relative_error, 0.0, 1e-9);
   EXPECT_FALSE(report.ToString().empty());
+}
+
+/// A 1 km trip of `fixes` points, far from TwoTripDataset()'s extent.
+std::vector<model::Event> FarAwayTrip(int fixes) {
+  const geo::LocalProjection far_frame(geo::LatLng{-33.8688, 151.2093});
+  std::vector<model::Event> events;
+  for (int i = 0; i < fixes; ++i) {
+    events.push_back({far_frame.Unproject({i * 100.0, i * 50.0}),
+                      static_cast<util::Timestamp>(i * 60)});
+  }
+  return events;
+}
+
+TEST(CompareTrajectoryStats, PublishedOutlierLeavesOtherUsersUntouched) {
+  // Published = original + one far-away extra user. The unchanged users'
+  // radii are measured in the original's frame on both sides, so their
+  // error is exactly zero; a frame centred on the published extent would
+  // rescale their east axis and report an error nobody made.
+  const model::Dataset original = TwoTripDataset();
+  model::Dataset published = original;
+  published.AddTraceForUser("far", FarAwayTrip(11));
+  ASSERT_EQ(published.UserCount(), original.UserCount() + 1);
+
+  const auto report = CompareTrajectoryStats(original, published);
+  EXPECT_EQ(report.gyration_relative_error, 0.0);
+  const geo::LocalProjection frame(original.BoundingBox().Center());
+  const auto radii_orig =
+      AllRadiiOfGyration(model::DatasetView::Of(original), frame);
+  const auto radii_pub =
+      AllRadiiOfGyration(model::DatasetView::Of(published), frame);
+  for (model::UserId u = 0; u < original.UserCount(); ++u) {
+    EXPECT_EQ(radii_pub[u], radii_orig[u]) << u;
+  }
+}
+
+/// Per-trace test mechanism: copies every trace, except that a single-fix
+/// trace is moved far away — the engine-side analogue of an extra
+/// far-away published user (a single fix has zero gyration in any frame,
+/// so that user's own error is skipped, never nonzero).
+class SendLoneFixesFar final : public mech::PerTraceMechanism {
+ public:
+  [[nodiscard]] std::string Name() const override {
+    return "test_send_lone_fixes_far";
+  }
+
+ protected:
+  void ApplyToTraceColumns(const model::TraceView& trace,
+                           model::TraceBuffer& out,
+                           util::Rng& /*rng*/) const override {
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      geo::LatLng p = trace.position(i);
+      if (trace.size() == 1) p = FarAwayTrip(1)[0].position;
+      out.Append(p, trace.time(i));
+    }
+  }
+};
+
+TEST(CompareTrajectoryStats, StreamedFoldUsesTheOriginalFrameToo) {
+  mech::RegisterMechanism("test_send_lone_fixes_far", [](const util::Spec&) {
+    return std::make_unique<SendLoneFixesFar>();
+  });
+  model::Dataset original = TwoTripDataset();
+  original.AddTraceForUser("lone", {{kOrigin, 0}});
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("mobipriv_gyration_frame-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  model::ShardedDataset::Partition(original, 2).SaveShards(dir.string());
+
+  std::string reference;
+  for (const bool streamed : {false, true}) {
+    core::ScenarioSpec spec;
+    spec.source = streamed ? core::DatasetSourceSpec::ShardDir(dir.string())
+                           : core::DatasetSourceSpec::Borrowed(original);
+    spec.mechanisms = {"test_send_lone_fixes_far"};
+    spec.evaluators = {"trajectory_stats"};
+    core::ScenarioEngine engine(std::move(spec));
+    const core::Report report = engine.Run();
+    EXPECT_EQ(engine.stats().streamed_shards, streamed ? 2u : 0u);
+    ASSERT_TRUE(report.AllOk()) << report.ToCsv();
+    bool seen = false;
+    for (const core::ReportRow& row : report.rows()) {
+      if (row.metric != "gyration_rel_err") continue;
+      seen = true;
+      EXPECT_EQ(row.value, 0.0) << "streamed=" << streamed;
+    }
+    EXPECT_TRUE(seen);
+    if (reference.empty()) {
+      reference = report.ToCsv();
+    } else {
+      EXPECT_EQ(report.ToCsv(), reference);
+    }
+  }
+  fs::remove_all(dir);
 }
 
 TEST(CompareTrajectoryStats, SpeedSmoothingPreservesScaleStatistics) {
