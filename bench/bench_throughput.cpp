@@ -634,7 +634,7 @@ void BM_MixZoneEncounterScan(benchmark::State& state) {
   // output assembly diluting it.
   const auto& world = WorldOfSize(static_cast<std::size_t>(state.range(0)));
   const mech::MixZone mixzone;
-  const model::DatasetView view = model::DatasetView::Of(world.dataset());
+  const model::DatasetView view = world.dataset();
   std::size_t events = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(mixzone.CountEncounters(view));

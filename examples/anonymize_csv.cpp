@@ -217,8 +217,7 @@ int main(int argc, char** argv) {
                 << source.view().TraceCount() << " traces, "
                 << source.view().EventCount() << " events\n";
       if (shards_arg > 0) {
-        util::Rng rng(util::DeriveStreamSeed(
-            run.seed, model::Fnv1a64(name.data(), name.size()), 0));
+        util::Rng rng = core::StageStream(run.seed, name);
         const model::ShardedDataset partition =
             model::ShardedDataset::Partition(
                 source.view().Materialize(),

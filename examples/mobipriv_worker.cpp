@@ -95,11 +95,8 @@ void ProcessRequest(const wp::WorkerRequest& request) {
   // The exact master draw the engine's ApplyToStore would make for this
   // stage — per-trace streams then depend only on (master, global user,
   // original index), never on the shard partition.
-  util::Rng rng(util::DeriveStreamSeed(
-      request.seed,
-      model::Fnv1a64(request.prefix_name.data(), request.prefix_name.size()),
-      0));
-  const std::uint64_t master = rng.NextU64();
+  const std::uint64_t master =
+      core::StageStream(request.seed, request.prefix_name).NextU64();
 
   const std::string key =
       request.prefix_name + "#" + std::to_string(request.attempt);

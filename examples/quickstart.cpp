@@ -1,12 +1,15 @@
 // Quickstart: generate a small synthetic city, anonymize it with the paper's
-// full pipeline (constant-speed time distortion + mix-zone swapping), and
-// print the before/after privacy and utility numbers.
+// full pipeline (constant-speed time distortion + mix-zone swapping) through
+// the scenario engine, and print the before/after privacy and utility
+// numbers.
 //
 //   $ ./quickstart [--agents 20] [--days 2] [--seed 42]
 #include <iostream>
+#include <vector>
 
-#include "core/anonymizer.h"
-#include "core/report.h"
+#include "attacks/poi_extraction.h"
+#include "core/engine.h"
+#include "metrics/poi_metrics.h"
 #include "model/stats.h"
 #include "synth/population.h"
 #include "util/cli.h"
@@ -33,22 +36,39 @@ int main(int argc, char** argv) {
   std::cout << "Raw dataset:\n"
             << model::ComputeDatasetStats(world.dataset()).ToString() << "\n\n";
 
-  // 2. Anonymize with the paper's full pipeline.
-  core::Anonymizer anonymizer;  // default config: both stages on
-  util::Rng rng(population.seed);
-  core::PipelineReport pipeline_report;
-  const model::Dataset published =
-      anonymizer.ApplyWithReport(world.dataset(), rng, pipeline_report);
-  std::cout << "Pipeline (" << anonymizer.Name() << "):\n"
-            << pipeline_report.ToString() << "\n\n";
+  // 2. Anonymize with the paper's full pipeline and score the publication,
+  //    in one scenario-engine run that hands back the published store.
+  core::ScenarioSpec spec;
+  spec.source = core::DatasetSourceSpec::Borrowed(world.dataset());
+  spec.mechanisms = {"ours"};
+  spec.evaluators = {"coverage", "spatial_distortion", "poi_attack"};
+  spec.seeds = {population.seed};
+  core::ScenarioEngine engine(spec);
+  std::vector<model::EventStore> terminals;
+  const core::Report report = engine.Run(&terminals);
+  std::cout << "Evaluation:\n" << report.ToTable().ToString() << "\n";
+  if (!report.AllOk() || terminals.size() != 1) {
+    std::cerr << "quickstart: the engine run did not complete\n";
+    return 1;
+  }
+  const model::DatasetView published = terminals.front().View();
+  std::cout << "Published " << published.EventCount() << " of "
+            << world.dataset().EventCount() << " events\n";
 
-  // 3. Evaluate: POI attack vs ground truth + utility metrics.
-  const core::EvaluationReport eval =
-      core::Evaluate(world, published, anonymizer.Name());
-  std::cout << "Evaluation:\n" << eval.ToString() << "\n";
-
-  std::cout << "\nPOI retrieval rate on published data: "
-            << eval.poi.Recall() * 100.0 << "% (raw data had "
-            << eval.extracted_pois_raw << " extractable POIs)\n";
+  // 3. POI attack on the raw and the published data, scored against the
+  //    world's ground truth in one shared frame.
+  const attacks::PoiExtractor extractor;
+  const geo::LocalProjection frame =
+      attacks::DatasetProjection(world.dataset());
+  const auto truth = metrics::DistinctTruePlaces(world.ground_truth(),
+                                                 world.projection(), frame);
+  const metrics::PoiScore raw_score =
+      metrics::ScorePoiExtraction(extractor.Extract(world.dataset(), frame),
+                                  truth);
+  const metrics::PoiScore published_score = metrics::ScorePoiExtraction(
+      extractor.Extract(published, frame), truth);
+  std::cout << "\nPOI recall on published data: "
+            << published_score.Recall() * 100.0 << "% (raw data: "
+            << raw_score.Recall() * 100.0 << "%)\n";
   return 0;
 }

@@ -110,10 +110,4 @@ std::vector<HomeWorkGuess> HomeWorkAttack::Infer(
   return guesses;
 }
 
-std::vector<HomeWorkGuess> HomeWorkAttack::Infer(
-    const model::Dataset& dataset,
-    const geo::LocalProjection& projection) const {
-  return Infer(model::DatasetView::Of(dataset), projection);
-}
-
 }  // namespace mobipriv::attacks

@@ -37,13 +37,9 @@ class HomeWorkAttack {
   explicit HomeWorkAttack(HomeWorkConfig config = {});
 
   /// One guess per user appearing in the dataset (users whose traces yield
-  /// no night/work stays get nullopt fields — the defender's win). The
-  /// view form is the implementation; the Dataset form adapts zero-copy.
+  /// no night/work stays get nullopt fields — the defender's win).
   [[nodiscard]] std::vector<HomeWorkGuess> Infer(
       const model::DatasetView& dataset,
-      const geo::LocalProjection& projection) const;
-  [[nodiscard]] std::vector<HomeWorkGuess> Infer(
-      const model::Dataset& dataset,
       const geo::LocalProjection& projection) const;
 
   /// Seconds of overlap between [from, to] and the daily window

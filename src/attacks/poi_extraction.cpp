@@ -9,12 +9,6 @@
 
 namespace mobipriv::attacks {
 
-geo::LocalProjection DatasetProjection(const model::Dataset& dataset) {
-  const geo::GeoBoundingBox bbox = dataset.BoundingBox();
-  return geo::LocalProjection(bbox.IsEmpty() ? geo::LatLng{0.0, 0.0}
-                                             : bbox.Center());
-}
-
 geo::LocalProjection DatasetProjection(const model::DatasetView& dataset) {
   const geo::GeoBoundingBox bbox = dataset.BoundingBox();
   return geo::LocalProjection(bbox.IsEmpty() ? geo::LatLng{0.0, 0.0}
@@ -79,11 +73,6 @@ std::vector<StayPoint> PoiExtractor::ExtractStays(
     i = next;
   }
   return stays;
-}
-
-std::vector<StayPoint> PoiExtractor::ExtractStays(
-    const model::Trace& trace, const geo::LocalProjection& projection) const {
-  return ExtractStays(model::TraceView::Of(trace), projection);
 }
 
 std::vector<ExtractedPoi> PoiExtractor::Extract(
@@ -208,18 +197,7 @@ std::vector<ExtractedPoi> PoiExtractor::Extract(
 }
 
 std::vector<ExtractedPoi> PoiExtractor::Extract(
-    const model::Dataset& dataset,
-    const geo::LocalProjection& projection) const {
-  return Extract(model::DatasetView::Of(dataset), projection);
-}
-
-std::vector<ExtractedPoi> PoiExtractor::Extract(
     const model::DatasetView& dataset) const {
-  return Extract(dataset, DatasetProjection(dataset));
-}
-
-std::vector<ExtractedPoi> PoiExtractor::Extract(
-    const model::Dataset& dataset) const {
   return Extract(dataset, DatasetProjection(dataset));
 }
 

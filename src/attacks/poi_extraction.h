@@ -58,13 +58,9 @@ class PoiExtractor {
   }
 
   /// Stay points of a single trace, given the projection used to go planar.
-  /// The view form is the implementation (runs over AoS traces and columnar
-  /// stores alike); the Trace form adapts zero-copy.
   [[nodiscard]] std::vector<StayPoint> ExtractStays(
       const model::TraceView& trace,
       const geo::LocalProjection& projection) const;
-  [[nodiscard]] std::vector<StayPoint> ExtractStays(
-      const model::Trace& trace, const geo::LocalProjection& projection) const;
 
   /// Full attack on a dataset: per-user merged POIs. The planar frame is a
   /// projection centred on the dataset bounding box; pass the same
@@ -72,15 +68,10 @@ class PoiExtractor {
   [[nodiscard]] std::vector<ExtractedPoi> Extract(
       const model::DatasetView& dataset,
       const geo::LocalProjection& projection) const;
-  [[nodiscard]] std::vector<ExtractedPoi> Extract(
-      const model::Dataset& dataset,
-      const geo::LocalProjection& projection) const;
 
-  /// Convenience overloads that build the canonical dataset projection.
+  /// Convenience overload that builds the canonical dataset projection.
   [[nodiscard]] std::vector<ExtractedPoi> Extract(
       const model::DatasetView& dataset) const;
-  [[nodiscard]] std::vector<ExtractedPoi> Extract(
-      const model::Dataset& dataset) const;
 
  private:
   PoiExtractionConfig config_;
@@ -88,8 +79,6 @@ class PoiExtractor {
 
 /// The canonical projection every attack/metric uses for a dataset
 /// (centred on its bounding box).
-[[nodiscard]] geo::LocalProjection DatasetProjection(
-    const model::Dataset& dataset);
 [[nodiscard]] geo::LocalProjection DatasetProjection(
     const model::DatasetView& dataset);
 

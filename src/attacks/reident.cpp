@@ -102,12 +102,6 @@ ReidentificationAttack::ReidentificationAttack(ReidentConfig config)
     : config_(config) {}
 
 std::vector<MobilityProfile> ReidentificationAttack::BuildProfiles(
-    const model::Dataset& training,
-    const geo::LocalProjection& projection) const {
-  return BuildProfiles(model::DatasetView::Of(training), projection);
-}
-
-std::vector<MobilityProfile> ReidentificationAttack::BuildProfiles(
     const model::DatasetView& training,
     const geo::LocalProjection& projection) const {
   const PoiExtractor extractor(config_.poi);
@@ -131,13 +125,6 @@ double ReidentificationAttack::ProfileDistance(const MobilityProfile& a,
   const auto b_index = MaybeIndex(b.pois);
   return ProfileDistanceIndexed(a, a_index ? &*a_index : nullptr, b,
                                 b_index ? &*b_index : nullptr);
-}
-
-std::vector<LinkResult> ReidentificationAttack::Attack(
-    const std::vector<MobilityProfile>& profiles,
-    const model::Dataset& anonymized,
-    const geo::LocalProjection& projection) const {
-  return Attack(profiles, model::DatasetView::Of(anonymized), projection);
 }
 
 std::vector<LinkResult> ReidentificationAttack::Attack(

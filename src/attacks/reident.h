@@ -49,12 +49,8 @@ class ReidentificationAttack {
   /// Builds identified profiles from the training dataset (one profile per
   /// user, POIs pooled over all the user's traces). The same `projection`
   /// must be used for BuildProfiles and Attack so planar frames agree.
-  /// View forms are the implementation; Dataset forms adapt zero-copy.
   [[nodiscard]] std::vector<MobilityProfile> BuildProfiles(
       const model::DatasetView& training,
-      const geo::LocalProjection& projection) const;
-  [[nodiscard]] std::vector<MobilityProfile> BuildProfiles(
-      const model::Dataset& training,
       const geo::LocalProjection& projection) const;
 
   /// Symmetric mean nearest-neighbour distance between two POI sets.
@@ -69,10 +65,6 @@ class ReidentificationAttack {
   [[nodiscard]] std::vector<LinkResult> Attack(
       const std::vector<MobilityProfile>& profiles,
       const model::DatasetView& anonymized,
-      const geo::LocalProjection& projection) const;
-  [[nodiscard]] std::vector<LinkResult> Attack(
-      const std::vector<MobilityProfile>& profiles,
-      const model::Dataset& anonymized,
       const geo::LocalProjection& projection) const;
 
   /// Fraction of traces correctly linked (unlinkable counted per config).

@@ -101,8 +101,7 @@ model::EventStore Anonymizer::ApplyToStoreWithReport(
 model::Dataset Anonymizer::ApplyWithReport(const model::Dataset& input,
                                            util::Rng& rng,
                                            PipelineReport& report) const {
-  return ApplyToStoreWithReport(model::DatasetView::Of(input), rng, report)
-      .ToDataset();
+  return ApplyToStoreWithReport(input, rng, report).ToDataset();
 }
 
 }  // namespace mobipriv::core

@@ -554,12 +554,8 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
                   "): " + stage.prefix_name};
           continue;
         }
-        util::Rng rng(util::DeriveStreamSeed(
-            seeds[stage.seed_index],
-            model::Fnv1a64(stage.prefix_name.data(),
-                           stage.prefix_name.size()),
-            0));
-        masters[i] = rng.NextU64();
+        masters[i] =
+            StageStream(seeds[stage.seed_index], stage.prefix_name).NextU64();
       }
 
       // Worker result handoff directory, removed wholesale on exit
@@ -875,15 +871,11 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
             std::string(fault::points::kEngineMechanismRun) +
             "): " + stage.prefix_name);
       }
-      // Every stage node owns an independent stream derived from the cell
-      // seed and the PREFIX canonical name: a row's bytes depend only on
-      // its own stages, so adding grid rows (or suffix stages elsewhere)
-      // never perturbs existing ones — the property that makes prefix
-      // outputs shareable at all.
-      util::Rng rng(util::DeriveStreamSeed(
-          seeds[stage.seed_index],
-          model::Fnv1a64(stage.prefix_name.data(), stage.prefix_name.size()),
-          0));
+      // Every stage node owns an independent StageStream: a row's bytes
+      // depend only on its own stages, so adding grid rows (or suffix
+      // stages elsewhere) never perturbs existing ones — the property that
+      // makes prefix outputs shareable at all.
+      util::Rng rng = StageStream(seeds[stage.seed_index], stage.prefix_name);
       std::string key_text;
       bool loaded = false;
       if (cache) {

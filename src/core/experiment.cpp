@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "mechanisms/registry.h"
 #include "util/string_utils.h"
 
 namespace mobipriv::core {
@@ -84,15 +83,6 @@ std::vector<std::string> StandardRosterSpecs(
   specs.insert(specs.end(), {"wait4me", "cloaking", "gaussian",
                              "downsampling"});
   return specs;
-}
-
-std::vector<std::unique_ptr<mech::Mechanism>> StandardRoster(
-    const std::vector<double>& geo_ind_epsilons) {
-  std::vector<std::unique_ptr<mech::Mechanism>> roster;
-  for (const std::string& spec : StandardRosterSpecs(geo_ind_epsilons)) {
-    roster.push_back(mech::CreateMechanism(spec));
-  }
-  return roster;
 }
 
 }  // namespace mobipriv::core

@@ -5,11 +5,8 @@
 
 #include <chrono>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
-
-#include "mechanisms/mechanism.h"
 
 namespace mobipriv::core {
 
@@ -42,10 +39,6 @@ class Table {
 /// ScenarioSpec names; mech::CreateMechanism turns each entry into an
 /// instance.
 [[nodiscard]] std::vector<std::string> StandardRosterSpecs(
-    const std::vector<double>& geo_ind_epsilons = {0.001, 0.01, 0.1});
-
-/// StandardRosterSpecs instantiated through the mechanism registry.
-[[nodiscard]] std::vector<std::unique_ptr<mech::Mechanism>> StandardRoster(
     const std::vector<double>& geo_ind_epsilons = {0.001, 0.01, 0.1});
 
 }  // namespace mobipriv::core

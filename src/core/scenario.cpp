@@ -86,6 +86,11 @@ std::string DatasetSourceSpec::Describe() const {
   return "unknown";
 }
 
+util::Rng StageStream(std::uint64_t seed, std::string_view prefix_name) {
+  return util::Rng(util::DeriveStreamSeed(
+      seed, model::Fnv1a64(prefix_name.data(), prefix_name.size()), 0));
+}
+
 namespace {
 
 [[noreturn]] void SweepError(const std::string& context, std::size_t line,
@@ -308,7 +313,7 @@ BoundSource BoundSource::Bind(const DatasetSourceSpec& spec) {
       throw model::IoError("scenario source is unset (Kind::kNone)");
     case DatasetSourceSpec::Kind::kCsvFile:
       source.owned_ = model::ReadCsvFile(spec.path);
-      source.view_ = model::DatasetView::Of(source.owned_);
+      source.view_ = model::DatasetView(source.owned_);
       break;
     case DatasetSourceSpec::Kind::kColumnarFile:
       // Zero-copy: every downstream view aliases the read-only mapping.
@@ -386,14 +391,14 @@ BoundSource BoundSource::Bind(const DatasetSourceSpec& spec) {
       config.days = spec.days;
       config.seed = spec.world_seed;
       source.world_ = std::make_unique<synth::SyntheticWorld>(config);
-      source.view_ = model::DatasetView::Of(source.world_->dataset());
+      source.view_ = model::DatasetView(source.world_->dataset());
       break;
     }
     case DatasetSourceSpec::Kind::kBorrowed:
       if (spec.borrowed == nullptr) {
         throw model::IoError("borrowed scenario source is null");
       }
-      source.view_ = model::DatasetView::Of(*spec.borrowed);
+      source.view_ = model::DatasetView(*spec.borrowed);
       break;
   }
   return source;

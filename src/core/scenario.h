@@ -23,12 +23,14 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/columnar_file.h"
 #include "model/dataset.h"
 #include "model/sharded_dataset.h"
 #include "model/views.h"
+#include "util/rng.h"
 
 namespace mobipriv::synth {
 class SyntheticWorld;
@@ -116,6 +118,17 @@ struct ScenarioSpec {
   /// the current executable (DefaultWorkerBinary()).
   std::string worker_binary;
 };
+
+/// The RNG stream of one mechanism stage of a grid cell, seeded from the
+/// cell seed and the FNV-1a hash of the stage's PREFIX canonical name
+/// ("a|b" for the second stage of chain a|b). A stage's bytes therefore
+/// depend only on its own prefix, never on which other rows share the
+/// grid. Every executor draws from this stream: the DAG stage node hands
+/// it to ApplyToStore, and the shard-streamed merge and mobipriv_worker
+/// take the per-trace master with the same single NextU64() that
+/// ApplyToStore makes.
+[[nodiscard]] util::Rng StageStream(std::uint64_t seed,
+                                    std::string_view prefix_name);
 
 /// Parses a sweep-config text (the `anonymize_csv --sweep` file format;
 /// docs/FORMAT.md, "Sweep config files") into a ScenarioSpec. Line

@@ -9,7 +9,7 @@ namespace mobipriv::mech {
 
 model::Dataset Mechanism::Apply(const model::Dataset& input,
                                 util::Rng& rng) const {
-  return ApplyToStore(model::DatasetView::Of(input), rng).ToDataset();
+  return ApplyToStore(input, rng).ToDataset();
 }
 
 model::EventStore PerTraceMechanism::ApplyToStore(

@@ -35,7 +35,7 @@ class Mechanism {
   [[nodiscard]] virtual model::EventStore ApplyToStore(
       const model::DatasetView& input, util::Rng& rng) const = 0;
 
-  /// AoS adapter: ApplyToStore(DatasetView::Of(input), rng).ToDataset().
+  /// AoS adapter: ApplyToStore(input, rng).ToDataset().
   /// Virtual only so instrumentation wrappers can intercept it; mechanisms
   /// implement ApplyToStore and never override this.
   [[nodiscard]] virtual model::Dataset Apply(const model::Dataset& input,

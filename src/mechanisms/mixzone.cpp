@@ -783,8 +783,7 @@ model::EventStore MixZone::ApplyToStore(const model::DatasetView& input,
 model::Dataset MixZone::ApplyWithReport(const model::Dataset& input,
                                         util::Rng& rng,
                                         MixZoneReport& report) const {
-  return ApplyToStoreWithReport(model::DatasetView::Of(input), rng, report)
-      .ToDataset();
+  return ApplyToStoreWithReport(input, rng, report).ToDataset();
 }
 
 model::EventStore MixZone::ApplyToStoreWithReport(

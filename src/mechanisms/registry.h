@@ -8,7 +8,7 @@
 // grid be *declarative*: a ScenarioSpec names mechanisms as strings
 // ("geo_ind[eps=0.0100]", "ours[speed]", "wait4me[k=4,delta=500m]") and
 // the engine builds them on demand, replacing the hardcoded roster loops
-// the bench binaries used to copy around (core::StandardRoster is now a
+// the bench binaries used to copy around (core::StandardRosterSpecs is a
 // canned list of spec strings over this registry).
 //
 // Grammar: util::Spec ("base[key=value,...]"; numeric values may carry a

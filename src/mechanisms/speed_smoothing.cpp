@@ -113,8 +113,7 @@ std::string SpeedSmoothing::Name() const {
 
 model::Trace SpeedSmoothing::Smooth(const model::Trace& trace) const {
   model::TraceBuffer buffer;
-  SmoothColumns(model::TraceView::Of(trace), config_.spacing_m,
-                config_.min_length_m, buffer);
+  SmoothColumns(trace, config_.spacing_m, config_.min_length_m, buffer);
   return buffer.ToTrace(trace.user());
 }
 

@@ -65,23 +65,12 @@ double CoverageJaccard(const model::DatasetView& a,
                                static_cast<double>(union_size);
 }
 
-double CoverageJaccard(const model::Dataset& a, const model::Dataset& b,
-                       const CoverageConfig& config) {
-  return CoverageJaccard(model::DatasetView::Of(a), model::DatasetView::Of(b),
-                         config);
-}
-
 std::size_t CellFootprint(const model::DatasetView& dataset,
                           const CoverageConfig& config) {
   const geo::GeoBoundingBox bbox = dataset.BoundingBox();
   if (bbox.IsEmpty()) return 0;
   const geo::LocalProjection projection(bbox.Center());
   return VisitedCells(dataset, projection, config.cell_size_m).size();
-}
-
-std::size_t CellFootprint(const model::Dataset& dataset,
-                          const CoverageConfig& config) {
-  return CellFootprint(model::DatasetView::Of(dataset), config);
 }
 
 }  // namespace mobipriv::metrics

@@ -20,19 +20,13 @@ struct CoverageConfig {
 /// Jaccard similarity in [0, 1] of visited grid cells (1 = identical
 /// footprints). Both datasets are projected on the union bounding box.
 /// Rasterization fans out per trace on the thread pool; cell sets are
-/// order-free, so the result is exact at any worker count. The view form
-/// is the implementation; the Dataset form adapts zero-copy.
+/// order-free, so the result is exact at any worker count.
 [[nodiscard]] double CoverageJaccard(const model::DatasetView& a,
                                      const model::DatasetView& b,
-                                     const CoverageConfig& config = {});
-[[nodiscard]] double CoverageJaccard(const model::Dataset& a,
-                                     const model::Dataset& b,
                                      const CoverageConfig& config = {});
 
 /// Number of distinct cells visited by a dataset (its footprint size).
 [[nodiscard]] std::size_t CellFootprint(const model::DatasetView& dataset,
-                                        const CoverageConfig& config = {});
-[[nodiscard]] std::size_t CellFootprint(const model::Dataset& dataset,
                                         const CoverageConfig& config = {});
 
 }  // namespace mobipriv::metrics

@@ -26,11 +26,6 @@ Heatmap::Heatmap(const model::DatasetView& dataset,
   }
 }
 
-Heatmap::Heatmap(const model::Dataset& dataset,
-                 const geo::LocalProjection& projection,
-                 const HeatmapConfig& config)
-    : Heatmap(model::DatasetView::Of(dataset), projection, config) {}
-
 double Heatmap::Cosine(const Heatmap& a, const Heatmap& b) {
   if (a.counts_.empty() && b.counts_.empty()) return 1.0;
   if (a.counts_.empty() || b.counts_.empty()) return 0.0;
@@ -74,13 +69,6 @@ double HeatmapSimilarity(const model::DatasetView& original,
   const Heatmap a(original, projection, config);
   const Heatmap b(published, projection, config);
   return Heatmap::Cosine(a, b);
-}
-
-double HeatmapSimilarity(const model::Dataset& original,
-                         const model::Dataset& published,
-                         const HeatmapConfig& config) {
-  return HeatmapSimilarity(model::DatasetView::Of(original),
-                           model::DatasetView::Of(published), config);
 }
 
 }  // namespace mobipriv::metrics

@@ -19,15 +19,12 @@ struct HeatmapConfig {
   double cell_size_m = 200.0;
 };
 
-/// Sparse event-count raster. The view constructor is the implementation
-/// (mmap-opened shards rasterize without materializing); the Dataset
-/// constructor adapts zero-copy.
+/// Sparse event-count raster (mmap-opened shards rasterize without
+/// materializing).
 class Heatmap {
  public:
   Heatmap(const model::DatasetView& dataset,
           const geo::LocalProjection& projection,
-          const HeatmapConfig& config = {});
-  Heatmap(const model::Dataset& dataset, const geo::LocalProjection& projection,
           const HeatmapConfig& config = {});
 
   [[nodiscard]] std::size_t NonZeroCells() const noexcept {
@@ -50,9 +47,6 @@ class Heatmap {
 /// Convenience: cosine similarity of heatmaps on the union frame.
 [[nodiscard]] double HeatmapSimilarity(const model::DatasetView& original,
                                        const model::DatasetView& published,
-                                       const HeatmapConfig& config = {});
-[[nodiscard]] double HeatmapSimilarity(const model::Dataset& original,
-                                       const model::Dataset& published,
                                        const HeatmapConfig& config = {});
 
 }  // namespace mobipriv::metrics

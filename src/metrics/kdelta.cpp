@@ -118,9 +118,4 @@ KDeltaReport MeasureKDeltaAnonymity(const model::DatasetView& dataset,
   return report;
 }
 
-KDeltaReport MeasureKDeltaAnonymity(const model::Dataset& dataset,
-                                    const KDeltaConfig& config) {
-  return MeasureKDeltaAnonymity(model::DatasetView::Of(dataset), config);
-}
-
 }  // namespace mobipriv::metrics

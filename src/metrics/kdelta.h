@@ -50,11 +50,8 @@ struct KDeltaReport {
 /// Measures the (k, delta) anonymity of every trace in the dataset.
 /// O(T^2 * steps) pairwise alignment, fanned out on the thread pool (both
 /// the per-trace grid alignment and the pairwise companion counting are
-/// embarrassingly parallel); the grid step controls resolution. The view
-/// form is the implementation; the Dataset form adapts zero-copy.
+/// embarrassingly parallel); the grid step controls resolution.
 [[nodiscard]] KDeltaReport MeasureKDeltaAnonymity(
     const model::DatasetView& dataset, const KDeltaConfig& config = {});
-[[nodiscard]] KDeltaReport MeasureKDeltaAnonymity(
-    const model::Dataset& dataset, const KDeltaConfig& config = {});
 
 }  // namespace mobipriv::metrics

@@ -28,11 +28,6 @@ std::size_t CountEvents(const model::DatasetView& dataset,
   return count;
 }
 
-std::size_t CountEvents(const model::Dataset& dataset,
-                        const RangeQuery& query) {
-  return CountEvents(model::DatasetView::Of(dataset), query);
-}
-
 namespace {
 
 /// Grid shape: about this many events per cell, each axis capped so the
@@ -219,12 +214,6 @@ std::vector<RangeQuery> SampleQueriesFromExtent(
   return queries;
 }
 
-std::vector<RangeQuery> SampleQueries(const model::Dataset& dataset,
-                                      const RangeQueryConfig& config,
-                                      util::Rng& rng) {
-  return SampleQueries(model::DatasetView::Of(dataset), config, rng);
-}
-
 std::string RangeQueryReport::ToString() const {
   std::ostringstream os;
   os << "queries=" << queries << " empty_on_original=" << empty_on_original
@@ -256,13 +245,6 @@ RangeQueryReport MeasureRangeQueryError(
   for (const unsigned char e : empty) report.empty_on_original += e;
   report.relative_error = util::Summary::Of(errors);
   return report;
-}
-
-RangeQueryReport MeasureRangeQueryError(
-    const model::Dataset& original, const model::Dataset& published,
-    const std::vector<RangeQuery>& queries) {
-  return MeasureRangeQueryError(model::DatasetView::Of(original),
-                                model::DatasetView::Of(published), queries);
 }
 
 }  // namespace mobipriv::metrics

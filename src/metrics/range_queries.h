@@ -46,11 +46,8 @@ struct RangeQueryConfig {
 
 /// Number of events inside the query (closed bounds) by a linear scan —
 /// the reference RangeCountIndex is tested against. The TraceView form is
-/// the implementation; the DatasetView form sums it over traces and the
-/// Dataset form adapts zero-copy.
+/// the implementation; the DatasetView form sums it over traces.
 [[nodiscard]] std::size_t CountEvents(const model::DatasetView& dataset,
-                                      const RangeQuery& query);
-[[nodiscard]] std::size_t CountEvents(const model::Dataset& dataset,
                                       const RangeQuery& query);
 [[nodiscard]] std::size_t CountEvents(const model::TraceView& trace,
                                       const RangeQuery& query);
@@ -98,9 +95,6 @@ class RangeCountIndex {
 [[nodiscard]] std::vector<RangeQuery> SampleQueries(
     const model::DatasetView& dataset, const RangeQueryConfig& config,
     util::Rng& rng);
-[[nodiscard]] std::vector<RangeQuery> SampleQueries(
-    const model::Dataset& dataset, const RangeQueryConfig& config,
-    util::Rng& rng);
 
 /// Workload sampling from precomputed extents — the exact draw sequence
 /// SampleQueries makes once it knows the bounding box and time span, so a
@@ -122,13 +116,9 @@ struct RangeQueryReport {
 /// Runs the workload on both datasets and reports the error distribution.
 /// Each dataset is indexed once (RangeCountIndex); the queries then fan
 /// out on the thread pool into pre-sized slots, so the report is
-/// byte-identical at any worker count. The view form is the
-/// implementation; the Dataset form adapts zero-copy.
+/// byte-identical at any worker count.
 [[nodiscard]] RangeQueryReport MeasureRangeQueryError(
     const model::DatasetView& original, const model::DatasetView& published,
-    const std::vector<RangeQuery>& queries);
-[[nodiscard]] RangeQueryReport MeasureRangeQueryError(
-    const model::Dataset& original, const model::Dataset& published,
     const std::vector<RangeQuery>& queries);
 
 }  // namespace mobipriv::metrics

@@ -30,12 +30,6 @@ std::vector<double> SynchronizedDeviation(const model::TraceView& original,
   return out;
 }
 
-std::vector<double> SynchronizedDeviation(const model::Trace& original,
-                                          const model::Trace& published) {
-  return SynchronizedDeviation(model::TraceView::Of(original),
-                               model::TraceView::Of(published));
-}
-
 std::vector<double> PathDeviation(const model::TraceView& original,
                                   const model::TraceView& published) {
   std::vector<double> out;
@@ -52,20 +46,6 @@ std::vector<double> PathDeviation(const model::TraceView& original,
         geo::DistanceToPolyline(path, projection.Project(original.position(i))));
   }
   return out;
-}
-
-std::vector<double> PathDeviation(const model::Trace& original,
-                                  const model::Trace& published) {
-  return PathDeviation(model::TraceView::Of(original),
-                       model::TraceView::Of(published));
-}
-
-const model::Trace* FindBestMatch(const model::Trace& original,
-                                  const model::Dataset& published) {
-  const std::ptrdiff_t index = FindBestMatchIndex(
-      model::TraceView::Of(original), model::DatasetView::Of(published));
-  return index < 0 ? nullptr
-                   : &published.traces()[static_cast<std::size_t>(index)];
 }
 
 std::ptrdiff_t FindBestMatchIndex(const model::TraceView& original,
@@ -127,12 +107,6 @@ DistortionSummary MeasureDistortion(const model::DatasetView& original,
   summary.synchronized_m = util::Summary::Of(sync_all);
   summary.path_m = util::Summary::Of(path_all);
   return summary;
-}
-
-DistortionSummary MeasureDistortion(const model::Dataset& original,
-                                    const model::Dataset& published) {
-  return MeasureDistortion(model::DatasetView::Of(original),
-                           model::DatasetView::Of(published));
 }
 
 }  // namespace mobipriv::metrics

@@ -30,42 +30,31 @@ struct DistortionSummary {
   [[nodiscard]] std::string ToString() const;
 };
 
-/// Published trace of the same user with the longest time-span overlap with
-/// `original` (sessions of one user can share small boundary windows, so
-/// "first overlapping" is not unique). nullptr when no candidate overlaps.
-[[nodiscard]] const model::Trace* FindBestMatch(
-    const model::Trace& original, const model::Dataset& published);
-
-/// View-based match: index into `published.traces()` (-1 when none).
+/// Index into `published.traces()` of the published trace of the same user
+/// with the longest time-span overlap with `original` (sessions of one user
+/// can share small boundary windows, so "first overlapping" is not unique).
+/// -1 when no candidate overlaps.
 [[nodiscard]] std::ptrdiff_t FindBestMatchIndex(
     const model::TraceView& original, const model::DatasetView& published);
 
-/// Matches original and published traces by user id via FindBestMatch.
+/// Matches original and published traces by user id via FindBestMatchIndex.
 /// Sampling: every original fix. Mechanisms that re-identify users
 /// (mix-zones) should be measured before swapping, or per matched segment —
 /// see bench E3 notes.
 ///
-/// The view form is the implementation (original traces fan out on the
-/// thread pool; per-trace deviations merge in trace order, so the summary
-/// is byte-identical at any worker count); the Dataset form is a zero-copy
-/// adapter over it.
+/// Original traces fan out on the thread pool; per-trace deviations merge
+/// in trace order, so the summary is byte-identical at any worker count.
 [[nodiscard]] DistortionSummary MeasureDistortion(
     const model::DatasetView& original, const model::DatasetView& published);
-[[nodiscard]] DistortionSummary MeasureDistortion(
-    const model::Dataset& original, const model::Dataset& published);
 
 /// Synchronized distortion between two specific traces (original fix times).
 /// Returns per-fix distances in metres; empty if either trace is empty.
 [[nodiscard]] std::vector<double> SynchronizedDeviation(
     const model::TraceView& original, const model::TraceView& published);
-[[nodiscard]] std::vector<double> SynchronizedDeviation(
-    const model::Trace& original, const model::Trace& published);
 
 /// Geometry-only deviation: distance from each original fix to the
 /// published polyline.
 [[nodiscard]] std::vector<double> PathDeviation(
     const model::TraceView& original, const model::TraceView& published);
-[[nodiscard]] std::vector<double> PathDeviation(const model::Trace& original,
-                                                const model::Trace& published);
 
 }  // namespace mobipriv::metrics

@@ -27,11 +27,6 @@ std::vector<double> TripLengths(const model::DatasetView& dataset,
   return lengths;
 }
 
-std::vector<double> TripLengths(const model::Dataset& dataset,
-                                double min_length_m) {
-  return TripLengths(model::DatasetView::Of(dataset), min_length_m);
-}
-
 double RadiusOfGyrationOfTraces(std::span<const model::TraceView> traces,
                                 const geo::LocalProjection& projection) {
   // Two passes over the sequence: centroid first, then RMS distance.
@@ -67,10 +62,6 @@ double RadiusOfGyration(const model::DatasetView& dataset,
       own, geo::LocalProjection(dataset.BoundingBox().Center()));
 }
 
-double RadiusOfGyration(const model::Dataset& dataset, model::UserId user) {
-  return RadiusOfGyration(model::DatasetView::Of(dataset), user);
-}
-
 std::vector<double> AllRadiiOfGyration(const model::DatasetView& dataset) {
   return AllRadiiOfGyration(
       dataset, geo::LocalProjection(dataset.BoundingBox().Center()));
@@ -99,10 +90,6 @@ std::vector<double> AllRadiiOfGyration(const model::DatasetView& dataset,
     radii[user] = RadiusOfGyrationOfTraces(own, projection);
   });
   return radii;
-}
-
-std::vector<double> AllRadiiOfGyration(const model::Dataset& dataset) {
-  return AllRadiiOfGyration(model::DatasetView::Of(dataset));
 }
 
 double EarthMoversDistance(std::vector<double> a, std::vector<double> b) {
@@ -165,12 +152,6 @@ TrajectoryStatsReport CompareTrajectoryStats(
   report.gyration_relative_error =
       rel_n == 0 ? 0.0 : rel_sum / static_cast<double>(rel_n);
   return report;
-}
-
-TrajectoryStatsReport CompareTrajectoryStats(const model::Dataset& original,
-                                             const model::Dataset& published) {
-  return CompareTrajectoryStats(model::DatasetView::Of(original),
-                                model::DatasetView::Of(published));
 }
 
 }  // namespace mobipriv::metrics

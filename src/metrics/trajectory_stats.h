@@ -18,31 +18,24 @@
 namespace mobipriv::metrics {
 
 /// Per-trace trip lengths in metres (one value per trace, >= min_length_m).
-/// View form is the implementation (lengths compute per trace on the pool,
-/// filtered in trace order); the Dataset form adapts zero-copy.
+/// Lengths compute per trace on the pool and filter in trace order.
 [[nodiscard]] std::vector<double> TripLengths(
     const model::DatasetView& dataset, double min_length_m = 0.0);
-[[nodiscard]] std::vector<double> TripLengths(const model::Dataset& dataset,
-                                              double min_length_m = 0.0);
 
 /// Radius of gyration of one user (root mean square distance of all the
 /// user's fixes from their centroid, metres) — the classic human-mobility
 /// scale statistic.
 [[nodiscard]] double RadiusOfGyration(const model::DatasetView& dataset,
                                       model::UserId user);
-[[nodiscard]] double RadiusOfGyration(const model::Dataset& dataset,
-                                      model::UserId user);
 
 /// Radius of gyration of every user id in [0, UserCount()); users fan out
 /// on the pool (each user's fix scan is independent). The one-argument
-/// forms project in the dataset's own frame (centred on its bounding box);
+/// form projects in the dataset's own frame (centred on its bounding box);
 /// the `projection` form takes a caller-built frame.
 [[nodiscard]] std::vector<double> AllRadiiOfGyration(
     const model::DatasetView& dataset);
 [[nodiscard]] std::vector<double> AllRadiiOfGyration(
     const model::DatasetView& dataset, const geo::LocalProjection& projection);
-[[nodiscard]] std::vector<double> AllRadiiOfGyration(
-    const model::Dataset& dataset);
 
 /// Gyration radius over an explicit trace sequence in a caller-built frame
 /// — the one kernel RadiusOfGyration, AllRadiiOfGyration and the
@@ -77,7 +70,5 @@ struct TrajectoryStatsReport {
 /// extent change only their own user's radius.
 [[nodiscard]] TrajectoryStatsReport CompareTrajectoryStats(
     const model::DatasetView& original, const model::DatasetView& published);
-[[nodiscard]] TrajectoryStatsReport CompareTrajectoryStats(
-    const model::Dataset& original, const model::Dataset& published);
 
 }  // namespace mobipriv::metrics

@@ -13,7 +13,7 @@ EventStore EventStore::FromDataset(const Dataset& dataset) {
   store.ReserveTraces(dataset.TraceCount());
   store.ReserveEvents(dataset.EventCount());
   for (const Trace& trace : dataset.traces()) {
-    store.AppendTrace(trace);
+    store.AppendTrace(trace.user(), trace);
   }
   return store;
 }
@@ -71,10 +71,6 @@ std::size_t EventStore::AppendTrace(UserId user, const TraceView& events) {
   }
   traces_.push_back(TraceRange{user, begin, begin + n});
   return traces_.size() - 1;
-}
-
-std::size_t EventStore::AppendTrace(const Trace& trace) {
-  return AppendTrace(trace.user(), TraceView::Of(trace));
 }
 
 void EventStore::ReserveEvents(std::size_t events) {

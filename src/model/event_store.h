@@ -121,7 +121,6 @@ class EventStore {
   /// Appends one trace's events (copied into the columns) under `user`.
   /// Returns the new trace's index.
   std::size_t AppendTrace(UserId user, const TraceView& events);
-  std::size_t AppendTrace(const Trace& trace);
 
   /// Pre-sizes the columns (ingestion knows totals up front).
   void ReserveEvents(std::size_t events);

@@ -7,18 +7,13 @@
 
 namespace mobipriv::model {
 
-TraceView TraceView::Of(const Trace& trace) {
-  const std::vector<Event>& events = trace.events();
-  const Event* base = events.empty() ? nullptr : events.data();
-  const std::size_t n = events.size();
-  return TraceView(
-      trace.user(),
-      StridedSpan<double>(base ? &base->position.lat : nullptr, n,
-                          sizeof(Event)),
-      StridedSpan<double>(base ? &base->position.lng : nullptr, n,
-                          sizeof(Event)),
-      StridedSpan<util::Timestamp>(base ? &base->time : nullptr, n,
-                                   sizeof(Event)));
+TraceView::TraceView(const Trace& trace) : user_(trace.user()) {
+  if (trace.empty()) return;
+  const Event* base = trace.events().data();
+  const std::size_t n = trace.size();
+  lat_ = StridedSpan<double>(&base->position.lat, n, sizeof(Event));
+  lng_ = StridedSpan<double>(&base->position.lng, n, sizeof(Event));
+  time_ = StridedSpan<util::Timestamp>(&base->time, n, sizeof(Event));
 }
 
 double TraceView::LengthMeters() const noexcept {
@@ -79,14 +74,10 @@ geo::LatLng InterpolateAt(const TraceView& trace, util::Timestamp t) {
       trace.lng(before) + (trace.lng(after) - trace.lng(before)) * alpha};
 }
 
-DatasetView DatasetView::Of(const Dataset& dataset) {
-  std::vector<TraceView> traces;
-  traces.reserve(dataset.TraceCount());
-  for (const Trace& trace : dataset.traces()) {
-    traces.push_back(TraceView::Of(trace));
-  }
-  return DatasetView(std::move(traces), dataset.UserCount(), dataset.names());
-}
+DatasetView::DatasetView(const Dataset& dataset)
+    : traces_(dataset.traces().begin(), dataset.traces().end()),
+      user_count_(dataset.UserCount()),
+      names_(dataset.names()) {}
 
 std::size_t DatasetView::EventCount() const noexcept {
   std::size_t total = 0;

@@ -14,6 +14,14 @@
 //
 // Views never own memory. The backing Dataset / EventStore must outlive
 // every view derived from it; views are cheap to copy and to pass by value.
+//
+// A `const Trace&` converts implicitly to a TraceView and a `const
+// Dataset&` to a DatasetView, so every kernel has one signature, over
+// views, and AoS callers pass their Trace / Dataset straight in. The
+// conversions from rvalues are deleted: a view over a temporary would
+// dangle the moment the full expression ends, so `F(MakeDataset())` is a
+// compile error instead of a use-after-free. Bind the temporary to a
+// named local first.
 #pragma once
 
 #include <cstddef>
@@ -64,7 +72,9 @@ class TraceView {
       : user_(user), lat_(lat), lng_(lng), time_(time) {}
 
   /// Zero-copy view over an AoS trace (strides through its Event array).
-  [[nodiscard]] static TraceView Of(const Trace& trace);
+  /// Implicit on purpose; the rvalue form is deleted (file comment).
+  TraceView(const Trace& trace);
+  TraceView(const Trace&& trace) = delete;
 
   /// Dense id of the trace's user (kInvalidUser for anonymous views).
   [[nodiscard]] UserId user() const noexcept { return user_; }
@@ -129,7 +139,9 @@ class DatasetView {
       : traces_(std::move(traces)), user_count_(user_count), names_(names) {}
 
   /// View over an AoS dataset. O(TraceCount) setup, zero event copies.
-  [[nodiscard]] static DatasetView Of(const Dataset& dataset);
+  /// Implicit on purpose; the rvalue form is deleted (file comment).
+  DatasetView(const Dataset& dataset);
+  DatasetView(const Dataset&& dataset) = delete;
 
   /// All trace views, in dataset order.
   [[nodiscard]] const std::vector<TraceView>& traces() const noexcept {

@@ -86,8 +86,7 @@ TEST(ApplyToStore, GoldenDigestsForEveryRegistryMechanism) {
       const std::string context = spec + " @threads=" + std::to_string(threads);
       const auto mechanism = mech::CreateMechanism(spec);
       util::Rng rng(99);
-      const model::EventStore store =
-          mechanism->ApplyToStore(model::DatasetView::Of(World()), rng);
+      const model::EventStore store = mechanism->ApplyToStore(World(), rng);
       const std::uint64_t fingerprint =
           core::OutputCache::FingerprintView(store.View());
       const std::uint64_t next_draw = rng.NextU64();
@@ -104,7 +103,7 @@ TEST(ApplyToStore, GoldenDigestsForEveryRegistryMechanism) {
       // The AoS adapter publishes the same bytes and draws alike.
       util::Rng aos_rng(99);
       const model::Dataset aos = mechanism->Apply(World(), aos_rng);
-      EXPECT_EQ(core::OutputCache::FingerprintView(model::DatasetView::Of(aos)),
+      EXPECT_EQ(core::OutputCache::FingerprintView(aos),
                 kGolden[i].fingerprint)
           << context << " via Apply";
       EXPECT_EQ(aos_rng.NextU64(), kGolden[i].next_draw)
@@ -135,8 +134,7 @@ TEST(ApplyToStore, SuppressedTracesAreSkippedNamesKept) {
   // but keep the full user name table (ids stay aligned with the input).
   mech::SpeedSmoothing smoothing;  // default min_length drops short traces
   util::Rng rng(1);
-  const model::EventStore store =
-      smoothing.ApplyToStore(model::DatasetView::Of(World()), rng);
+  const model::EventStore store = smoothing.ApplyToStore(World(), rng);
   EXPECT_EQ(store.UserCount(), World().UserCount());
   EXPECT_LE(store.TraceCount(), World().TraceCount());
   for (std::size_t t = 0; t < store.TraceCount(); ++t) {

@@ -118,20 +118,18 @@ void ExpectChainMatchesManual(const std::vector<std::string>& stages,
   util::Rng manual_rng(seed);
   const model::Dataset via_chain = chain->Apply(World(), chain_rng);
   const model::Dataset via_manual = ManualApply(stages, World(), manual_rng);
-  ExpectBitIdentical(model::DatasetView::Of(via_chain),
-                     model::DatasetView::Of(via_manual), text + " [Apply]");
+  ExpectBitIdentical(via_chain, via_manual, text + " [Apply]");
 
   // SoA path (and cross-path: the store must be FromDataset(Apply(...))).
   util::Rng store_rng(seed);
   util::Rng store_manual_rng(seed);
-  const model::DatasetView input = model::DatasetView::Of(World());
+  const model::DatasetView input = World();
   const model::EventStore store_chain = chain->ApplyToStore(input, store_rng);
   const model::EventStore store_manual =
       ManualApplyToStore(stages, input, store_manual_rng);
   ExpectBitIdentical(store_chain.View(), store_manual.View(),
                      text + " [ApplyToStore]");
-  ExpectBitIdentical(store_chain.View(), model::DatasetView::Of(via_chain),
-                     text + " [store vs AoS]");
+  ExpectBitIdentical(store_chain.View(), via_chain, text + " [store vs AoS]");
 }
 
 TEST(ChainComposition, PairsMatchManualStagingAtBothThreadLevels) {
@@ -268,7 +266,7 @@ TEST(ChainComposition, EngineStageBytesFollowThePerPrefixRngDiscipline) {
   (void)engine.Run();
   EXPECT_EQ(engine.stats().cache_misses, 3u);
 
-  const model::DatasetView source = model::DatasetView::Of(World());
+  const model::DatasetView source = World();
   const std::uint64_t fingerprint = core::OutputCache::FingerprintView(source);
   core::OutputCache cache((dir / "cache").string());
 

@@ -36,7 +36,8 @@ TEST(Coverage, DisjointFootprintsScoreZero) {
 }
 
 TEST(Coverage, EmptyDatasetsScoreOne) {
-  EXPECT_DOUBLE_EQ(CoverageJaccard(model::Dataset{}, model::Dataset{}), 1.0);
+  const model::Dataset empty;
+  EXPECT_DOUBLE_EQ(CoverageJaccard(empty, empty), 1.0);
 }
 
 TEST(Coverage, PartialOverlap) {
@@ -51,8 +52,10 @@ TEST(Coverage, FootprintCounts) {
   CoverageConfig config;
   config.cell_size_m = 200.0;
   // 50 points, 400 m apart, 200 m cells: each point its own cell.
-  EXPECT_EQ(CellFootprint(GridWalk(0.0), config), 50u);
-  EXPECT_EQ(CellFootprint(model::Dataset{}, config), 0u);
+  const auto walk = GridWalk(0.0);
+  const model::Dataset empty;
+  EXPECT_EQ(CellFootprint(walk, config), 50u);
+  EXPECT_EQ(CellFootprint(empty, config), 0u);
 }
 
 TEST(Coverage, CellSizeChangesGranularity) {
@@ -68,7 +71,9 @@ TEST(Heatmap, IdenticalDatasetsCosineOne) {
 }
 
 TEST(Heatmap, DisjointDatasetsCosineZero) {
-  EXPECT_NEAR(HeatmapSimilarity(GridWalk(0.0), GridWalk(1e6)), 0.0, 1e-12);
+  const auto near = GridWalk(0.0);
+  const auto far = GridWalk(1e6);
+  EXPECT_NEAR(HeatmapSimilarity(near, far), 0.0, 1e-12);
 }
 
 TEST(Heatmap, CosineInsensitiveToUniformScaling) {
@@ -104,8 +109,10 @@ TEST(Heatmap, CountsAccounting) {
 
 TEST(Heatmap, EmptyDatasets) {
   const geo::LocalProjection projection(kOrigin);
-  const Heatmap empty(model::Dataset{}, projection);
-  const Heatmap full(GridWalk(0.0), projection);
+  const model::Dataset no_events;
+  const auto walk = GridWalk(0.0);
+  const Heatmap empty(no_events, projection);
+  const Heatmap full(walk, projection);
   EXPECT_DOUBLE_EQ(Heatmap::Cosine(empty, empty), 1.0);
   EXPECT_DOUBLE_EQ(Heatmap::Cosine(empty, full), 0.0);
   EXPECT_DOUBLE_EQ(Heatmap::NormalizedL1(empty, empty), 0.0);

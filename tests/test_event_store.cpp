@@ -4,6 +4,8 @@
 // counterpart bit for bit.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "attacks/poi_extraction.h"
 #include "attacks/reident.h"
 #include "mechanisms/gaussian_noise.h"
@@ -20,6 +22,21 @@
 
 namespace mobipriv {
 namespace {
+
+// The conversion contract of model/views.h: an AoS container converts to
+// its view implicitly, so one kernel signature serves every layout, but
+// never from an rvalue, where the view would dangle.
+static_assert(std::is_convertible_v<const model::Dataset&, model::DatasetView>);
+static_assert(std::is_convertible_v<model::Dataset&, model::DatasetView>);
+static_assert(std::is_convertible_v<const model::Trace&, model::TraceView>);
+static_assert(std::is_convertible_v<model::Trace&, model::TraceView>);
+static_assert(!std::is_constructible_v<model::DatasetView, model::Dataset&&>);
+static_assert(
+    !std::is_constructible_v<model::DatasetView, const model::Dataset&&>);
+static_assert(!std::is_constructible_v<model::TraceView, model::Trace&&>);
+static_assert(!std::is_constructible_v<model::TraceView, const model::Trace&&>);
+static_assert(!std::is_convertible_v<model::Dataset, model::DatasetView>);
+static_assert(!std::is_convertible_v<model::Trace, model::TraceView>);
 
 model::Dataset SmallWorld() {
   synth::PopulationConfig config;
@@ -78,7 +95,7 @@ TEST(EventStore, ColumnsAreContiguousAndOrdered) {
 TEST(EventStore, ViewsOverBothLayoutsAgree) {
   const model::Dataset dataset = SmallWorld();
   const model::EventStore store = model::EventStore::FromDataset(dataset);
-  const model::DatasetView aos = model::DatasetView::Of(dataset);
+  const model::DatasetView aos = dataset;
   const model::DatasetView soa = store.View();
   ASSERT_EQ(aos.TraceCount(), soa.TraceCount());
   ASSERT_EQ(aos.EventCount(), soa.EventCount());
@@ -108,7 +125,7 @@ TEST(TraceView, InterpolateMatchesTraceVersionBitwise) {
           {rng.Uniform(44.0, 46.0), rng.Uniform(3.0, 5.0)}, t});
       t += 1 + static_cast<util::Timestamp>(rng.NextBounded(300));
     }
-    const model::TraceView view = model::TraceView::Of(trace);
+    const model::TraceView view = trace;
     for (int probe = 0; probe < 200; ++probe) {
       const auto query = static_cast<util::Timestamp>(
           500 + rng.NextBounded(static_cast<std::uint64_t>(t)));
@@ -214,9 +231,22 @@ TEST(Views, MechanismOutputIndependentOfInputLayout) {
   EXPECT_EQ(rng_a.NextU64(), rng_b.NextU64());
 }
 
+TEST(Views, ImplicitConversionIsZeroCopy) {
+  // A kernel called with a Dataset reads its events in place: neither a
+  // full-dataset nor a per-trace copy is made.
+  const model::Dataset dataset = SmallWorld();
+  const std::size_t full_before = model::FullMaterializeCount();
+  const std::size_t traces_before = model::TraceCopyCount();
+  EXPECT_EQ(metrics::TripLengths(dataset).size(), dataset.TraceCount());
+  EXPECT_EQ(model::FullMaterializeCount(), full_before);
+  EXPECT_EQ(model::TraceCopyCount(), traces_before);
+  const model::DatasetView view = dataset;
+  EXPECT_EQ(view.names().data(), dataset.names().data());
+}
+
 TEST(Views, MaterializeRoundTrips) {
   const model::Dataset dataset = SmallWorld();
-  ExpectDatasetsIdentical(model::DatasetView::Of(dataset).Materialize(),
+  ExpectDatasetsIdentical(model::DatasetView(dataset).Materialize(),
                           dataset);
 }
 

@@ -29,8 +29,8 @@ model::Dataset ParallelTraces(std::size_t count, double gap_m) {
 TEST(KDelta, CoMovingGroupHasFullK) {
   KDeltaConfig config;
   config.delta_m = 300.0;
-  const auto report =
-      MeasureKDeltaAnonymity(ParallelTraces(4, 50.0), config);
+  const auto dataset = ParallelTraces(4, 50.0);
+  const auto report = MeasureKDeltaAnonymity(dataset, config);
   ASSERT_EQ(report.per_trace.size(), 4u);
   for (const auto& t : report.per_trace) {
     EXPECT_EQ(t.k, 4u);  // everyone within 150 m of everyone
@@ -43,8 +43,8 @@ TEST(KDelta, CoMovingGroupHasFullK) {
 TEST(KDelta, FarTracesAreAlone) {
   KDeltaConfig config;
   config.delta_m = 100.0;
-  const auto report =
-      MeasureKDeltaAnonymity(ParallelTraces(3, 5000.0), config);
+  const auto dataset = ParallelTraces(3, 5000.0);
+  const auto report = MeasureKDeltaAnonymity(dataset, config);
   for (const auto& t : report.per_trace) {
     EXPECT_EQ(t.k, 1u);
   }
@@ -56,8 +56,8 @@ TEST(KDelta, DeltaControlsGroupMembership) {
   // neighbours (k=3) but the outer ones see only the middle (k=2).
   KDeltaConfig config;
   config.delta_m = 500.0;
-  const auto report =
-      MeasureKDeltaAnonymity(ParallelTraces(3, 400.0), config);
+  const auto dataset = ParallelTraces(3, 400.0);
+  const auto report = MeasureKDeltaAnonymity(dataset, config);
   ASSERT_EQ(report.per_trace.size(), 3u);
   EXPECT_EQ(report.per_trace[0].k, 2u);
   EXPECT_EQ(report.per_trace[1].k, 3u);
@@ -112,7 +112,8 @@ TEST(KDelta, ToleranceForgivesBriefSeparations) {
 }
 
 TEST(KDelta, EmptyAndDegenerate) {
-  EXPECT_TRUE(MeasureKDeltaAnonymity(model::Dataset{}).per_trace.empty());
+  const model::Dataset empty;
+  EXPECT_TRUE(MeasureKDeltaAnonymity(empty).per_trace.empty());
   model::Dataset single;
   single.AddTraceForUser("u", {{kOrigin, 0}});
   const auto report = MeasureKDeltaAnonymity(single);

@@ -49,8 +49,9 @@ TEST(Spec, NumberErrors) {
 // The registry's core contract: every Name() the library prints parses
 // back into a mechanism printing the same Name().
 TEST(MechanismRegistry, NameRoundTripsForWholeRoster) {
-  for (const auto& mechanism : core::StandardRoster({0.001, 0.01, 0.1})) {
-    const std::string name = mechanism->Name();
+  for (const std::string& spec :
+       core::StandardRosterSpecs({0.001, 0.01, 0.1})) {
+    const std::string name = mech::CreateMechanism(spec)->Name();
     const auto rebuilt = mech::CreateMechanism(name);
     EXPECT_EQ(rebuilt->Name(), name) << "spec: " << name;
   }

@@ -9,7 +9,6 @@
 #include "attacks/reident.h"
 #include "attacks/speed_fingerprint.h"
 #include "core/experiment.h"
-#include "core/report.h"
 #include "metrics/coverage.h"
 #include "metrics/heatmap.h"
 #include "metrics/kdelta.h"
@@ -17,6 +16,7 @@
 #include "metrics/spatial_distortion.h"
 #include "metrics/trajectory_stats.h"
 #include "mechanisms/mixzone.h"
+#include "mechanisms/registry.h"
 #include "privacy/certification.h"
 
 namespace mobipriv {
@@ -93,7 +93,8 @@ std::vector<std::pair<std::string, model::Dataset>> PathologicalZoo() {
 }
 
 TEST(PathologicalInputs, AllMechanismsSurviveTheZoo) {
-  for (const auto& mechanism : core::StandardRoster({0.01})) {
+  for (const std::string& spec : core::StandardRosterSpecs({0.01})) {
+    const auto mechanism = mech::CreateMechanism(spec);
     for (const auto& [name, dataset] : PathologicalZoo()) {
       util::Rng rng(1);
       model::Dataset output;

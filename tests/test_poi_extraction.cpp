@@ -111,8 +111,10 @@ TEST(PoiExtractor, KeepsUsersSeparate) {
 TEST(PoiExtractor, EmptyInputs) {
   const geo::LocalProjection projection(kOrigin);
   const PoiExtractor extractor;
-  EXPECT_TRUE(extractor.ExtractStays(model::Trace{}, projection).empty());
-  EXPECT_TRUE(extractor.Extract(model::Dataset{}).empty());
+  const model::Trace empty_trace;
+  const model::Dataset empty_dataset;
+  EXPECT_TRUE(extractor.ExtractStays(empty_trace, projection).empty());
+  EXPECT_TRUE(extractor.Extract(empty_dataset).empty());
 }
 
 TEST(PoiExtractor, DiameterBoundsTheStayExtent) {

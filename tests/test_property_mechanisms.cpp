@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "mechanisms/registry.h"
 #include "synth/population.h"
 
 namespace mobipriv::mech {
@@ -22,13 +23,18 @@ model::Dataset SharedInput() {
   return dataset.Clone();
 }
 
+/// Roster entry `index`, built from its spec through the registry.
+std::unique_ptr<Mechanism> RosterEntry(std::size_t index) {
+  return CreateMechanism(core::StandardRosterSpecs({0.01, 0.1}).at(index));
+}
+
 class MechanismProperty : public ::testing::TestWithParam<std::size_t> {
  protected:
-  MechanismProperty() : roster_(core::StandardRoster({0.01, 0.1})) {}
-  Mechanism& mechanism() { return *roster_.at(GetParam()); }
+  MechanismProperty() : mechanism_(RosterEntry(GetParam())) {}
+  Mechanism& mechanism() { return *mechanism_; }
 
  private:
-  std::vector<std::unique_ptr<Mechanism>> roster_;
+  std::unique_ptr<Mechanism> mechanism_;
 };
 
 TEST_P(MechanismProperty, DeterministicGivenRngSeed) {
@@ -121,8 +127,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Range<std::size_t>(0, 10),  // roster size with 2 epsilons
     [](const ::testing::TestParamInfo<std::size_t>& info) {
       // Stable, name-safe label: the roster index plus sanitized name.
-      const auto roster = core::StandardRoster({0.01, 0.1});
-      std::string name = roster.at(info.param)->Name();
+      std::string name = RosterEntry(info.param)->Name();
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
       }

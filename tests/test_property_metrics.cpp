@@ -57,8 +57,10 @@ TEST_P(CoverageProperty, Symmetry) {
 TEST_P(CoverageProperty, MoreNoiseNeverHelps) {
   CoverageConfig config;
   config.cell_size_m = GetParam();
-  const double mild = CoverageJaccard(World(), Noised(50.0, 3), config);
-  const double heavy = CoverageJaccard(World(), Noised(2000.0, 3), config);
+  const auto mildly_noised = Noised(50.0, 3);
+  const auto heavily_noised = Noised(2000.0, 3);
+  const double mild = CoverageJaccard(World(), mildly_noised, config);
+  const double heavy = CoverageJaccard(World(), heavily_noised, config);
   EXPECT_GE(mild, heavy);
 }
 
@@ -86,7 +88,8 @@ TEST_P(HeatmapProperty, NormalizedL1TriangleWithZero) {
   config.cell_size_m = GetParam();
   const geo::LocalProjection projection(World().BoundingBox().Center());
   const Heatmap a(World(), projection, config);
-  const Heatmap b(Noised(300.0, 5), projection, config);
+  const auto noised = Noised(300.0, 5);
+  const Heatmap b(noised, projection, config);
   const double l1 = Heatmap::NormalizedL1(a, b);
   EXPECT_GE(l1, 0.0);
   EXPECT_LE(l1, 2.0 + 1e-12);
@@ -110,8 +113,8 @@ TEST_P(RangeQueryProperty, IdentityHasZeroErrorAtAnySeed) {
 TEST_P(RangeQueryProperty, ErrorsAreNonNegativeAndFinite) {
   util::Rng rng(GetParam());
   const auto queries = SampleQueries(World(), RangeQueryConfig{}, rng);
-  const auto report =
-      MeasureRangeQueryError(World(), Noised(400.0, GetParam()), queries);
+  const auto noised = Noised(400.0, GetParam());
+  const auto report = MeasureRangeQueryError(World(), noised, queries);
   EXPECT_GE(report.relative_error.min, 0.0);
   EXPECT_LT(report.relative_error.max, 1e6);
   EXPECT_EQ(report.queries, queries.size());
@@ -128,8 +131,10 @@ class TrajectoryStatsProperty
 TEST_P(TrajectoryStatsProperty, EmdIsAPseudometricOnSamples) {
   const double sigma = GetParam();
   const auto a = TripLengths(World());
-  const auto b = TripLengths(Noised(sigma, 8));
-  const auto c = TripLengths(Noised(sigma, 9));
+  const auto noised_b = Noised(sigma, 8);
+  const auto noised_c = Noised(sigma, 9);
+  const auto b = TripLengths(noised_b);
+  const auto c = TripLengths(noised_c);
   const double ab = EarthMoversDistance(a, b);
   const double ba = EarthMoversDistance(b, a);
   EXPECT_NEAR(ab, ba, 1e-9);                         // symmetry

@@ -65,7 +65,8 @@ TEST(SampleQueries, RespectsConfigAndExtent) {
 TEST(SampleQueries, EmptyDatasetYieldsNoQueries) {
   RangeQueryConfig config;
   util::Rng rng(1);
-  EXPECT_TRUE(SampleQueries(model::Dataset{}, config, rng).empty());
+  const model::Dataset empty;
+  EXPECT_TRUE(SampleQueries(empty, config, rng).empty());
 }
 
 TEST(MeasureRangeQueryError, IdenticalDatasetsZeroError) {
@@ -82,8 +83,8 @@ TEST(MeasureRangeQueryError, EmptyPublicationMaxError) {
   const auto dataset = SampleDataset();
   util::Rng rng(5);
   auto queries = SampleQueries(dataset, RangeQueryConfig{}, rng);
-  const auto report =
-      MeasureRangeQueryError(dataset, model::Dataset{}, queries);
+  const model::Dataset empty;
+  const auto report = MeasureRangeQueryError(dataset, empty, queries);
   // Every query hitting data has relative error 1.
   EXPECT_GT(report.relative_error.mean, 0.0);
   EXPECT_LE(report.relative_error.max, 1.0);

@@ -305,7 +305,7 @@ TEST(ScenarioEngine, TerminalsAreThePerPrefixRealizations) {
   for (const auto& stages : rows) {
     for (const std::uint64_t seed : spec.seeds) {
       model::EventStore manual;
-      model::DatasetView input = model::DatasetView::Of(World());
+      model::DatasetView input = World();
       std::string prefix;
       for (const std::string& text : stages) {
         const auto mechanism = mech::CreateMechanism(text);
@@ -335,7 +335,7 @@ TEST(ScenarioEngine, KeepingTerminalsNeedsNoEvaluators) {
   EXPECT_EQ(engine.stats().evaluator_nodes, 0u);
   ASSERT_EQ(terminals.size(), 3u);
   // Row 0 is identity: its store is the source, unchanged.
-  const model::DatasetView source = model::DatasetView::Of(World());
+  const model::DatasetView source = World();
   EXPECT_EQ(core::OutputCache::FingerprintView(terminals[0].View()),
             core::OutputCache::FingerprintView(source));
   EXPECT_GT(terminals[1].EventCount(), 0u);

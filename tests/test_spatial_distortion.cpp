@@ -66,9 +66,10 @@ TEST(PathDeviation, MeasuresGeometricError) {
 
 TEST(Deviation, EmptyInputs) {
   const auto trace = EastboundTrace(0, 0.0);
-  EXPECT_TRUE(SynchronizedDeviation(model::Trace{}, trace).empty());
-  EXPECT_TRUE(SynchronizedDeviation(trace, model::Trace{}).empty());
-  EXPECT_TRUE(PathDeviation(model::Trace{}, trace).empty());
+  const model::Trace empty;
+  EXPECT_TRUE(SynchronizedDeviation(empty, trace).empty());
+  EXPECT_TRUE(SynchronizedDeviation(trace, empty).empty());
+  EXPECT_TRUE(PathDeviation(empty, trace).empty());
 }
 
 TEST(MeasureDistortion, MatchesByUserAndOverlap) {

@@ -42,15 +42,18 @@ model::Dataset TwoTripDataset() {
 }
 
 TEST(TripLengths, Values) {
-  const auto lengths = TripLengths(TwoTripDataset());
+  const auto dataset = TwoTripDataset();
+  const auto lengths = TripLengths(dataset);
   ASSERT_EQ(lengths.size(), 2u);
   EXPECT_NEAR(lengths[0], 1000.0, 2.0);
   EXPECT_NEAR(lengths[1], 3000.0, 5.0);
 }
 
 TEST(TripLengths, MinLengthFilter) {
-  EXPECT_EQ(TripLengths(TwoTripDataset(), 2000.0).size(), 1u);
-  EXPECT_TRUE(TripLengths(model::Dataset{}).empty());
+  const auto dataset = TwoTripDataset();
+  const model::Dataset empty;
+  EXPECT_EQ(TripLengths(dataset, 2000.0).size(), 1u);
+  EXPECT_TRUE(TripLengths(empty).empty());
 }
 
 TEST(RadiusOfGyration, UniformLineIsKnown) {
@@ -85,11 +88,13 @@ TEST(RadiusOfGyration, MatchesAllRadiiOnASyntheticWorld) {
 }
 
 TEST(RadiusOfGyration, UnknownUserIsZero) {
-  EXPECT_DOUBLE_EQ(RadiusOfGyration(TwoTripDataset(), 99), 0.0);
+  const auto dataset = TwoTripDataset();
+  EXPECT_DOUBLE_EQ(RadiusOfGyration(dataset, 99), 0.0);
 }
 
 TEST(AllRadiiOfGyration, OnePerUser) {
-  const auto radii = AllRadiiOfGyration(TwoTripDataset());
+  const auto dataset = TwoTripDataset();
+  const auto radii = AllRadiiOfGyration(dataset);
   ASSERT_EQ(radii.size(), 2u);
   EXPECT_GT(radii[1], radii[0]);  // 3 km trip has larger gyration
 }
@@ -154,10 +159,8 @@ TEST(CompareTrajectoryStats, PublishedOutlierLeavesOtherUsersUntouched) {
   const auto report = CompareTrajectoryStats(original, published);
   EXPECT_EQ(report.gyration_relative_error, 0.0);
   const geo::LocalProjection frame(original.BoundingBox().Center());
-  const auto radii_orig =
-      AllRadiiOfGyration(model::DatasetView::Of(original), frame);
-  const auto radii_pub =
-      AllRadiiOfGyration(model::DatasetView::Of(published), frame);
+  const auto radii_orig = AllRadiiOfGyration(original, frame);
+  const auto radii_pub = AllRadiiOfGyration(published, frame);
   for (model::UserId u = 0; u < original.UserCount(); ++u) {
     EXPECT_EQ(radii_pub[u], radii_orig[u]) << u;
   }
