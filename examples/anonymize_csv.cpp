@@ -24,17 +24,16 @@
 // ...); the legacy pipeline flags (--spacing etc.) are shorthand that
 // assembles the "ours[...]" spec when --mechanism is not given.
 //
-// Without --shards the mechanism runs exactly once, as the single row of
-// a scenario-engine grid: the written file is that row's output (a chain
-// is published as the engine's per-prefix realization), and
-// `--evaluate e1,e2,...` scores exactly that file and prints the unified
-// report. --mech-cache DIR serves this run, so a rerun reads the output
-// back instead of recomputing it. A failed mechanism writes nothing and
-// exits 1; so does any failed report row (after the file is written).
-// `--shards N` instead runs the mechanism shard-wise (per-shard RNG
-// streams) and persists the published partition next to --output via
-// ShardedDataset::SaveShards; its --evaluate report scores an unsharded
-// realization.
+// The mechanism runs exactly once, as the single row of a scenario-engine
+// grid: the written file is that row's output (a chain is published as the
+// engine's per-prefix realization), and `--evaluate e1,e2,...` scores
+// exactly that file and prints the unified report. --mech-cache DIR serves
+// this run, so a rerun reads the output back instead of recomputing it. A
+// failed mechanism writes nothing and exits 1; so does any failed report
+// row (after the file is written). `--shards N` additionally persists the
+// same publication, partitioned by user, as `<output>.shards/` via
+// ShardedDataset::SaveShards: a shard directory that binds back to exactly
+// the scored file, with mix zones spanning the whole population.
 //
 // With --demo (no input file), generates a synthetic dataset, writes it to
 // --output-raw, anonymizes it, and writes the result — a self-contained
@@ -84,15 +83,15 @@ int main(int argc, char** argv) {
   cli.AddOption("evaluate",
                 "comma-separated evaluator specs to score the publication "
                 "with (e.g. coverage,spatial_distortion,poi_attack)", "");
-  cli.AddOption("shards", "run shard-wise over N shards and persist them "
-                "as <output>.shards/ (0 = off)", "0");
+  cli.AddOption("shards", "also persist the publication partitioned into "
+                "N shards as <output>.shards/ (0 = off)", "0");
   cli.AddOption("spacing", "constant-speed spacing epsilon, metres", "100");
   cli.AddOption("zone-radius", "mix-zone radius, metres", "150");
   cli.AddOption("window", "mix-zone time window, seconds", "600");
   cli.AddOption("mech-cache",
                 "directory for the engine's .mpc mechanism-output cache "
-                "(reused across runs keyed by mechanism+data+seed; serves "
-                "every unsharded publish; empty = off)", "");
+                "(reused across runs keyed by mechanism+data+seed; empty = "
+                "off)", "");
   cli.AddOption("mech-cache-max",
                 "LRU byte cap for --mech-cache (0 = unbounded)", "0");
   cli.AddOption("sweep",
@@ -204,53 +203,31 @@ int main(int argc, char** argv) {
     spec.mechanism_cache_dir = cli.GetString("mech-cache");
     spec.mechanism_cache_max_bytes = static_cast<std::uint64_t>(cache_max);
     core::ScenarioEngine engine(std::move(spec));
-    const auto mechanism = mech::CreateMechanism(mechanism_spec);
-    const std::string name = mechanism->Name();
+    const std::string name = mech::CreateMechanism(mechanism_spec)->Name();
 
-    model::EventStore published;
-    core::Report report;
     {
-      // Bound here for the summary line and the shard-wise path; released
-      // before the engine binds its own copy.
+      // Bound here only for the summary line; released before the engine
+      // binds its own copy.
       const core::BoundSource source = core::BoundSource::Bind(source_spec);
       std::cout << "Input (" << source.description() << "): "
                 << source.view().TraceCount() << " traces, "
                 << source.view().EventCount() << " events\n";
-      if (shards_arg > 0) {
-        util::Rng rng = core::StageStream(run.seed, name);
-        const model::ShardedDataset partition =
-            model::ShardedDataset::Partition(
-                source.view().Materialize(),
-                static_cast<std::size_t>(shards_arg));
-        const model::ShardedDataset result = model::TransformSharded(
-            partition, rng,
-            [&](const model::Dataset& shard, util::Rng& shard_rng,
-                std::size_t) { return mechanism->Apply(shard, shard_rng); });
-        const std::string shard_dir = cli.GetString("output") + ".shards";
-        result.SaveShards(shard_dir);
-        std::cout << "\n" << name << " over " << shards_arg
-                  << " shards; partition persisted to " << shard_dir << "\n";
-        published = model::EventStore::FromDataset(result.Merge());
-      }
     }
-    if (shards_arg == 0) {
-      // ---- Publish: the engine's single mechanism node IS the
-      // publication, so the file and the report cannot disagree. ------
-      std::vector<model::EventStore> terminals;
-      report = engine.Run(&terminals);
-      for (const core::ReportRow& row : report.rows()) {
-        if (!row.evaluator.empty()) continue;
-        // Only the mechanism node's own row has no evaluator.
-        std::cerr << "Publish of " << row.mechanism << " "
-                  << core::ToString(row.status) << ": " << row.error
-                  << "\nNothing was written.\n";
-        return 1;
-      }
-      published = std::move(terminals.front());
-      std::cout << "\n" << name << ": published "
-                << published.TraceCount() << " traces, "
-                << published.EventCount() << " events\n";
+    // ---- Publish: the engine's single mechanism node IS the publication,
+    // so the file and the report cannot disagree. ------------------------
+    std::vector<model::EventStore> terminals;
+    const core::Report report = engine.Run(&terminals);
+    for (const core::ReportRow& row : report.rows()) {
+      if (!row.evaluator.empty()) continue;
+      // Only the mechanism node's own row has no evaluator.
+      std::cerr << "Publish of " << row.mechanism << " "
+                << core::ToString(row.status) << ": " << row.error
+                << "\nNothing was written.\n";
+      return 1;
     }
+    const model::EventStore& published = terminals.front();
+    std::cout << "\n" << name << ": published " << published.TraceCount()
+              << " traces, " << published.EventCount() << " events\n";
     const std::string output = cli.GetString("output");
     if (model::IsColumnarPath(output)) {
       model::WriteColumnar(published, output);
@@ -258,15 +235,16 @@ int main(int argc, char** argv) {
       model::WriteCsvFile(published.ToDataset(), output);
     }
     std::cout << "Published dataset written to " << output << "\n";
+    if (shards_arg > 0) {
+      const std::string shard_dir = output + ".shards";
+      model::ShardedDataset::Partition(published.ToDataset(),
+                                       static_cast<std::size_t>(shards_arg))
+          .SaveShards(shard_dir);
+      std::cout << "Published partition (" << shards_arg
+                << " shards) written to " << shard_dir << "\n";
+    }
 
     if (!evaluate.empty()) {
-      if (shards_arg > 0) {
-        std::cout << "\nnote: --evaluate scores an unsharded realization "
-                     "of " << name << "; the written sharded output used "
-                     "per-shard RNG streams and differs for stochastic "
-                     "mechanisms.\n";
-        report = engine.Run();
-      }
       std::cout << "\nEvaluation (" << engine.stats().ToString() << "):\n"
                 << report.ToTable().ToString();
     }

@@ -8,9 +8,11 @@
 // its owned shards of a shard directory, publishing one `.mpc` result
 // file per shard through the atomic WriteColumnar path (a SIGKILL
 // mid-write never leaves a torn file under the final name). Trace RNG
-// streams are keyed by (stage master draw, GLOBAL user id, original
-// dataset index), so the supervisor's merged report is byte-identical
-// to the in-process run regardless of how shards were partitioned.
+// streams are keyed by (stage master draw, GLOBAL user id, canonical
+// position), both read from the directory by core::ProbeShardStream — the
+// engine's one shard-directory reader — so the supervisor's merged report
+// is byte-identical to the in-process run regardless of how shards were
+// partitioned.
 //
 // The worker heartbeats on the reply pipe while applying; a worker
 // whose supervisor died sees the heartbeat write fail (SIGPIPE is

@@ -2,12 +2,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
 
 #include "model/io.h"
 #include "synth/population.h"
+#include "util/fault.h"
 #include "util/spec.h"
 #include "util/string_utils.h"
 #include "util/thread_pool.h"
@@ -254,55 +256,111 @@ ScenarioSpec LoadSweepConfig(const std::string& path) {
   return ParseSweepConfig(buffer.str(), path);
 }
 
-std::optional<ShardStreamPlan> ProbeShardStream(const std::string& dir) {
-  ShardStreamPlan plan;
-  plan.dir = dir;
-  try {
-    model::ShardManifest manifest = model::ReadShardManifest(dir);
-    if (!manifest.has_origin()) return std::nullopt;
-    plan.shard_count = manifest.shard_count;
-    plan.global_names = std::move(manifest.global_names);
-    plan.origin = std::move(manifest.origin);
-    if (plan.origin.size() != plan.shard_count) return std::nullopt;
+namespace {
 
-    std::unordered_map<std::string_view, model::UserId> global_id;
-    global_id.reserve(plan.global_names.size());
-    for (std::size_t g = 0; g < plan.global_names.size(); ++g) {
-      global_id.emplace(plan.global_names[g],
-                        static_cast<model::UserId>(g));
+/// A shard directory as its one reader leaves it: the plan tables plus
+/// every shard file, mapped.
+struct ShardDirRead {
+  ShardStreamPlan plan;
+  std::vector<model::MappedColumnar> shards;
+};
+
+/// The only reader of a SaveShards directory: reads the manifest, maps
+/// every shard, builds each shard's local -> global user table once and
+/// fixes every trace's canonical position — the manifest's recorded
+/// origin, or shard-major order when it records none. Throws
+/// model::IoError on any I/O or consistency problem; a shard file that
+/// cannot be mapped is named in the error.
+ShardDirRead ReadShardDir(const std::string& dir) {
+  model::ShardManifest manifest = model::ReadShardManifest(dir);
+  ShardDirRead read;
+  ShardStreamPlan& plan = read.plan;
+  plan.dir = dir;
+  plan.shard_count = manifest.shard_count;
+  plan.global_names = std::move(manifest.global_names);
+
+  // Shard files are independent: map them concurrently (the pool rethrows
+  // the first failure). Pages still fault lazily.
+  read.shards.resize(plan.shard_count);
+  util::ParallelForEach(plan.shard_count, [&](std::size_t s) {
+    const std::string path = model::ShardDataPath(dir, s);
+    if (MOBIPRIV_FAULT_POINT_KEYED(
+            util::fault::points::kShardOpenRead,
+            std::filesystem::path(path).filename().string())) {
+      throw model::IoError(
+          "injected fault (" +
+          std::string(util::fault::points::kShardOpenRead) + "): " + path);
     }
-    // Home shard of each global user (or npos until first sighted).
+    read.shards[s] = model::MapColumnar(path);
+  });
+
+  std::unordered_map<std::string_view, model::UserId> global_id;
+  global_id.reserve(plan.global_names.size());
+  for (std::size_t g = 0; g < plan.global_names.size(); ++g) {
+    global_id.emplace(plan.global_names[g], static_cast<model::UserId>(g));
+  }
+  plan.local_to_global.resize(plan.shard_count);
+  plan.origin.resize(plan.shard_count);
+  for (std::size_t s = 0; s < plan.shard_count; ++s) {
+    const model::MappedColumnar& mapped = read.shards[s];
+    std::vector<model::UserId>& l2g = plan.local_to_global[s];
+    l2g.resize(mapped.names().size());
+    for (std::size_t u = 0; u < l2g.size(); ++u) {
+      const auto it = global_id.find(mapped.names()[u]);
+      if (it == global_id.end()) {
+        throw model::IoError("shard " + std::to_string(s) + " in " + dir +
+                             " holds a user missing from the manifest");
+      }
+      l2g[u] = it->second;
+    }
+    // The manifest validated its origin as a permutation of [0, its total);
+    // matching every run to its shard's trace count makes it one of
+    // [0, total_traces).
+    std::vector<std::size_t>& position = plan.origin[s];
+    if (manifest.has_origin()) {
+      if (manifest.origin[s].size() != mapped.TraceCount()) {
+        throw model::IoError("shard manifest in " + dir +
+                             ": origin run disagrees with shard " +
+                             std::to_string(s));
+      }
+      position = std::move(manifest.origin[s]);
+    } else {
+      position.resize(mapped.TraceCount());
+      std::iota(position.begin(), position.end(), plan.total_traces);
+    }
+    plan.total_traces += mapped.TraceCount();
+  }
+  return read;
+}
+
+}  // namespace
+
+std::optional<ShardStreamPlan> ProbeShardStream(const std::string& dir) {
+  try {
+    ShardDirRead read = ReadShardDir(dir);
+    const ShardStreamPlan& plan = read.plan;
+    // Home shard of each global user (or kUnseen until first sighted).
     constexpr std::size_t kUnseen = static_cast<std::size_t>(-1);
     std::vector<std::size_t> home(plan.global_names.size(), kUnseen);
-    plan.local_to_global.resize(plan.shard_count);
     for (std::size_t s = 0; s < plan.shard_count; ++s) {
-      const model::MappedColumnar mapped =
-          model::MapColumnar(model::ShardDataPath(dir, s));
-      if (plan.origin[s].size() != mapped.TraceCount()) return std::nullopt;
-      std::vector<model::UserId>& l2g = plan.local_to_global[s];
-      l2g.resize(mapped.names().size());
-      for (std::size_t u = 0; u < mapped.names().size(); ++u) {
-        const auto it = global_id.find(mapped.names()[u]);
-        if (it == global_id.end()) return std::nullopt;
-        l2g[u] = it->second;
-      }
+      const model::MappedColumnar& mapped = read.shards[s];
       for (std::size_t i = 0; i < mapped.TraceCount(); ++i) {
         if (i > 0 && plan.origin[s][i] <= plan.origin[s][i - 1]) {
           return std::nullopt;  // not canonical-order restricted
         }
-        const model::UserId g = l2g[mapped.TraceUser(i)];
+        const model::UserId g =
+            plan.local_to_global[s][mapped.TraceUser(i)];
         if (home[g] == kUnseen) {
           home[g] = s;
         } else if (home[g] != s) {
           return std::nullopt;  // user split across shards
         }
       }
-      plan.total_traces += mapped.TraceCount();
     }
+    return std::move(read.plan);
   } catch (...) {
     return std::nullopt;
   }
-  return plan;
 }
 
 BoundSource BoundSource::Bind(const DatasetSourceSpec& spec) {
@@ -321,65 +379,18 @@ BoundSource BoundSource::Bind(const DatasetSourceSpec& spec) {
       source.view_ = source.mapped_.View();
       break;
     case DatasetSourceSpec::Kind::kShardDir: {
-      model::ShardManifest manifest = model::ReadShardManifest(spec.path);
-      source.shard_names_ = std::move(manifest.global_names);
-
-      // Map every shard file concurrently (independent opens; the pool
-      // rethrows the first failure). Pages still fault lazily.
-      source.shard_maps_.resize(manifest.shard_count);
-      util::ParallelForEach(manifest.shard_count, [&](std::size_t s) {
-        source.shard_maps_[s] =
-            model::MapColumnar(model::ShardDataPath(spec.path, s));
-      });
-
-      // Shard-local ids -> global ids, via the manifest's name table.
-      std::unordered_map<std::string_view, model::UserId> global_id;
-      global_id.reserve(source.shard_names_.size());
-      for (std::size_t g = 0; g < source.shard_names_.size(); ++g) {
-        global_id.emplace(source.shard_names_[g],
-                          static_cast<model::UserId>(g));
-      }
-      std::size_t total_traces = 0;
-      for (const auto& mapped : source.shard_maps_) {
-        total_traces += mapped.TraceCount();
-      }
-
-      // Canonical trace order: the recorded original order when the
-      // manifest carries one (so the view is bit-identical to the
-      // pre-partition dataset), shard-major order otherwise.
-      const bool use_origin = manifest.has_origin();
-      if (use_origin) {
-        std::size_t origin_total = 0;
-        for (const auto& o : manifest.origin) origin_total += o.size();
-        if (manifest.origin.size() != source.shard_maps_.size() ||
-            origin_total != total_traces) {
-          throw model::IoError("shard manifest in " + spec.path +
-                               ": origin table disagrees with shard files");
-        }
-      }
-      std::vector<model::TraceView> traces(total_traces);
-      std::size_t cursor = 0;
-      for (std::size_t s = 0; s < source.shard_maps_.size(); ++s) {
-        const model::MappedColumnar& mapped = source.shard_maps_[s];
-        if (use_origin &&
-            manifest.origin[s].size() != mapped.TraceCount()) {
-          throw model::IoError("shard manifest in " + spec.path +
-                               ": origin run disagrees with shard " +
-                               std::to_string(s));
-        }
+      ShardDirRead read = ReadShardDir(spec.path);
+      const ShardStreamPlan& plan = read.plan;
+      std::vector<model::TraceView> traces(plan.total_traces);
+      for (std::size_t s = 0; s < plan.shard_count; ++s) {
+        const model::MappedColumnar& mapped = read.shards[s];
         for (std::size_t i = 0; i < mapped.TraceCount(); ++i) {
-          const auto it = global_id.find(mapped.names()[mapped.TraceUser(i)]);
-          if (it == global_id.end()) {
-            throw model::IoError("shard " + std::to_string(s) + " in " +
-                                 spec.path +
-                                 " holds a user missing from the manifest");
-          }
-          const std::size_t slot =
-              use_origin ? manifest.origin[s][i] : cursor;
-          traces[slot] = mapped.View(i).WithUser(it->second);
-          ++cursor;
+          traces[plan.origin[s][i]] = mapped.View(i).WithUser(
+              plan.local_to_global[s][mapped.TraceUser(i)]);
         }
       }
+      source.shard_maps_ = std::move(read.shards);
+      source.shard_names_ = std::move(read.plan.global_names);
       source.view_ = model::DatasetView(std::move(traces),
                                         source.shard_names_.size(),
                                         source.shard_names_);

@@ -149,15 +149,16 @@ struct ScenarioSpec {
 /// Access plan for executing a shard directory one shard at a time (the
 /// engine's out-of-core path): the manifest metadata plus the per-shard
 /// translation tables the streamed executor needs, with no shard resident.
+/// The same tables are what BoundSource::Bind assembles its canonical view
+/// from, so both executors see one trace order.
 struct ShardStreamPlan {
   std::string dir;
   std::size_t shard_count = 0;
   /// Global dense id -> external user name (manifest name table).
   std::vector<std::string> global_names;
-  /// Original dataset-order index of shard s's local trace i — the trace
-  /// index the whole-view canonical order would give it (strictly
-  /// ascending within each shard, so shard-local order IS canonical order
-  /// restricted to the shard).
+  /// Canonical position of shard s's local trace i — its index in the
+  /// bound source's view: the manifest's recorded origin, or shard-major
+  /// order when the manifest records none.
   std::vector<std::vector<std::size_t>> origin;
   /// Per shard: shard-local user id -> global dense id.
   std::vector<std::vector<model::UserId>> local_to_global;
@@ -165,22 +166,23 @@ struct ShardStreamPlan {
 };
 
 /// Probes `dir` for shard-streamed eligibility and builds the plan. The
-/// probe maps each shard once (metadata pages only) and requires:
-///   * a manifest with an origin table,
-///   * strictly ascending origin within every shard (shard-local order ==
-///     canonical order restricted), and
+/// probe reads the directory once (manifest plus each shard's metadata
+/// pages, through the same reader as BoundSource::Bind) and requires:
+///   * canonical positions strictly ascending within every shard
+///     (shard-local order == canonical order restricted), and
 ///   * every user's traces confined to one shard (per-user passes then
 ///     see whole users).
-/// Returns nullopt when any condition fails — including I/O or corruption
-/// problems, which the whole-view bind will then surface with its own
-/// diagnostics. Streaming is a resource strategy, never a semantic one.
+/// Returns nullopt when either condition fails — including I/O or
+/// corruption problems, which the whole-view bind will then surface with
+/// its own diagnostics. Streaming is a resource strategy, never a semantic
+/// one.
 [[nodiscard]] std::optional<ShardStreamPlan> ProbeShardStream(
     const std::string& dir);
 
 /// A bound dataset source: owns whatever storage the source kind needs
 /// (parsed dataset, synthetic world, mmap mappings) and serves one
 /// canonical zero-copy DatasetView over it. For shard directories the
-/// canonical view replays the manifest's recorded original trace order
+/// canonical view places every trace at its ShardStreamPlan position
 /// under the global user-id space, so the SAME view (and therefore the
 /// same downstream report) emerges from any shard count.
 class BoundSource {

@@ -5,8 +5,8 @@
 #include <mutex>
 #include <sstream>
 
-// The "ours" pipeline is assembled in core/ (it composes two mech/ stages
-// and owns the shard-wise run logic), but its Name() must round-trip
+// The "ours" pipeline is assembled in core/ (it composes two mech/
+// stages), but its Name() must round-trip
 // through this registry like every baseline's, so the registry reaches up
 // one layer for the one composite the paper is about.
 #include "core/anonymizer.h"

@@ -44,8 +44,8 @@ namespace {
 }
 
 // Appends the OS-level cause (": No such file or directory", ...) when
-// errno carries one — quarantine reports and supervisor retry logs then
-// say WHY an open failed, not just that it did.
+// errno carries one — bind errors and supervisor retry logs then say WHY
+// an open failed, not just that it did.
 std::string ErrnoSuffix() {
   if (errno == 0) return {};
   return std::string(": ") + std::strerror(errno);

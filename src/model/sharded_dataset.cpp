@@ -14,6 +14,7 @@
 #include "model/columnar_file.h"
 #include "model/event_store.h"
 #include "util/fault.h"
+#include "util/thread_pool.h"
 
 namespace mobipriv::model {
 
@@ -52,7 +53,7 @@ std::filesystem::path ManifestPath(const std::string& dir) {
 }  // namespace
 
 ShardedDataset::ShardedDataset(std::size_t shard_count)
-    : shards_(shard_count == 0 ? 1 : shard_count) {}
+    : shards_(shard_count == 0 ? 1 : shard_count), origin_(shards_.size()) {}
 
 std::size_t ShardedDataset::ShardOfUser(std::string_view user_name,
                                         std::size_t shard_count) {
@@ -67,7 +68,6 @@ std::size_t ShardedDataset::ShardOfUser(std::string_view user_name,
 ShardedDataset ShardedDataset::Partition(const Dataset& dataset,
                                          std::size_t shard_count) {
   ShardedDataset out(shard_count);
-  out.origin_.resize(out.shards_.size());
 
   // Global name table in the input's id order; every user is interned into
   // its home shard up front (users without traces must survive the round
@@ -93,62 +93,6 @@ ShardedDataset ShardedDataset::Partition(const Dataset& dataset,
   return out;
 }
 
-Dataset ShardedDataset::Merge() const {
-  Dataset out;
-  for (const std::string& name : global_names_) out.InternUser(name);
-
-  // The recorded original order applies only while shard contents still
-  // match it (Partition-fresh); otherwise concatenate shard by shard.
-  bool origin_valid = origin_.size() == shards_.size();
-  for (std::size_t s = 0; origin_valid && s < shards_.size(); ++s) {
-    origin_valid = origin_[s].size() == shards_[s].TraceCount();
-  }
-
-  const auto append = [&out](const Dataset& shard, const Trace& trace) {
-    Trace global = trace;
-    global.set_user(out.InternUser(shard.UserName(trace.user())));
-    out.AddTrace(std::move(global));
-  };
-
-  if (origin_valid) {
-    std::size_t total = 0;
-    for (const auto& o : origin_) total += o.size();
-    // Original position -> (shard, local index).
-    std::vector<std::pair<std::uint32_t, std::size_t>> order(total);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      for (std::size_t i = 0; i < origin_[s].size(); ++i) {
-        order[origin_[s][i]] = {static_cast<std::uint32_t>(s), i};
-      }
-    }
-    for (const auto& [s, i] : order) {
-      append(shards_[s], shards_[s].traces()[i]);
-    }
-    return out;
-  }
-  for (const Dataset& shard : shards_) {
-    for (const Trace& trace : shard.traces()) append(shard, trace);
-  }
-  return out;
-}
-
-ShardedDataset ShardedDataset::EmptyLike() const {
-  ShardedDataset out(shards_.size());
-  out.global_names_ = global_names_;
-  return out;
-}
-
-std::size_t ShardedDataset::TraceCount() const noexcept {
-  std::size_t total = 0;
-  for (const Dataset& shard : shards_) total += shard.TraceCount();
-  return total;
-}
-
-std::size_t ShardedDataset::EventCount() const noexcept {
-  std::size_t total = 0;
-  for (const Dataset& shard : shards_) total += shard.EventCount();
-  return total;
-}
-
 void ShardedDataset::SaveShards(const std::string& dir,
                                 SaveStats* stats) const {
   namespace fs = std::filesystem;
@@ -164,7 +108,7 @@ void ShardedDataset::SaveShards(const std::string& dir,
   std::atomic<std::size_t> skipped{0};
   util::ParallelForEach(shards_.size(), [&](std::size_t s) {
     const EventStore store = EventStore::FromDataset(shards_[s]);
-    const std::string path = (fs::path(dir) / ShardFileName(s)).string();
+    const std::string path = ShardDataPath(dir, s);
     if (ColumnarFileMatches(store, path)) {
       skipped.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -177,16 +121,7 @@ void ShardedDataset::SaveShards(const std::string& dir,
     stats->shards_skipped = skipped.load(std::memory_order_relaxed);
   }
 
-  // The recorded original order is persisted only while it still matches
-  // the shard contents (same condition Merge applies).
-  bool has_origin = origin_.size() == shards_.size();
-  for (std::size_t s = 0; has_origin && s < shards_.size(); ++s) {
-    has_origin = origin_[s].size() == shards_[s].TraceCount();
-  }
-  WriteShardManifest(dir, shards_.size(), global_names_,
-                     has_origin ? std::span<const std::vector<std::size_t>>(
-                                      origin_)
-                                : std::span<const std::vector<std::size_t>>());
+  WriteShardManifest(dir, shards_.size(), global_names_, origin_);
 }
 
 void WriteShardManifest(const std::string& dir, std::size_t shard_count,
@@ -251,8 +186,8 @@ void MergeShardManifests(const std::string& dir, std::size_t shard_count) {
   // open: the name/trace metadata is decoded eagerly but the column
   // payloads are never faulted in, so merging a terabyte directory reads
   // kilobytes. A name appearing in several shards is kept once (first
-  // sighting) — OpenShards interns shard-locally, so duplicates only
-  // denote the same external user.
+  // sighting) — shards intern names locally, so duplicates only denote
+  // the same external user.
   std::vector<std::string> global_names;
   std::unordered_set<std::string_view> seen;
   std::vector<std::vector<std::string>> shard_names(shard_count);
@@ -266,21 +201,6 @@ void MergeShardManifests(const std::string& dir, std::size_t shard_count) {
     }
   }
   WriteShardManifest(dir, shard_count, global_names);
-}
-
-ShardedDataset ShardedDataset::OpenShards(const std::string& dir) {
-  return OpenShardsImpl(dir, nullptr, OpenPolicy::kFailFast, nullptr);
-}
-
-ShardedDataset ShardedDataset::OpenShards(
-    const std::string& dir, const std::vector<std::size_t>& only) {
-  return OpenShardsImpl(dir, &only, OpenPolicy::kFailFast, nullptr);
-}
-
-ShardedDataset ShardedDataset::OpenShards(const std::string& dir,
-                                          OpenPolicy policy,
-                                          OpenReport* report) {
-  return OpenShardsImpl(dir, nullptr, policy, report);
 }
 
 ShardManifest ReadShardManifest(const std::string& dir) {
@@ -377,81 +297,6 @@ ShardManifest ReadShardManifest(const std::string& dir) {
 
 std::string ShardDataPath(const std::string& dir, std::size_t shard) {
   return (std::filesystem::path(dir) / ShardFileName(shard)).string();
-}
-
-ShardedDataset ShardedDataset::OpenShardsImpl(
-    const std::string& dir, const std::vector<std::size_t>* only,
-    OpenPolicy policy, OpenReport* report) {
-  ShardManifest manifest = ReadShardManifest(dir);
-
-  ShardedDataset out(manifest.shard_count);
-  out.global_names_ = std::move(manifest.global_names);
-
-  // Which shards to materialize (nullptr = all of them).
-  std::vector<bool> load(out.shards_.size(), only == nullptr);
-  if (only != nullptr) {
-    for (const std::size_t s : *only) {
-      if (s >= out.shards_.size()) {
-        throw IoError("shard index " + std::to_string(s) +
-                      " out of range for " + dir);
-      }
-      load[s] = true;
-    }
-  }
-  // Shard files are independent; parse them concurrently into their
-  // pre-sized slots. kFailFast: the pool rethrows the first failure.
-  // kSkipCorrupt: failures land in per-slot error strings — healthy
-  // shards finish loading, and the quarantine record below is assembled
-  // in shard order, so the outcome is identical at any worker count.
-  std::vector<std::string> shard_errors(out.shards_.size());
-  std::vector<bool> shard_failed(out.shards_.size(), false);
-  util::ParallelForEach(out.shards_.size(), [&](std::size_t s) {
-    if (!load[s]) return;
-    const std::string shard_path = ShardDataPath(dir, s);
-    try {
-      if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kShardOpenRead,
-                                     ShardFileName(s))) {
-        throw IoError("injected fault (" +
-                      std::string(fault::points::kShardOpenRead) + "): " +
-                      shard_path);
-      }
-      out.shards_[s] = ReadColumnar(shard_path).ToDataset();
-    } catch (const IoError& e) {
-      if (policy == OpenPolicy::kFailFast) throw;
-      shard_failed[s] = true;
-      // Every quarantine record leads with the failing shard FILE name so
-      // downstream report columns (and the worker supervisor's forwarded
-      // errors) identify the bad file even when the IoError text carries
-      // only an OS-level cause.
-      shard_errors[s] = ShardFileName(s) + ": " + e.what();
-    }
-  });
-  bool any_skipped = false;
-  for (std::size_t s = 0; s < out.shards_.size(); ++s) {
-    if (!shard_failed[s]) continue;
-    any_skipped = true;
-    // A quarantined shard keeps the global name table but loses its
-    // traces; interning nothing here is intentional — UserCount() and
-    // Merge() stay consistent with what actually loaded.
-    out.shards_[s] = Dataset();
-    if (report != nullptr) {
-      report->skipped_shards.push_back(s);
-      report->errors.push_back(shard_errors[s]);
-    }
-  }
-
-  // The recorded original order only survives a full, complete open:
-  // with shards missing or quarantined, Merge must fall back to
-  // concatenating what was loaded.
-  if (manifest.has_origin() && only == nullptr && !any_skipped) {
-    for (std::size_t s = 0; s < out.shards_.size(); ++s) {
-      if (manifest.origin[s].size() != out.shards_[s].TraceCount()) {
-        CorruptManifest(dir, "origin run disagrees with shard trace count");
-      }
-    }
-    out.origin_ = std::move(manifest.origin);
-  }
-  return out;
 }
 
 }  // namespace mobipriv::model

@@ -18,9 +18,10 @@
 //     home shards in global order, so shard-local user ids match what
 //     Partition of the equivalent in-memory dataset would assign.
 //   * The manifest records origin = global generation index of every
-//     trace (strictly ascending within each shard), so
-//     OpenShards(dir).Merge() — and the engine's whole-view shard bind —
-//     reproduce the generation order exactly.
+//     trace (strictly ascending within each shard), so the engine's bind
+//     of the directory (core::BoundSource::Bind, and the shard-streamed
+//     executor through core::ProbeShardStream) reproduces the generation
+//     order exactly.
 //
 // Determinism: per-agent streams are derived with util::DeriveStreamSeed
 // from one master draw, so an agent's trajectory depends only on

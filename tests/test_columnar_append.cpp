@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/scenario.h"
 #include "model/columnar_file.h"
 #include "model/event_store.h"
 #include "model/io.h"
@@ -109,7 +110,7 @@ TEST(ColumnarAppend, EmptyAppenderMatchesEmptyStore) {
   EXPECT_EQ(ReadFileBytes(out), ReadFileBytes(reference));
 }
 
-TEST(ColumnarAppend, MergedManifestRoundTripsThroughOpenShards) {
+TEST(ColumnarAppend, MergedManifestRoundTripsThroughBind) {
   ScratchDir scratch("merge");
   constexpr std::size_t kShards = 3;
   const model::ShardedDataset partition =
@@ -123,16 +124,17 @@ TEST(ColumnarAppend, MergedManifestRoundTripsThroughOpenShards) {
   }
   model::MergeShardManifests(scratch.path.string(), kShards);
 
-  const model::ShardedDataset opened =
-      model::ShardedDataset::OpenShards(scratch.path.string());
-  ASSERT_EQ(opened.ShardCount(), kShards);
-  EXPECT_EQ(opened.TraceCount(), partition.TraceCount());
-  EXPECT_EQ(opened.EventCount(), partition.EventCount());
-
-  // A merged manifest records no origin order, so Merge() concatenates in
-  // (shard, local index) order; every trace must come back bit-exact,
-  // under its original external user name.
-  const model::Dataset merged = opened.Merge();
+  // A merged manifest records no origin order, so the engine's bind lays
+  // traces out in (shard, local index) order; every trace must come back
+  // bit-exact, under its original external user name.
+  const model::Dataset merged =
+      core::BoundSource::Bind(
+          core::DatasetSourceSpec::ShardDir(scratch.path.string()))
+          .view()
+          .Materialize();
+  EXPECT_EQ(merged.UserCount(), World().UserCount());
+  EXPECT_EQ(merged.TraceCount(), World().TraceCount());
+  EXPECT_EQ(merged.EventCount(), World().EventCount());
   std::size_t m = 0;
   for (std::size_t s = 0; s < kShards; ++s) {
     const model::Dataset& shard = partition.shard(s);
@@ -213,11 +215,11 @@ TEST(ColumnarAppend, SaveShardsSkipsUnchangedShards) {
   EXPECT_EQ(second.shards_written, 0u);
   EXPECT_EQ(second.shards_skipped, kShards);
 
-  // The directory still opens and merges back exactly.
-  const model::Dataset merged =
-      model::ShardedDataset::OpenShards(scratch.path.string()).Merge();
-  EXPECT_EQ(merged.TraceCount(), World().TraceCount());
-  EXPECT_EQ(merged.EventCount(), World().EventCount());
+  // The directory still binds back to the input.
+  const core::BoundSource bound = core::BoundSource::Bind(
+      core::DatasetSourceSpec::ShardDir(scratch.path.string()));
+  EXPECT_EQ(bound.view().TraceCount(), World().TraceCount());
+  EXPECT_EQ(bound.view().EventCount(), World().EventCount());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Failure-domain tests: the fault matrix (every registered injection
 // point driven in fail-once mode — no crash, no torn file), atomic-commit
-// torn-write protection, OpenShards quarantine, cache-read retry, and the
+// torn-write protection, unreadable shard files, cache-read retry, and the
 // engine's graceful degradation (deterministic error rows at any thread
 // count, watchdog containment).
 #include "util/fault.h"
@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -132,7 +133,8 @@ void DriveAllSites(const fs::path& dir) {
     model::ShardedDataset::Partition(World(), 2).SaveShards(shards.string());
   });
   guarded([&] {
-    (void)model::ShardedDataset::OpenShards(shards.string());
+    (void)core::BoundSource::Bind(
+        core::DatasetSourceSpec::ShardDir(shards.string()));
   });
 
   const fs::path csv = dir / "x.csv";
@@ -288,46 +290,45 @@ TEST(FaultSpec, DisabledPathIsInert) {
   EXPECT_EQ(fault::TripCount(fault::points::kColumnarWriteOpen), 0u);
 }
 
-// ---- OpenShards quarantine --------------------------------------------------
+// ---- Unreadable shard files -------------------------------------------------
 
-TEST(Quarantine, SkipCorruptLoadsTheSurvivors) {
+TEST(ShardOpen, UnreadableShardFailsTheRunNamingTheFile) {
   DisarmGuard guard;
-  ScratchDir scratch("quarantine");
+  ScratchDir scratch("shard_open");
   model::ShardedDataset::Partition(World(), 3)
       .SaveShards(scratch.path.string());
+  core::ScenarioSpec spec;
+  spec.source = core::DatasetSourceSpec::ShardDir(scratch.path.string());
+  spec.mechanisms = {"identity"};
+  spec.evaluators = {"trajectory_stats"};
 
-  const fault::Config bad_shard = FailTimes(1000, "shard-00001.mpc");
+  // The engine's bind has no partial mode: one unreadable shard fails the
+  // run with an IoError that names the shard file.
+  const auto expect_named_failure = [&] {
+    try {
+      (void)core::ScenarioEngine(spec).Run();
+      ADD_FAILURE() << "expected model::IoError";
+    } catch (const model::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("shard-00001.mpc"),
+                std::string::npos)
+          << e.what();
+    }
+  };
 
-  // Default policy: fail fast, exactly as before the quarantine existed.
-  fault::Arm(fault::points::kShardOpenRead, bad_shard);
-  EXPECT_THROW((void)model::ShardedDataset::OpenShards(scratch.path.string()),
-               model::IoError);
-
-  // kSkipCorrupt: the two healthy shards load, the bad one is recorded.
-  model::ShardedDataset::OpenReport report;
-  const model::ShardedDataset opened = model::ShardedDataset::OpenShards(
-      scratch.path.string(),
-      model::ShardedDataset::OpenPolicy::kSkipCorrupt, &report);
+  fault::Arm(fault::points::kShardOpenRead,
+             FailTimes(1000, "shard-00001.mpc"));
+  expect_named_failure();
+  EXPECT_GE(fault::TripCount(fault::points::kShardOpenRead), 1u);
   fault::DisarmAll();
+  EXPECT_TRUE(core::ScenarioEngine(spec).Run().AllOk());
 
-  EXPECT_FALSE(report.ok());
-  ASSERT_EQ(report.skipped_shards.size(), 1u);
-  EXPECT_EQ(report.skipped_shards[0], 1u);
-  ASSERT_EQ(report.errors.size(), 1u);
-  EXPECT_NE(report.errors[0].find("injected fault"), std::string::npos);
-  EXPECT_EQ(opened.ShardCount(), 3u);
-  EXPECT_EQ(opened.shard(1).TraceCount(), 0u);  // quarantined: empty
-  EXPECT_GT(opened.shard(0).TraceCount() + opened.shard(2).TraceCount(), 0u);
-  // The survivors still merge (concatenation order, no origin replay).
-  EXPECT_GT(opened.Merge().TraceCount(), 0u);
-
-  // Healthy directory: kSkipCorrupt behaves exactly like the default.
-  model::ShardedDataset::OpenReport clean;
-  const model::ShardedDataset full = model::ShardedDataset::OpenShards(
-      scratch.path.string(),
-      model::ShardedDataset::OpenPolicy::kSkipCorrupt, &clean);
-  EXPECT_TRUE(clean.ok());
-  EXPECT_EQ(full.Merge().TraceCount(), World().TraceCount());
+  // A torn shard file fails the same way.
+  {
+    std::ofstream out(scratch.path / "shard-00001.mpc",
+                      std::ios::binary | std::ios::trunc);
+    out << "torn";
+  }
+  expect_named_failure();
 }
 
 // ---- Engine graceful degradation --------------------------------------------

@@ -16,6 +16,7 @@
 #include "attacks/poi_extraction.h"
 #include "attacks/reident.h"
 #include "core/anonymizer.h"
+#include "core/scenario.h"
 #include "mechanisms/geo_indistinguishability.h"
 #include "model/geolife.h"
 #include "model/io.h"
@@ -216,13 +217,23 @@ TEST(IngestionDeterminism, CsvIsWorkerAndChunkCountInvariant) {
 TEST(IngestionDeterminism, ShardCountNeverChangesTheDataset) {
   const std::string text = FixtureCsv(false, true);
   const model::Dataset dataset = model::ReadCsvText(text);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mobipriv_shard_count_" + std::to_string(::getpid()));
   for (const std::size_t shards : {1u, 3u, 8u}) {
     for (const std::size_t threads : {1u, 4u}) {
       const util::ScopedParallelism scope(threads);
-      const auto sharded = model::ShardedDataset::Partition(dataset, shards);
-      ExpectDatasetsIdentical(dataset, sharded.Merge());
+      std::filesystem::remove_all(dir);
+      model::ShardedDataset::Partition(dataset, shards)
+          .SaveShards(dir.string());
+      ExpectDatasetsIdentical(
+          dataset, core::BoundSource::Bind(
+                       core::DatasetSourceSpec::ShardDir(dir.string()))
+                       .view()
+                       .Materialize());
     }
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(IngestionDeterminism, MalformedRowReportsSameRowAtAnyChunking) {

@@ -14,7 +14,6 @@
 
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -23,6 +22,8 @@
 #include "core/engine.h"
 #include "core/scenario.h"
 #include "core/worker_protocol.h"
+#include "model/columnar_file.h"
+#include "model/event_store.h"
 #include "model/sharded_dataset.h"
 #include "synth/population.h"
 #include "util/fault.h"
@@ -395,23 +396,56 @@ TEST_F(ShardExec, WorkerReportedIoErrorIsPermanentAndDeterministic) {
   fs::remove_all(dir);
 }
 
-TEST_F(ShardExec, QuarantineErrorsNameTheShardFile) {
-  const std::string dir = MakeShardDir("mobipriv_exec_quarantine", 3);
-  // Truncate shard 1 to a torn prefix: quarantine must record WHICH
-  // file failed (leading file name) and WHY (IoError detail).
-  {
-    std::ofstream out(fs::path(dir) / "shard-00001.mpc",
-                      std::ios::binary | std::ios::trunc);
-    out << "torn";
+TEST_F(ShardExec, OriginlessLayoutStreamsLikeItsBoundView) {
+  // Independently written shards stitched by MergeShardManifests carry no
+  // origin table; their canonical order is shard-major. The engine must
+  // stream such a directory and report exactly what the whole-view DAG
+  // reports over the same view materialized and borrowed — in-process
+  // and, when the worker binary exists, under two workers. (identity is
+  // not a per-trace mechanism, so gaussian stands in next to geo_ind.)
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("mobipriv_exec_originless-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  constexpr std::size_t kShards = 3;
+  const auto partition = model::ShardedDataset::Partition(World(), kShards);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    model::WriteColumnar(model::EventStore::FromDataset(partition.shard(s)),
+                         model::ShardDataPath(dir.string(), s));
   }
-  model::ShardedDataset::OpenReport report;
-  const model::ShardedDataset partial = model::ShardedDataset::OpenShards(
-      dir, model::ShardedDataset::OpenPolicy::kSkipCorrupt, &report);
-  ASSERT_EQ(report.skipped_shards.size(), 1u);
-  EXPECT_EQ(report.skipped_shards[0], 1u);
-  ASSERT_EQ(report.errors.size(), 1u);
-  EXPECT_EQ(report.errors[0].rfind("shard-00001.mpc: ", 0), 0u)
-      << report.errors[0];
+  model::MergeShardManifests(dir.string(), kShards);
+  ASSERT_FALSE(model::ReadShardManifest(dir.string()).has_origin());
+
+  const auto grid = [](core::DatasetSourceSpec source) {
+    core::ScenarioSpec spec;
+    spec.source = std::move(source);
+    spec.mechanisms = {"gaussian", "geo_ind[eps=0.01]"};
+    spec.evaluators = {"trajectory_stats", "range_queries"};
+    spec.seeds = {5};
+    return spec;
+  };
+  const model::Dataset bound =
+      core::BoundSource::Bind(core::DatasetSourceSpec::ShardDir(dir.string()))
+          .view()
+          .Materialize();
+  core::ScenarioEngine whole(grid(core::DatasetSourceSpec::Borrowed(bound)));
+  const std::string reference = whole.Run().ToCsv();
+  ASSERT_EQ(whole.stats().streamed_shards, 0u);
+
+  std::vector<std::size_t> worker_counts = {0};
+  if (!core::DefaultWorkerBinary().empty()) worker_counts.push_back(2);
+  for (const std::size_t workers : worker_counts) {
+    core::ScenarioSpec spec =
+        grid(core::DatasetSourceSpec::ShardDir(dir.string()));
+    spec.workers = workers;
+    core::ScenarioEngine engine(std::move(spec));
+    const core::Report report = engine.Run();
+    EXPECT_EQ(engine.stats().streamed_shards, kShards)
+        << "workers=" << workers;
+    EXPECT_TRUE(report.AllOk()) << "workers=" << workers;
+    EXPECT_EQ(report.ToCsv(), reference) << "workers=" << workers;
+  }
   fs::remove_all(dir);
 }
 

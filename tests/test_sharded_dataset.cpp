@@ -1,22 +1,23 @@
-// Sharding contracts: stable user->shard assignment, exact Partition/Merge
-// round trips at any shard count, and worker-count-invariant shard-wise
-// pipeline runs.
+// Sharding contracts: stable user->shard assignment, and exact round trips
+// of SaveShards directories through the engine's shard-directory reader
+// (core::BoundSource::Bind) at any shard count, with clean IoErrors for
+// every corruption the reader must refuse.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 
-#include "core/anonymizer.h"
-#include "mechanisms/identity.h"
+#include "core/scenario.h"
 #include "model/columnar_file.h"
 #include "model/event_store.h"
 #include "model/io.h"
 #include "model/sharded_dataset.h"
 #include "synth/population.h"
-#include "util/thread_pool.h"
 
 namespace mobipriv {
 namespace {
+
+namespace fs = std::filesystem;
 
 model::Dataset TestWorld() {
   synth::PopulationConfig config;
@@ -46,6 +47,19 @@ void ExpectDatasetsIdentical(const model::Dataset& a,
   }
 }
 
+/// What the engine sees of a shard directory, as an owning dataset.
+model::Dataset BindShardDir(const std::string& dir) {
+  return core::BoundSource::Bind(core::DatasetSourceSpec::ShardDir(dir))
+      .view()
+      .Materialize();
+}
+
+std::string TempShardDir(const std::string& name) {
+  const fs::path dir = fs::path(testing::TempDir()) / name;
+  fs::remove_all(dir);
+  return dir.string();
+}
+
 TEST(ShardOfUser, StableAndInRange) {
   for (const std::size_t shards : {1u, 2u, 3u, 8u, 64u}) {
     for (const char* name : {"alice", "bob", "000", "user42", ""}) {
@@ -72,18 +86,6 @@ TEST(ShardOfUser, SpreadsUsersAcrossShards) {
   EXPECT_GE(used, 6u);
 }
 
-TEST(ShardedDataset, PartitionMergeRoundTripsAtAnyShardCount) {
-  const model::Dataset dataset = TestWorld();
-  for (const std::size_t shards : {1u, 3u, 8u, 16u}) {
-    const auto sharded = model::ShardedDataset::Partition(dataset, shards);
-    EXPECT_EQ(sharded.ShardCount(), shards);
-    EXPECT_EQ(sharded.TraceCount(), dataset.TraceCount());
-    EXPECT_EQ(sharded.EventCount(), dataset.EventCount());
-    EXPECT_EQ(sharded.UserCount(), dataset.UserCount());
-    ExpectDatasetsIdentical(sharded.Merge(), dataset);
-  }
-}
-
 TEST(ShardedDataset, AllTracesOfAUserLandInOneShard) {
   const model::Dataset dataset = TestWorld();
   const auto sharded = model::ShardedDataset::Partition(dataset, 4);
@@ -100,132 +102,42 @@ TEST(ShardedDataset, AllTracesOfAUserLandInOneShard) {
   }
 }
 
-TEST(ShardedDataset, TransformShardedIsWorkerCountInvariant) {
-  const model::Dataset dataset = TestWorld();
-  const auto sharded = model::ShardedDataset::Partition(dataset, 3);
-  const core::Anonymizer anonymizer;
-  const auto run = [&](std::size_t threads, util::Rng& rng,
-                       std::vector<core::PipelineReport>& reports) {
-    const util::ScopedParallelism scope(threads);
-    reports.assign(sharded.ShardCount(), {});
-    return model::TransformSharded(
-        sharded, rng,
-        [&](const model::Dataset& shard, util::Rng& shard_rng,
-            std::size_t s) {
-          return anonymizer.ApplyWithReport(shard, shard_rng, reports[s]);
-        });
-  };
+// ---- Persisted shard directories (SaveShards -> the engine's bind) ---------
 
-  util::Rng serial_rng(2015);
-  std::vector<core::PipelineReport> serial_reports;
-  const model::ShardedDataset serial_out =
-      run(1, serial_rng, serial_reports);
-  util::Rng parallel_rng(2015);
-  std::vector<core::PipelineReport> parallel_reports;
-  const model::ShardedDataset parallel_out =
-      run(8, parallel_rng, parallel_reports);
-  EXPECT_EQ(serial_rng.NextU64(), parallel_rng.NextU64());
-  ASSERT_EQ(serial_reports.size(), parallel_reports.size());
-  for (std::size_t s = 0; s < serial_reports.size(); ++s) {
-    EXPECT_EQ(serial_reports[s].ToString(), parallel_reports[s].ToString());
+TEST(ShardPersistence, BindReproducesTheInputAtAnyShardCount) {
+  model::Dataset world = TestWorld();
+  // Users without traces must survive the round trip too.
+  (void)world.InternUser("traceless-a");
+  (void)world.InternUser("traceless-b");
+  for (const std::size_t shards : {1u, 3u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string dir = TempShardDir("shards_roundtrip");
+    model::ShardedDataset::Partition(world, shards).SaveShards(dir);
+    EXPECT_TRUE(fs::exists(fs::path(dir) / "manifest.mpm"));
+    EXPECT_TRUE(fs::exists(model::ShardDataPath(dir, shards - 1)));
+    // The recorded original trace order survives the disk round trip, so
+    // the bound view is the *exact* input, not a shard-order concatenation.
+    ExpectDatasetsIdentical(world, BindShardDir(dir));
   }
-  ExpectDatasetsIdentical(serial_out.Merge(), parallel_out.Merge());
 }
 
-TEST(ShardedDataset, IdentityMechanismShardwisePreservesEverything) {
-  const model::Dataset dataset = TestWorld();
-  const auto sharded = model::ShardedDataset::Partition(dataset, 5);
-  util::Rng rng(1);
-  const mech::Identity identity;
-  const auto out = model::TransformSharded(
-      sharded, rng,
-      [&](const model::Dataset& shard, util::Rng& shard_rng, std::size_t) {
-        return identity.Apply(shard, shard_rng);
-      });
-  EXPECT_EQ(out.ShardCount(), sharded.ShardCount());
-  EXPECT_EQ(out.EventCount(), dataset.EventCount());
-  EXPECT_EQ(out.TraceCount(), dataset.TraceCount());
-  // Identity keeps every shard's contents; the merged dataset holds the
-  // same users and events (trace order is shard-order after a rebuild).
-  const model::Dataset merged = out.Merge();
-  EXPECT_EQ(merged.UserCount(), dataset.UserCount());
-  EXPECT_EQ(merged.EventCount(), dataset.EventCount());
-}
-
-TEST(ShardedDataset, EmptyDatasetPartitions) {
+TEST(ShardPersistence, EmptyDatasetRoundTrips) {
   const model::Dataset empty;
-  const auto sharded = model::ShardedDataset::Partition(empty, 4);
-  EXPECT_EQ(sharded.TraceCount(), 0u);
-  EXPECT_TRUE(sharded.Merge().empty());
-}
-
-// ---- Persisted shard directories (SaveShards / OpenShards) ------------------
-
-TEST(ShardPersistence, SaveOpenMergeReproducesTheOriginalExactly) {
-  namespace fs = std::filesystem;
-  const model::Dataset world = TestWorld();
-  const model::ShardedDataset partition =
-      model::ShardedDataset::Partition(world, 3);
-  const std::string dir =
-      (fs::path(testing::TempDir()) / "shards_roundtrip").string();
-  partition.SaveShards(dir);
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "manifest.mpm"));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "shard-00000.mpc"));
-
-  const model::ShardedDataset reopened =
-      model::ShardedDataset::OpenShards(dir);
-  ASSERT_EQ(reopened.ShardCount(), partition.ShardCount());
-  EXPECT_EQ(reopened.UserCount(), partition.UserCount());
-  for (std::size_t s = 0; s < partition.ShardCount(); ++s) {
-    ExpectDatasetsIdentical(partition.shard(s), reopened.shard(s));
+  for (const std::size_t shards : {1u, 3u, 8u}) {
+    const std::string dir = TempShardDir("shards_empty");
+    const auto partition = model::ShardedDataset::Partition(empty, shards);
+    EXPECT_EQ(partition.ShardCount(), shards);
+    partition.SaveShards(dir);
+    const model::Dataset bound = BindShardDir(dir);
+    EXPECT_TRUE(bound.empty()) << "shards=" << shards;
+    EXPECT_EQ(bound.UserCount(), 0u);
   }
-  // The recorded original trace order survives the disk round trip, so
-  // the merge is the *exact* input, not a shard-order concatenation.
-  ExpectDatasetsIdentical(world, reopened.Merge());
-}
-
-TEST(ShardPersistence, PartialOpenLoadsOnlyOwnedShards) {
-  namespace fs = std::filesystem;
-  const model::Dataset world = TestWorld();
-  const model::ShardedDataset partition =
-      model::ShardedDataset::Partition(world, 4);
-  const std::string dir =
-      (fs::path(testing::TempDir()) / "shards_partial").string();
-  partition.SaveShards(dir);
-
-  const model::ShardedDataset mine =
-      model::ShardedDataset::OpenShards(dir, {2});
-  ASSERT_EQ(mine.ShardCount(), 4u);
-  ExpectDatasetsIdentical(partition.shard(2), mine.shard(2));
-  EXPECT_TRUE(mine.shard(0).empty());
-  EXPECT_TRUE(mine.shard(1).empty());
-  EXPECT_TRUE(mine.shard(3).empty());
-  // Global name table still complete: local ids resolve to global names.
-  EXPECT_EQ(mine.UserCount(), partition.UserCount());
-  // Out-of-range shard index is a clean error.
-  EXPECT_THROW(model::ShardedDataset::OpenShards(dir, {9}), model::IoError);
-}
-
-TEST(ShardPersistence, RebuiltShardsPersistWithoutOriginOrder) {
-  namespace fs = std::filesystem;
-  const model::Dataset world = TestWorld();
-  model::ShardedDataset partition = model::ShardedDataset::Partition(world, 3);
-  // Touching a shard invalidates the recorded order (same rule as Merge).
-  partition.mutable_shard(0) = partition.shard(0).Clone();
-  const std::string dir =
-      (fs::path(testing::TempDir()) / "shards_rebuilt").string();
-  partition.SaveShards(dir);
-  const model::ShardedDataset reopened =
-      model::ShardedDataset::OpenShards(dir);
-  ExpectDatasetsIdentical(partition.Merge(), reopened.Merge());
 }
 
 TEST(ShardPersistence, CorruptManifestAndMissingShardAreCleanErrors) {
-  namespace fs = std::filesystem;
   const model::ShardedDataset partition =
       model::ShardedDataset::Partition(TestWorld(), 2);
-  const std::string dir =
-      (fs::path(testing::TempDir()) / "shards_corrupt").string();
+  const std::string dir = TempShardDir("shards_corrupt");
   partition.SaveShards(dir);
 
   // Flip one payload byte in the manifest: checksum mismatch.
@@ -240,25 +152,20 @@ TEST(ShardPersistence, CorruptManifestAndMissingShardAreCleanErrors) {
     f.seekp(50);
     f.put(c);
   }
-  EXPECT_THROW(model::ShardedDataset::OpenShards(dir), model::IoError);
+  EXPECT_THROW((void)BindShardDir(dir), model::IoError);
 
   // Restore the manifest, remove a shard file instead.
   partition.SaveShards(dir);
+  ASSERT_NO_THROW((void)BindShardDir(dir));
   fs::remove(fs::path(dir) / "shard-00001.mpc");
-  EXPECT_THROW(model::ShardedDataset::OpenShards(dir), model::IoError);
-  // ... but a partial open of the surviving shard still works.
-  const model::ShardedDataset survivor =
-      model::ShardedDataset::OpenShards(dir, {0});
-  ExpectDatasetsIdentical(partition.shard(0), survivor.shard(0));
+  EXPECT_THROW((void)BindShardDir(dir), model::IoError);
 }
 
 TEST(ShardPersistence, ReadShardManifestExposesMetadataWithoutShardLoads) {
-  namespace fs = std::filesystem;
   const model::Dataset world = TestWorld();
   const model::ShardedDataset partition =
       model::ShardedDataset::Partition(world, 3);
-  const std::string dir =
-      (fs::path(testing::TempDir()) / "shards_manifest_api").string();
+  const std::string dir = TempShardDir("shards_manifest_api");
   partition.SaveShards(dir);
 
   const model::ShardManifest manifest = model::ReadShardManifest(dir);
@@ -275,38 +182,27 @@ TEST(ShardPersistence, ReadShardManifestExposesMetadataWithoutShardLoads) {
   EXPECT_TRUE(model::ShardDataPath(dir, 1).ends_with("shard-00001.mpc"));
 }
 
-TEST(ShardPersistence, OpenShardsErrorPaths) {
-  namespace fs = std::filesystem;
+TEST(ShardPersistence, BindErrorPaths) {
   const model::Dataset world = TestWorld();
   const model::ShardedDataset partition =
       model::ShardedDataset::Partition(world, 3);
-  const std::string dir =
-      (fs::path(testing::TempDir()) / "shards_error_paths").string();
+  const std::string dir = TempShardDir("shards_error_paths");
   partition.SaveShards(dir);
 
-  // Opening a shard subset that doesn't exist: clean IoError, no crash.
-  EXPECT_THROW((void)model::ShardedDataset::OpenShards(dir, {7}),
-               model::IoError);
-  EXPECT_THROW((void)model::ShardedDataset::OpenShards(dir, {0, 3}),
-               model::IoError);
-
-  // Manifest/shard contents mismatch: replace one shard file with a valid
-  // .mpc holding a different trace count — the recorded origin table no
-  // longer matches and the open must fail loudly.
-  model::Dataset tiny;
-  tiny.AddTraceForUser("intruder",
-                       {{{45.0, 4.0}, 100}, {{45.001, 4.001}, 160}});
-  model::WriteColumnar(model::EventStore::FromDataset(tiny),
+  // Manifest/shard contents mismatch: replace shard 0 with a valid .mpc
+  // over the same users holding one trace more — the recorded origin table
+  // no longer matches the trace count and the bind must fail loudly.
+  model::Dataset grown = partition.shard(0).Clone();
+  ASSERT_GT(grown.TraceCount(), 0u);
+  grown.AddTrace(grown.traces().front());
+  model::WriteColumnar(model::EventStore::FromDataset(grown),
                        model::ShardDataPath(dir, 0));
-  EXPECT_THROW((void)model::ShardedDataset::OpenShards(dir),
-               model::IoError);
+  EXPECT_THROW((void)BindShardDir(dir), model::IoError);
 
   // A directory with no manifest at all.
-  const std::string empty_dir =
-      (fs::path(testing::TempDir()) / "shards_no_manifest").string();
+  const std::string empty_dir = TempShardDir("shards_no_manifest");
   fs::create_directories(empty_dir);
-  EXPECT_THROW((void)model::ShardedDataset::OpenShards(empty_dir),
-               model::IoError);
+  EXPECT_THROW((void)BindShardDir(empty_dir), model::IoError);
   EXPECT_THROW((void)model::ReadShardManifest(empty_dir), model::IoError);
 }
 

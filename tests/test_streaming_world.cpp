@@ -1,8 +1,8 @@
 // The streaming world generator: bounded-memory generation must be a pure
 // resource strategy. Same bytes at every flush-chunk size, a directory
-// ProbeShardStream accepts, OpenShards round-trips in generation order,
-// and the engine reports identically whether it streams the directory or
-// binds it whole.
+// ProbeShardStream accepts, the engine's bind round-trips in generation
+// order, and the engine reports identically whether it streams the
+// directory or binds it whole.
 #include "synth/streaming_world.h"
 
 #include <gtest/gtest.h>
@@ -68,23 +68,25 @@ TEST(StreamingWorld, ByteIdenticalAtAnyFlushChunkSize) {
             ReadFileBytes(b.path / "manifest.mpm"));
 }
 
-TEST(StreamingWorld, OpenShardsRoundTripsInGenerationOrder) {
+TEST(StreamingWorld, BindRoundTripsInGenerationOrder) {
   ScratchDir scratch("roundtrip");
   const auto stats =
       synth::GenerateShardedWorld(SmallConfig(), scratch.path.string());
+  EXPECT_EQ(model::ReadShardManifest(scratch.path.string()).shard_count,
+            stats.shards);
 
-  const model::ShardedDataset opened =
-      model::ShardedDataset::OpenShards(scratch.path.string());
-  EXPECT_EQ(opened.ShardCount(), stats.shards);
-  EXPECT_EQ(opened.TraceCount(), stats.traces);
-  EXPECT_EQ(opened.EventCount(), stats.events);
+  const model::Dataset merged =
+      core::BoundSource::Bind(
+          core::DatasetSourceSpec::ShardDir(scratch.path.string()))
+          .view()
+          .Materialize();
+  EXPECT_EQ(merged.TraceCount(), stats.traces);
+  EXPECT_EQ(merged.EventCount(), stats.events);
   // Every agent is in the global table, traces or not.
-  EXPECT_EQ(opened.UserCount(), SmallConfig().population.agents);
+  EXPECT_EQ(merged.UserCount(), SmallConfig().population.agents);
 
   // The recorded origin replays generation order: agents ascend, and each
   // agent's traces are consecutive and time-ordered within a day.
-  const model::Dataset merged = opened.Merge();
-  ASSERT_EQ(merged.TraceCount(), stats.traces);
   std::size_t last_agent = 0;
   for (const model::Trace& trace : merged.traces()) {
     const std::string name = merged.UserName(trace.user());
