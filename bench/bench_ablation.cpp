@@ -117,16 +117,17 @@ int main() {
     const mech::MixZone mixzone(config);
     util::Rng rng(3);
     mech::MixZoneReport report;
-    const auto published =
-        mixzone.ApplyWithReport(world.dataset(), rng, report);
+    const model::EventStore published =
+        mixzone.ApplyToStoreWithReport(world.dataset(), rng, report);
     // Points inside detected zones still published = the leak.
     const geo::LocalProjection plane(
         world.dataset().BoundingBox().Center());
+    const model::DatasetView published_view = published.View();
     std::size_t in_zone_published = 0;
-    for (const auto& trace : published.traces()) {
-      for (const auto& event : trace) {
+    for (const model::TraceView& trace : published_view.traces()) {
+      for (std::size_t i = 0; i < trace.size(); ++i) {
         for (const auto& zone : report.zones) {
-          if (geo::Distance(plane.Project(event.position), zone.center) <=
+          if (geo::Distance(plane.Project(trace.position(i)), zone.center) <=
               zone.radius_m) {
             ++in_zone_published;
             break;

@@ -31,7 +31,7 @@ int main() {
   const attacks::PoiExtractor extractor;
   const geo::LocalProjection frame = attacks::DatasetProjection(raw);
 
-  const auto describe = [&](const model::Dataset& dataset,
+  const auto describe = [&](const model::DatasetView& dataset,
                             const char* panel) {
     core::Table table({"user", "fixes", "POIs extractable", "speed CV",
                        "spacing CV"});
@@ -73,15 +73,15 @@ int main() {
   zone_config.time_window_s = 900;
   const mech::MixZone mixzone(zone_config);
   mech::MixZoneReport report;
-  model::Dataset published;
+  model::EventStore published;
   std::uint64_t runs = 0;
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     util::Rng zone_rng(seed);
-    published = mixzone.ApplyWithReport(smoothed, zone_rng, report);
+    published = mixzone.ApplyToStoreWithReport(smoothed, zone_rng, report);
     ++runs;
     if (report.swaps_applied > 0) break;
   }
-  describe(published, "--- Panel (c): after mix-zone swapping ---");
+  describe(published.View(), "--- Panel (c): after mix-zone swapping ---");
   std::cout << "mix-zone outcome: " << report.ToString() << " (run " << runs
             << " of the uniform permutation draw)\n";
   std::cout << "\npaper-claim check: POIs(a) > 0, POIs(b) == 0, zone "

@@ -48,8 +48,8 @@ int main() {
       const mech::MixZone mixzone(config);
       util::Rng rng(kSeed + 1);
       mech::MixZoneReport report;
-      const model::Dataset published =
-          mixzone.ApplyWithReport(dataset, rng, report);
+      const model::EventStore published =
+          mixzone.ApplyToStoreWithReport(dataset, rng, report);
 
       // Tracker confusion and timing-attack accuracy pooled over zones.
       const attacks::MultiTargetTracker tracker;
@@ -58,11 +58,11 @@ int main() {
       std::vector<attacks::TimingMatch> timing_matches;
       for (const auto& zone : report.zones) {
         const auto zone_outcomes = tracker.TrackThroughZone(
-            dataset, published, frame, zone.center, radius);
+            dataset, published.View(), frame, zone.center, radius);
         outcomes.insert(outcomes.end(), zone_outcomes.begin(),
                         zone_outcomes.end());
-        auto crossings = timing.ObserveCrossings(dataset, published, frame,
-                                                 zone.center, radius);
+        auto crossings = timing.ObserveCrossings(
+            dataset, published.View(), frame, zone.center, radius);
         const auto matches = timing.Match(std::move(crossings));
         timing_matches.insert(timing_matches.end(), matches.begin(),
                               matches.end());
@@ -99,7 +99,7 @@ int main() {
     const mech::MixZone mixzone(config);
     util::Rng rng(kSeed + 2);
     mech::MixZoneReport report;
-    (void)mixzone.ApplyWithReport(dataset, rng, report);
+    (void)mixzone.ApplyToStoreWithReport(dataset, rng, report);
     ablation.AddRow({suppress ? "yes" : "no",
                      util::FormatDouble(100.0 * report.SuppressionRatio(), 2),
                      std::to_string(report.swaps_applied),
@@ -124,12 +124,12 @@ int main() {
                               const model::Dataset& input) {
     util::Rng rng(kSeed + 9);
     mech::MixZoneReport report;
-    const model::Dataset published =
-        timing_zone.ApplyWithReport(input, rng, report);
+    const model::EventStore published =
+        timing_zone.ApplyToStoreWithReport(input, rng, report);
     std::vector<attacks::TimingMatch> matches;
     for (const auto& zone : report.zones) {
       auto crossings = timing_attack.ObserveCrossings(
-          input, published, frame, zone.center,
+          input, published.View(), frame, zone.center,
           timing_config.zone_radius_m);
       const auto zone_matches = timing_attack.Match(std::move(crossings));
       matches.insert(matches.end(), zone_matches.begin(),

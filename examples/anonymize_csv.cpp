@@ -47,7 +47,6 @@
 #include "model/columnar_file.h"
 #include "model/io.h"
 #include "model/sharded_dataset.h"
-#include "model/stats.h"
 #include "synth/population.h"
 #include "util/cli.h"
 #include "util/spec.h"
@@ -205,18 +204,13 @@ int main(int argc, char** argv) {
     core::ScenarioEngine engine(std::move(spec));
     const std::string name = mech::CreateMechanism(mechanism_spec)->Name();
 
-    {
-      // Bound here only for the summary line; released before the engine
-      // binds its own copy.
-      const core::BoundSource source = core::BoundSource::Bind(source_spec);
-      std::cout << "Input (" << source.description() << "): "
-                << source.view().TraceCount() << " traces, "
-                << source.view().EventCount() << " events\n";
-    }
     // ---- Publish: the engine's single mechanism node IS the publication,
     // so the file and the report cannot disagree. ------------------------
     std::vector<model::EventStore> terminals;
     const core::Report report = engine.Run(&terminals);
+    std::cout << "Input (" << source_spec.Describe() << "): "
+              << engine.stats().source_traces << " traces, "
+              << engine.stats().source_events << " events\n";
     for (const core::ReportRow& row : report.rows()) {
       if (!row.evaluator.empty()) continue;
       // Only the mechanism node's own row has no evaluator.

@@ -65,13 +65,14 @@ int main(int argc, char** argv) {
   zone_config.time_window_s = 900;
   const mech::MixZone mixzone(zone_config);
   mech::MixZoneReport report;
-  model::Dataset published;
+  model::EventStore published;
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     util::Rng zone_rng(seed);
-    published = mixzone.ApplyWithReport(smoothed, zone_rng, report);
+    published = mixzone.ApplyToStoreWithReport(smoothed, zone_rng, report);
     if (report.swaps_applied > 0) break;
   }
-  if (!write("fig1c_swapped.geojson", model::ToGeoJson(published, options)))
+  if (!write("fig1c_swapped.geojson",
+             model::ToGeoJson(published.ToDataset(), options)))
     return 1;
   {
     // Zone centres live in the frame of the *smoothed* dataset projection.

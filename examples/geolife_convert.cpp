@@ -71,7 +71,8 @@ int main(int argc, char** argv) {
       const core::Anonymizer anonymizer;
       util::Rng rng(1);
       core::PipelineReport report;
-      sessions = anonymizer.ApplyWithReport(sessions, rng, report);
+      sessions =
+          anonymizer.ApplyToStoreWithReport(sessions, rng, report).ToDataset();
       std::cout << anonymizer.Name() << ":\n" << report.ToString() << "\n";
     }
     model::SaveDataset(sessions, cli.GetString("output"));

@@ -41,8 +41,8 @@ int main(int argc, char** argv) {
   util::Rng rng(99);
   const model::Dataset smoothed = smoothing.Apply(world.dataset(), rng);
   mech::MixZoneReport report;
-  const model::Dataset published =
-      mixzone.ApplyWithReport(smoothed, rng, report);
+  const model::EventStore published =
+      mixzone.ApplyToStoreWithReport(smoothed, rng, report);
 
   std::cout << "\nMix-zone detection on the constant-speed traces:\n  "
             << report.ToString() << "\n";
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     // The zone report's planar frame is the dataset projection.
     const geo::LocalProjection frame(smoothed.BoundingBox().Center());
     const auto outcomes = tracker.TrackThroughZone(
-        smoothed, published, frame, report.zones.front().center,
+        smoothed, published.View(), frame, report.zones.front().center,
         zone_config.zone_radius_m);
     std::cout << "\nTracker at zone 0:\n";
     for (const auto& o : outcomes) {

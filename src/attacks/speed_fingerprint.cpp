@@ -12,7 +12,7 @@ namespace mobipriv::attacks {
 namespace {
 
 /// Average speed of one trace, m/s; nullopt for degenerate traces.
-std::optional<double> TraceSpeed(const model::Trace& trace) {
+std::optional<double> TraceSpeed(const model::TraceView& trace) {
   if (trace.size() < 2) return std::nullopt;
   const auto duration = trace.Duration();
   if (duration <= 0) return std::nullopt;
@@ -24,9 +24,9 @@ std::optional<double> TraceSpeed(const model::Trace& trace) {
 }  // namespace
 
 std::vector<SpeedProfileModel> SpeedFingerprintAttack::BuildProfiles(
-    const model::Dataset& training) const {
+    const model::DatasetView& training) const {
   std::map<model::UserId, util::RunningStat> stats;
-  for (const auto& trace : training.traces()) {
+  for (const model::TraceView& trace : training.traces()) {
     if (const auto speed = TraceSpeed(trace)) {
       stats[trace.user()].Add(*speed);
     }
@@ -42,9 +42,9 @@ std::vector<SpeedProfileModel> SpeedFingerprintAttack::BuildProfiles(
 
 std::vector<SpeedLinkResult> SpeedFingerprintAttack::Attack(
     const std::vector<SpeedProfileModel>& profiles,
-    const model::Dataset& anonymized) const {
+    const model::DatasetView& anonymized) const {
   std::vector<SpeedLinkResult> results;
-  for (const auto& trace : anonymized.traces()) {
+  for (const model::TraceView& trace : anonymized.traces()) {
     const auto speed = TraceSpeed(trace);
     if (!speed) continue;
     SpeedLinkResult result;

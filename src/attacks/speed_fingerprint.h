@@ -13,7 +13,7 @@
 
 #include <vector>
 
-#include "model/dataset.h"
+#include "model/views.h"
 
 namespace mobipriv::attacks {
 
@@ -36,13 +36,13 @@ class SpeedFingerprintAttack {
   /// Builds per-user profiles from identified training data. Traces with
   /// zero duration or length are skipped.
   [[nodiscard]] std::vector<SpeedProfileModel> BuildProfiles(
-      const model::Dataset& training) const;
+      const model::DatasetView& training) const;
 
   /// Links each anonymized trace to the profile with the smallest
   /// |speed - mean| / max(stddev, floor).
   [[nodiscard]] std::vector<SpeedLinkResult> Attack(
       const std::vector<SpeedProfileModel>& profiles,
-      const model::Dataset& anonymized) const;
+      const model::DatasetView& anonymized) const;
 
   [[nodiscard]] static double Accuracy(
       const std::vector<SpeedLinkResult>& results);

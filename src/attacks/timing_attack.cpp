@@ -5,6 +5,8 @@
 #include <limits>
 #include <optional>
 
+#include "geo/distance.h"
+
 namespace mobipriv::attacks {
 namespace {
 
@@ -18,13 +20,13 @@ struct StreamHole {
 
 /// Finds the first consecutive fix pair whose connecting segment passes
 /// within the zone while neither endpoint is inside (the suppressed hole).
-StreamHole FindHole(const model::Trace& trace,
+StreamHole FindHole(const model::TraceView& trace,
                     const geo::LocalProjection& projection,
                     geo::Point2 center, double radius) {
   StreamHole hole;
   for (std::size_t i = 0; i + 1 < trace.size(); ++i) {
-    const geo::Point2 a = projection.Project(trace[i].position);
-    const geo::Point2 b = projection.Project(trace[i + 1].position);
+    const geo::Point2 a = projection.Project(trace.position(i));
+    const geo::Point2 b = projection.Project(trace.position(i + 1));
     if (geo::Distance(a, center) <= radius) continue;
     if (geo::Distance(b, center) <= radius) continue;
     if (geo::DistanceToSegment(center, a, b) <= radius) {
@@ -42,18 +44,18 @@ StreamHole FindHole(const model::Trace& trace,
 TimingAttack::TimingAttack(TimingAttackConfig config) : config_(config) {}
 
 std::vector<ZoneCrossing> TimingAttack::ObserveCrossings(
-    const model::Dataset& original, const model::Dataset& published,
+    const model::DatasetView& original, const model::DatasetView& published,
     const geo::LocalProjection& projection, geo::Point2 zone_center,
     double zone_radius_m) const {
   std::vector<ZoneCrossing> crossings;
-  for (const auto& stream : published.traces()) {
+  for (const model::TraceView& stream : published.traces()) {
     const StreamHole hole =
         FindHole(stream, projection, zone_center, zone_radius_m);
     if (!hole.found) continue;
     ZoneCrossing crossing;
     crossing.entry_pseudonym = stream.user();
-    crossing.entry_time = stream[hole.before].time;
-    crossing.exit_time = stream[hole.after].time;
+    crossing.entry_time = stream.time(hole.before);
+    crossing.exit_time = stream.time(hole.after);
     if (crossing.exit_time - crossing.entry_time > config_.max_transit_s) {
       continue;
     }
@@ -62,21 +64,21 @@ std::vector<ZoneCrossing> TimingAttack::ObserveCrossings(
     // an unmodified original event — find its original trace, then the
     // published pseudonym whose stream contains that user's first
     // post-entry fix outside the zone.
-    const model::Event& entry_event = stream[hole.before];
+    const model::Event entry_event = stream.event(hole.before);
     crossing.true_exit = model::kInvalidUser;
-    for (const auto& orig : original.traces()) {
+    for (const model::TraceView& orig : original.traces()) {
       bool owns_entry = false;
       std::optional<model::Event> continuation;
       for (std::size_t i = 0; i < orig.size(); ++i) {
-        if (orig[i].time == entry_event.time &&
-            geo::HaversineDistance(orig[i].position,
-                                   entry_event.position) < 1.0) {
+        if (orig.time(i) == entry_event.time &&
+            geo::HaversineDistance(orig.position(i), entry_event.position) <
+                1.0) {
           owns_entry = true;
           // First later fix outside the zone is the continuation.
           for (std::size_t j = i + 1; j < orig.size(); ++j) {
-            const geo::Point2 p = projection.Project(orig[j].position);
+            const geo::Point2 p = projection.Project(orig.position(j));
             if (geo::Distance(p, zone_center) > zone_radius_m) {
-              continuation = orig[j];
+              continuation = orig.event(j);
               break;
             }
           }
@@ -85,11 +87,11 @@ std::vector<ZoneCrossing> TimingAttack::ObserveCrossings(
       }
       if (!owns_entry) continue;
       if (continuation) {
-        for (const auto& candidate : published.traces()) {
+        for (const model::TraceView& candidate : published.traces()) {
           bool contains = false;
-          for (const auto& event : candidate) {
-            if (event.time == continuation->time &&
-                geo::HaversineDistance(event.position,
+          for (std::size_t k = 0; k < candidate.size(); ++k) {
+            if (candidate.time(k) == continuation->time &&
+                geo::HaversineDistance(candidate.position(k),
                                        continuation->position) < 1.0) {
               contains = true;
               break;

@@ -15,7 +15,7 @@
 
 #include "geo/point2.h"
 #include "geo/projection.h"
-#include "model/dataset.h"
+#include "model/views.h"
 
 namespace mobipriv::attacks {
 
@@ -52,7 +52,7 @@ class TimingAttack {
   /// the ground-truth continuation from `original` (which published
   /// pseudonym carries each entering physical user onward).
   [[nodiscard]] std::vector<ZoneCrossing> ObserveCrossings(
-      const model::Dataset& original, const model::Dataset& published,
+      const model::DatasetView& original, const model::DatasetView& published,
       const geo::LocalProjection& projection, geo::Point2 zone_center,
       double zone_radius_m) const;
 

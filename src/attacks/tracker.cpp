@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "geo/distance.h"
+
 namespace mobipriv::attacks {
 namespace {
 
@@ -14,13 +16,13 @@ struct ZonePassageView {
   bool found = false;
 };
 
-ZonePassageView FindFirstPassage(const model::Trace& trace,
+ZonePassageView FindFirstPassage(const model::TraceView& trace,
                                  const geo::LocalProjection& projection,
                                  geo::Point2 center, double radius) {
   ZonePassageView view;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const bool inside =
-        geo::Distance(projection.Project(trace[i].position), center) <=
+        geo::Distance(projection.Project(trace.position(i)), center) <=
         radius;
     if (inside && !view.found) {
       view.found = true;
@@ -44,12 +46,12 @@ MultiTargetTracker::MultiTargetTracker(TrackerConfig config)
 }
 
 std::vector<TrackingOutcome> MultiTargetTracker::TrackThroughZone(
-    const model::Dataset& original, const model::Dataset& published,
+    const model::DatasetView& original, const model::DatasetView& published,
     const geo::LocalProjection& projection, geo::Point2 zone_center,
     double zone_radius_m) const {
   std::vector<TrackingOutcome> outcomes;
 
-  for (const auto& target_trace : original.traces()) {
+  for (const model::TraceView& target_trace : original.traces()) {
     const auto passage =
         FindFirstPassage(target_trace, projection, zone_center,
                          zone_radius_m);
@@ -57,14 +59,13 @@ std::vector<TrackingOutcome> MultiTargetTracker::TrackThroughZone(
 
     // --- Adversary knowledge: movement up to the zone entry. ---
     const std::size_t entry = passage.enter_idx;
-    const geo::Point2 p_in =
-        projection.Project(target_trace[entry].position);
-    const util::Timestamp t_in = target_trace[entry].time;
+    const geo::Point2 p_in = projection.Project(target_trace.position(entry));
+    const util::Timestamp t_in = target_trace.time(entry);
     const std::size_t window =
         std::min(config_.velocity_window, entry);
     const geo::Point2 p_before =
-        projection.Project(target_trace[entry - window].position);
-    const util::Timestamp t_before = target_trace[entry - window].time;
+        projection.Project(target_trace.position(entry - window));
+    const util::Timestamp t_before = target_trace.time(entry - window);
     geo::Point2 velocity{};
     if (t_in > t_before) {
       velocity = (p_in - p_before) / static_cast<double>(t_in - t_before);
@@ -75,17 +76,17 @@ std::vector<TrackingOutcome> MultiTargetTracker::TrackThroughZone(
     std::size_t continuation_idx = passage.exit_idx + 1;
     while (continuation_idx < target_trace.size() &&
            geo::Distance(
-               projection.Project(target_trace[continuation_idx].position),
+               projection.Project(target_trace.position(continuation_idx)),
                zone_center) <= zone_radius_m) {
       ++continuation_idx;
     }
     if (continuation_idx >= target_trace.size()) continue;  // ends in zone
-    const model::Event& continuation = target_trace[continuation_idx];
+    const model::Event continuation = target_trace.event(continuation_idx);
     model::UserId truth = model::kInvalidUser;
-    for (const auto& pub : published.traces()) {
-      for (const auto& event : pub) {
-        if (event.time == continuation.time &&
-            geo::HaversineDistance(event.position, continuation.position) <
+    for (const model::TraceView& pub : published.traces()) {
+      for (std::size_t k = 0; k < pub.size(); ++k) {
+        if (pub.time(k) == continuation.time &&
+            geo::HaversineDistance(pub.position(k), continuation.position) <
                 1.0) {
           truth = pub.user();
           break;
@@ -100,16 +101,17 @@ std::vector<TrackingOutcome> MultiTargetTracker::TrackThroughZone(
     outcome.target = target_trace.user();
     outcome.truth = truth;
     double best_error = std::numeric_limits<double>::infinity();
-    for (const auto& pub : published.traces()) {
+    for (const model::TraceView& pub : published.traces()) {
       // First published fix after t_in that is outside the zone: the
       // candidate exit of this pseudonym.
-      for (const auto& event : pub) {
-        if (event.time <= t_in) continue;
-        if (event.time - t_in > config_.max_transit_s) break;
-        const geo::Point2 p = projection.Project(event.position);
+      for (std::size_t k = 0; k < pub.size(); ++k) {
+        const util::Timestamp time = pub.time(k);
+        if (time <= t_in) continue;
+        if (time - t_in > config_.max_transit_s) break;
+        const geo::Point2 p = projection.Project(pub.position(k));
         if (geo::Distance(p, zone_center) <= zone_radius_m) continue;
         const geo::Point2 predicted =
-            p_in + velocity * static_cast<double>(event.time - t_in);
+            p_in + velocity * static_cast<double>(time - t_in);
         const double error = geo::Distance(p, predicted);
         if (error < best_error) {
           best_error = error;

@@ -18,7 +18,7 @@
 #include "geo/point2.h"
 #include "geo/projection.h"
 #include "mechanisms/mixzone.h"
-#include "model/dataset.h"
+#include "model/views.h"
 
 namespace mobipriv::attacks {
 
@@ -56,7 +56,7 @@ class MultiTargetTracker {
   /// `original` provides the pre-zone movement the adversary observed.
   /// Returns one outcome per tracked target.
   [[nodiscard]] std::vector<TrackingOutcome> TrackThroughZone(
-      const model::Dataset& original, const model::Dataset& published,
+      const model::DatasetView& original, const model::DatasetView& published,
       const geo::LocalProjection& projection, geo::Point2 zone_center,
       double zone_radius_m) const;
 

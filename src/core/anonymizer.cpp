@@ -98,10 +98,4 @@ model::EventStore Anonymizer::ApplyToStoreWithReport(
   return output;
 }
 
-model::Dataset Anonymizer::ApplyWithReport(const model::Dataset& input,
-                                           util::Rng& rng,
-                                           PipelineReport& report) const {
-  return ApplyToStoreWithReport(input, rng, report).ToDataset();
-}
-
 }  // namespace mobipriv::core

@@ -50,11 +50,6 @@ class Anonymizer final : public mech::Mechanism {
       const model::DatasetView& input, util::Rng& rng,
       PipelineReport& report) const;
 
-  /// AoS adapter over ApplyToStoreWithReport, for Dataset-holding callers.
-  [[nodiscard]] model::Dataset ApplyWithReport(const model::Dataset& input,
-                                               util::Rng& rng,
-                                               PipelineReport& report) const;
-
  private:
   AnonymizerConfig config_;
   mech::SpeedSmoothing speed_;

@@ -701,6 +701,8 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
         const model::MappedColumnar mapped =
             model::MapColumnar(model::ShardDataPath(plan.dir, s));
         for (const model::TraceView& trace : original_views(mapped, s)) {
+          ++stats_.source_traces;
+          stats_.source_events += trace.size();
           original_bbox.Extend(trace.BoundingBox());
           if (!trace.empty()) {
             t_min = std::min(t_min, trace.time(0));
@@ -820,6 +822,8 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
   stats_.bind_ms += std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - bind_start)
                         .count();
+  stats_.source_traces = source.view().TraceCount();
+  stats_.source_events = source.view().EventCount();
 
   const geo::LocalProjection frame =
       attacks::DatasetProjection(source.view());

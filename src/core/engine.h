@@ -159,6 +159,11 @@ struct EngineStats {
   std::size_t skipped_nodes = 0;
   double bind_ms = 0.0;             ///< source open/map/parse time
   double run_ms = 0.0;              ///< DAG execution wall clock
+  /// Traces and events of the bound source (the whole view, or pass 0's
+  /// scan of every shard). Left out of ToString(): the stats line is a
+  /// parsed format (CI greps, perfbench regexes).
+  std::size_t source_traces = 0;
+  std::size_t source_events = 0;
 
   [[nodiscard]] std::string ToString() const;
 };

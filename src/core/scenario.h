@@ -4,8 +4,9 @@
 // (mechanisms/registry.h), a list of evaluator spec strings
 // (core/evaluator.h), the seeds of the grid and an optional thread
 // override. core/engine.h compiles the spec into a task DAG and executes
-// it; every bench binary is now a spec plus a table dump instead of its
-// own mechanism loop.
+// it. The engine-backed benches are a spec plus a table dump; the figure
+// benches (bench_fig1_pipeline, bench_mixzone_sweep, bench_sampling_rate,
+// bench_ablation) still run their own mechanism loops.
 //
 // The dataset source abstracts every way the library can obtain data:
 //   * a CSV / Geolife text file (parsed once at bind time),

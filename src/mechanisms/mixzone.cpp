@@ -780,12 +780,6 @@ model::EventStore MixZone::ApplyToStore(const model::DatasetView& input,
   return ApplyToStoreWithReport(input, rng, report);
 }
 
-model::Dataset MixZone::ApplyWithReport(const model::Dataset& input,
-                                        util::Rng& rng,
-                                        MixZoneReport& report) const {
-  return ApplyToStoreWithReport(input, rng, report).ToDataset();
-}
-
 model::EventStore MixZone::ApplyToStoreWithReport(
     const model::DatasetView& input, util::Rng& rng,
     MixZoneReport& report) const {

@@ -94,11 +94,6 @@ class MixZone final : public Mechanism {
   [[nodiscard]] model::EventStore ApplyToStore(const model::DatasetView& input,
                                                util::Rng& rng) const override;
 
-  /// AoS adapter over ApplyToStoreWithReport, for Dataset-holding callers.
-  [[nodiscard]] model::Dataset ApplyWithReport(const model::Dataset& input,
-                                               util::Rng& rng,
-                                               MixZoneReport& report) const;
-
   /// ApplyToStore variant that also returns the detection/swap report.
   [[nodiscard]] model::EventStore ApplyToStoreWithReport(
       const model::DatasetView& input, util::Rng& rng,

@@ -3,47 +3,49 @@
 #include <cmath>
 #include <sstream>
 
+#include "geo/distance.h"
+
 namespace mobipriv::model {
 
-std::vector<double> InterEventDistances(const Trace& trace) {
+std::vector<double> InterEventDistances(const TraceView& trace) {
   std::vector<double> out;
   if (trace.size() < 2) return out;
   out.reserve(trace.size() - 1);
   for (std::size_t i = 1; i < trace.size(); ++i) {
     out.push_back(
-        geo::HaversineDistance(trace[i - 1].position, trace[i].position));
+        geo::HaversineDistance(trace.position(i - 1), trace.position(i)));
   }
   return out;
 }
 
-std::vector<double> InterEventIntervals(const Trace& trace) {
+std::vector<double> InterEventIntervals(const TraceView& trace) {
   std::vector<double> out;
   if (trace.size() < 2) return out;
   out.reserve(trace.size() - 1);
   for (std::size_t i = 1; i < trace.size(); ++i) {
-    out.push_back(static_cast<double>(trace[i].time - trace[i - 1].time));
+    out.push_back(static_cast<double>(trace.time(i) - trace.time(i - 1)));
   }
   return out;
 }
 
-std::vector<double> SpeedProfile(const Trace& trace) {
+std::vector<double> SpeedProfile(const TraceView& trace) {
   std::vector<double> out;
   if (trace.size() < 2) return out;
   out.reserve(trace.size() - 1);
   for (std::size_t i = 1; i < trace.size(); ++i) {
-    const auto dt = trace[i].time - trace[i - 1].time;
+    const auto dt = trace.time(i) - trace.time(i - 1);
     if (dt <= 0) {
       out.push_back(0.0);
       continue;
     }
     const double dist =
-        geo::HaversineDistance(trace[i - 1].position, trace[i].position);
+        geo::HaversineDistance(trace.position(i - 1), trace.position(i));
     out.push_back(dist / static_cast<double>(dt));
   }
   return out;
 }
 
-double SpeedCoefficientOfVariation(const Trace& trace) {
+double SpeedCoefficientOfVariation(const TraceView& trace) {
   const auto speeds = SpeedProfile(trace);
   if (speeds.size() < 2) return 0.0;
   util::RunningStat rs;
@@ -52,7 +54,7 @@ double SpeedCoefficientOfVariation(const Trace& trace) {
   return rs.Stddev() / rs.Mean();
 }
 
-DatasetStats ComputeDatasetStats(const Dataset& dataset) {
+DatasetStats ComputeDatasetStats(const DatasetView& dataset) {
   DatasetStats stats;
   stats.users = dataset.UserCount();
   stats.traces = dataset.TraceCount();

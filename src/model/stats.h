@@ -7,28 +7,27 @@
 #include <string>
 #include <vector>
 
-#include "model/dataset.h"
-#include "model/trace.h"
+#include "model/views.h"
 #include "util/statistics.h"
 
 namespace mobipriv::model {
 
 /// Distance in metres between each pair of consecutive events
 /// (size = trace.size() - 1; empty for traces with < 2 events).
-[[nodiscard]] std::vector<double> InterEventDistances(const Trace& trace);
+[[nodiscard]] std::vector<double> InterEventDistances(const TraceView& trace);
 
 /// Seconds between each pair of consecutive events.
-[[nodiscard]] std::vector<double> InterEventIntervals(const Trace& trace);
+[[nodiscard]] std::vector<double> InterEventIntervals(const TraceView& trace);
 
 /// Instantaneous speed (m/s) on each segment; segments with dt == 0
 /// contribute 0 to avoid infinities (flagged separately by callers if
 /// needed).
-[[nodiscard]] std::vector<double> SpeedProfile(const Trace& trace);
+[[nodiscard]] std::vector<double> SpeedProfile(const TraceView& trace);
 
 /// Coefficient of variation (stddev/mean) of the speed profile; 0 for
 /// traces with < 2 segments or zero mean speed. The paper's stage-1
 /// guarantee is exactly "this is ~0 after anonymization".
-[[nodiscard]] double SpeedCoefficientOfVariation(const Trace& trace);
+[[nodiscard]] double SpeedCoefficientOfVariation(const TraceView& trace);
 
 /// Aggregate descriptive statistics of one dataset.
 struct DatasetStats {
@@ -43,6 +42,6 @@ struct DatasetStats {
   [[nodiscard]] std::string ToString() const;
 };
 
-[[nodiscard]] DatasetStats ComputeDatasetStats(const Dataset& dataset);
+[[nodiscard]] DatasetStats ComputeDatasetStats(const DatasetView& dataset);
 
 }  // namespace mobipriv::model

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "model/views.h"
+
 namespace mobipriv::model {
 
 Trace::Trace(UserId user, std::vector<Event> events)
@@ -12,7 +14,7 @@ void Trace::SortByTime() {
 }
 
 bool Trace::IsTimeOrdered() const noexcept {
-  return std::is_sorted(events_.begin(), events_.end(), EventTimeLess{});
+  return TraceView(*this).IsTimeOrdered();
 }
 
 util::Timestamp Trace::Duration() const noexcept {
@@ -21,12 +23,7 @@ util::Timestamp Trace::Duration() const noexcept {
 }
 
 double Trace::LengthMeters() const noexcept {
-  double total = 0.0;
-  for (std::size_t i = 1; i < events_.size(); ++i) {
-    total += geo::HaversineDistance(events_[i - 1].position,
-                                    events_[i].position);
-  }
-  return total;
+  return TraceView(*this).LengthMeters();
 }
 
 std::vector<geo::LatLng> Trace::Positions() const {

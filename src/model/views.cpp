@@ -16,6 +16,13 @@ TraceView::TraceView(const Trace& trace) : user_(trace.user()) {
   time_ = StridedSpan<util::Timestamp>(&base->time, n, sizeof(Event));
 }
 
+bool TraceView::IsTimeOrdered() const noexcept {
+  for (std::size_t i = 1; i < size(); ++i) {
+    if (time(i) < time(i - 1)) return false;
+  }
+  return true;
+}
+
 double TraceView::LengthMeters() const noexcept {
   double total = 0.0;
   for (std::size_t i = 1; i < size(); ++i) {

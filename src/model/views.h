@@ -95,13 +95,16 @@ class TraceView {
     return Event{position(i), time_[i]};
   }
 
+  /// True if times are non-decreasing (Trace::IsTimeOrdered's rule).
+  [[nodiscard]] bool IsTimeOrdered() const noexcept;
+
   /// Duration in seconds between first and last fix (0 if < 2 events).
   [[nodiscard]] util::Timestamp Duration() const noexcept {
     return size() < 2 ? 0 : time_[size() - 1] - time_[0];
   }
 
-  /// Geographic path length in metres (haversine over consecutive fixes) —
-  /// same arithmetic as Trace::LengthMeters, term for term.
+  /// Geographic path length in metres (haversine over consecutive fixes;
+  /// Trace::LengthMeters runs this body).
   [[nodiscard]] double LengthMeters() const noexcept;
 
   [[nodiscard]] geo::GeoBoundingBox BoundingBox() const;

@@ -54,14 +54,14 @@ std::string CertificationReport::ToString() const {
   return os.str();
 }
 
-CertificationReport CertifyConstantSpeed(const model::Dataset& published,
+CertificationReport CertifyConstantSpeed(const model::DatasetView& published,
                                          const CertificationConfig& config) {
   CertificationReport report;
   const attacks::PoiExtractor screener(config.screening);
   const auto projection = attacks::DatasetProjection(published);
 
-  for (std::size_t i = 0; i < published.traces().size(); ++i) {
-    const auto& trace = published.traces()[i];
+  for (std::size_t i = 0; i < published.TraceCount(); ++i) {
+    const model::TraceView& trace = published.trace(i);
     if (!trace.IsTimeOrdered()) {
       report.violations.push_back(
           {CertificationViolation::Kind::kUnorderedTimestamps, i,

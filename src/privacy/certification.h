@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "attacks/poi_extraction.h"
-#include "model/dataset.h"
+#include "model/views.h"
 
 namespace mobipriv::privacy {
 
@@ -56,8 +56,10 @@ struct CertificationReport {
   [[nodiscard]] std::string ToString() const;
 };
 
-/// Runs every check against the published dataset.
+/// Runs every check against the published dataset. Stays are screened in
+/// the published dataset's own frame (DatasetProjection(published)).
 [[nodiscard]] CertificationReport CertifyConstantSpeed(
-    const model::Dataset& published, const CertificationConfig& config = {});
+    const model::DatasetView& published,
+    const CertificationConfig& config = {});
 
 }  // namespace mobipriv::privacy

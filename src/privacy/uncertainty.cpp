@@ -27,7 +27,7 @@ std::string UncertaintyReport::ToString() const {
 }
 
 UncertaintyReport MeasureMixingUncertainty(
-    const model::Dataset& dataset, const mech::MixZoneReport& report) {
+    const model::DatasetView& dataset, const mech::MixZoneReport& report) {
   UncertaintyReport out;
   std::map<model::UserId, UserUncertainty> per_user;
   for (model::UserId id = 0; id < dataset.UserCount(); ++id) {

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "mechanisms/mixzone.h"
-#include "model/dataset.h"
+#include "model/views.h"
 
 namespace mobipriv::privacy {
 
@@ -39,6 +39,6 @@ struct UncertaintyReport {
 /// generated. `dataset` supplies the user universe (users with no traversal
 /// appear with 0 bits — the honest "this user was not protected" signal).
 [[nodiscard]] UncertaintyReport MeasureMixingUncertainty(
-    const model::Dataset& dataset, const mech::MixZoneReport& report);
+    const model::DatasetView& dataset, const mech::MixZoneReport& report);
 
 }  // namespace mobipriv::privacy

@@ -77,7 +77,8 @@ TEST(Anonymizer, ReportAccounting) {
   util::Rng rng(3);
   PipelineReport report;
   const model::Dataset published =
-      anonymizer.ApplyWithReport(world.dataset(), rng, report);
+      anonymizer.ApplyToStoreWithReport(world.dataset(), rng, report)
+          .ToDataset();
   EXPECT_EQ(report.input_events, world.dataset().EventCount());
   EXPECT_EQ(report.input_traces, world.dataset().TraceCount());
   EXPECT_EQ(report.output_events, published.EventCount());

@@ -19,7 +19,8 @@ model::Dataset RawWorld() {
 }
 
 TEST(Certification, RejectsRawData) {
-  const auto report = CertifyConstantSpeed(RawWorld());
+  const model::Dataset raw = RawWorld();
+  const auto report = CertifyConstantSpeed(raw);
   EXPECT_FALSE(report.Certified());
   EXPECT_GT(report.violations.size(), 0u);
   // Raw data violates in multiple ways: non-uniform spacing AND residual

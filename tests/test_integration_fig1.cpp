@@ -64,7 +64,7 @@ TEST_F(Figure1Test, PanelC_NaturalCrossingBecomesAMixZone) {
   config.time_window_s = 900;
   const mech::MixZone mixzone(config);
   mech::MixZoneReport report;
-  (void)mixzone.ApplyWithReport(smoothed, rng, report);
+  (void)mixzone.ApplyToStoreWithReport(smoothed, rng, report);
   EXPECT_GE(report.occurrences, 1u);
   // The zone sits near the shared commute hub.
   const geo::Point2 hub = world_.universe()
@@ -93,8 +93,8 @@ TEST_F(Figure1Test, PanelC_SwapExchangesSuffixesWhenDrawn) {
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     util::Rng zone_rng(seed);
     mech::MixZoneReport report;
-    const model::Dataset published =
-        mixzone.ApplyWithReport(smoothed, zone_rng, report);
+    const model::EventStore published =
+        mixzone.ApplyToStoreWithReport(smoothed, zone_rng, report);
     if (report.swaps_applied == 0) continue;
     // Event conservation still holds.
     EXPECT_EQ(published.EventCount() + report.suppressed_events,

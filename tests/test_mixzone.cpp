@@ -57,7 +57,8 @@ TEST(MixZone, DetectsTheNaturalCrossing) {
   const MixZone mechanism;
   util::Rng rng(1);
   MixZoneReport report;
-  (void)mechanism.ApplyWithReport(CrossingPair(), rng, report);
+  const model::Dataset input = CrossingPair();
+  (void)mechanism.ApplyToStoreWithReport(input, rng, report);
   EXPECT_GT(report.encounters, 0u);
   EXPECT_GE(report.zones.size(), 1u);
   EXPECT_GE(report.occurrences, 1u);
@@ -69,8 +70,9 @@ TEST(MixZone, NoMeetingNoZone) {
   const MixZone mechanism;
   util::Rng rng(1);
   MixZoneReport report;
-  const model::Dataset out =
-      mechanism.ApplyWithReport(DisjointTimesPair(), rng, report);
+  const model::Dataset input = DisjointTimesPair();
+  const model::EventStore out =
+      mechanism.ApplyToStoreWithReport(input, rng, report);
   EXPECT_EQ(report.occurrences, 0u);
   EXPECT_EQ(report.swaps_applied, 0u);
   EXPECT_EQ(report.suppressed_events, 0u);
@@ -81,8 +83,9 @@ TEST(MixZone, SuppressesInZonePoints) {
   const MixZone mechanism;  // radius 150 m
   util::Rng rng(1);
   MixZoneReport report;
+  const model::Dataset input = CrossingPair();
   const model::Dataset out =
-      mechanism.ApplyWithReport(CrossingPair(), rng, report);
+      mechanism.ApplyToStoreWithReport(input, rng, report).ToDataset();
   EXPECT_GT(report.suppressed_events, 0u);
   EXPECT_EQ(out.EventCount() + report.suppressed_events,
             report.total_events);
@@ -105,8 +108,9 @@ TEST(MixZone, SuppressionOffKeepsEverything) {
   const MixZone mechanism(config);
   util::Rng rng(1);
   MixZoneReport report;
-  const model::Dataset out =
-      mechanism.ApplyWithReport(CrossingPair(), rng, report);
+  const model::Dataset input = CrossingPair();
+  const model::EventStore out =
+      mechanism.ApplyToStoreWithReport(input, rng, report);
   EXPECT_EQ(report.suppressed_events, 0u);
   EXPECT_EQ(out.EventCount(), report.total_events);
 }
@@ -123,7 +127,7 @@ TEST(MixZone, SwapExchangesSuffixes) {
     util::Rng rng(seed);
     MixZoneReport report;
     const model::Dataset out =
-        mechanism.ApplyWithReport(input, rng, report);
+        mechanism.ApplyToStoreWithReport(input, rng, report).ToDataset();
     if (report.swaps_applied == 0) continue;
     verified_swap = true;
     // After the swap, identity A's trace must end at B's destination
@@ -154,7 +158,8 @@ TEST(MixZone, IdentityPermutationLeavesTracesIntact) {
     const MixZone mechanism;
     util::Rng rng(seed);
     MixZoneReport report;
-    const model::Dataset out = mechanism.ApplyWithReport(input, rng, report);
+    const model::Dataset out =
+        mechanism.ApplyToStoreWithReport(input, rng, report).ToDataset();
     if (report.swaps_applied != 0) continue;
     const geo::LocalProjection projection(kOrigin);
     const auto a = out.FindUser("A");
@@ -173,7 +178,8 @@ TEST(MixZone, ReportAccounting) {
   const MixZone mechanism;
   util::Rng rng(3);
   MixZoneReport report;
-  (void)mechanism.ApplyWithReport(CrossingPair(), rng, report);
+  const model::Dataset input = CrossingPair();
+  (void)mechanism.ApplyToStoreWithReport(input, rng, report);
   EXPECT_EQ(report.total_events, CrossingPair().EventCount());
   EXPECT_EQ(report.anonymity_set_sizes.size(), report.occurrences);
   EXPECT_GE(report.SuppressionRatio(), 0.0);
@@ -187,7 +193,8 @@ TEST(MixZone, MinUsersThresholdRespected) {
   const MixZone mechanism(config);
   util::Rng rng(1);
   MixZoneReport report;
-  (void)mechanism.ApplyWithReport(CrossingPair(), rng, report);
+  const model::Dataset input = CrossingPair();
+  (void)mechanism.ApplyToStoreWithReport(input, rng, report);
   EXPECT_EQ(report.occurrences, 0u);
   EXPECT_EQ(report.swaps_applied, 0u);
 }
@@ -196,8 +203,9 @@ TEST(MixZone, EmptyDataset) {
   const MixZone mechanism;
   util::Rng rng(1);
   MixZoneReport report;
-  const model::Dataset out =
-      mechanism.ApplyWithReport(model::Dataset{}, rng, report);
+  const model::Dataset empty;
+  const model::EventStore out =
+      mechanism.ApplyToStoreWithReport(empty, rng, report);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(report.occurrences, 0u);
 }
@@ -216,7 +224,8 @@ TEST(MixZone, SingleUserNeverMixes) {
   const MixZone mechanism;
   util::Rng rng(1);
   MixZoneReport report;
-  const model::Dataset out = mechanism.ApplyWithReport(dataset, rng, report);
+  const model::EventStore out =
+      mechanism.ApplyToStoreWithReport(dataset, rng, report);
   EXPECT_EQ(report.encounters, 0u);
   EXPECT_EQ(out.EventCount(), dataset.EventCount());
 }

@@ -2,31 +2,39 @@
 
 #include <gtest/gtest.h>
 
+#include "model/dataset.h"
+
 namespace mobipriv::model {
 namespace {
 
-Trace ConstantSpeedTrace() {
+// The kernels take views, and a view over a temporary does not compile
+// (model/views.h), so the fixtures are named statics.
+const Trace& ConstantSpeedTrace() {
   // Equal hops (~1112 m) and equal intervals (100 s).
-  return Trace(1, {{{45.00, 4.0}, 0},
-                   {{45.01, 4.0}, 100},
-                   {{45.02, 4.0}, 200},
-                   {{45.03, 4.0}, 300}});
+  static const Trace trace(1, {{{45.00, 4.0}, 0},
+                               {{45.01, 4.0}, 100},
+                               {{45.02, 4.0}, 200},
+                               {{45.03, 4.0}, 300}});
+  return trace;
 }
 
-Trace StopAndGoTrace() {
+const Trace& StopAndGoTrace() {
   // Stationary for 2000 s (two segments), then a fast hop: speeds
   // {0, 0, v} have CV = sqrt(2) > 1.
-  return Trace(1, {{{45.00, 4.0}, 0},
-                   {{45.00, 4.0}, 1000},
-                   {{45.00, 4.0}, 2000},
-                   {{45.05, 4.0}, 2100}});
+  static const Trace trace(1, {{{45.00, 4.0}, 0},
+                               {{45.00, 4.0}, 1000},
+                               {{45.00, 4.0}, 2000},
+                               {{45.05, 4.0}, 2100}});
+  return trace;
 }
+
+const Trace kEmptyTrace;
 
 TEST(InterEventDistances, Values) {
   const auto d = InterEventDistances(ConstantSpeedTrace());
   ASSERT_EQ(d.size(), 3u);
   for (const double x : d) EXPECT_NEAR(x, 1112.0, 2.0);
-  EXPECT_TRUE(InterEventDistances(Trace{}).empty());
+  EXPECT_TRUE(InterEventDistances(kEmptyTrace).empty());
 }
 
 TEST(InterEventIntervals, Values) {
@@ -56,7 +64,7 @@ TEST(SpeedCoefficientOfVariation, DiscriminatesStops) {
 }
 
 TEST(SpeedCoefficientOfVariation, DegenerateTraces) {
-  EXPECT_DOUBLE_EQ(SpeedCoefficientOfVariation(Trace{}), 0.0);
+  EXPECT_DOUBLE_EQ(SpeedCoefficientOfVariation(kEmptyTrace), 0.0);
   Trace two(1, {{{45.0, 4.0}, 0}, {{45.1, 4.0}, 10}});
   EXPECT_DOUBLE_EQ(SpeedCoefficientOfVariation(two), 0.0);  // single segment
 }
@@ -76,7 +84,8 @@ TEST(ComputeDatasetStats, Aggregates) {
 }
 
 TEST(ComputeDatasetStats, EmptyDataset) {
-  const DatasetStats stats = ComputeDatasetStats(Dataset{});
+  const Dataset empty;
+  const DatasetStats stats = ComputeDatasetStats(empty);
   EXPECT_EQ(stats.users, 0u);
   EXPECT_EQ(stats.events, 0u);
 }

@@ -71,7 +71,8 @@ TEST(ParallelDeterminism, AnonymizerPipelineIsWorkerCountInvariant) {
   model::Dataset serial;
   {
     const util::ScopedParallelism one(1);
-    serial = anonymizer.ApplyWithReport(input, serial_rng, serial_report);
+    serial = anonymizer.ApplyToStoreWithReport(input, serial_rng, serial_report)
+                 .ToDataset();
   }
 
   core::PipelineReport parallel_report;
@@ -79,7 +80,9 @@ TEST(ParallelDeterminism, AnonymizerPipelineIsWorkerCountInvariant) {
   model::Dataset parallel;
   {
     const util::ScopedParallelism eight(8);
-    parallel = anonymizer.ApplyWithReport(input, parallel_rng, parallel_report);
+    parallel =
+        anonymizer.ApplyToStoreWithReport(input, parallel_rng, parallel_report)
+            .ToDataset();
   }
 
   ExpectDatasetsIdentical(serial, parallel);

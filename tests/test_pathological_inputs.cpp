@@ -187,7 +187,7 @@ TEST(PathologicalInputs, PerfectTwinsMixEverywhere) {
     mech::MixZone mixzone;
     util::Rng rng(1);
     mech::MixZoneReport report;
-    const auto output = mixzone.ApplyWithReport(dataset, rng, report);
+    const auto output = mixzone.ApplyToStoreWithReport(dataset, rng, report);
     EXPECT_GT(report.encounters, 0u);
     EXPECT_EQ(output.EventCount() + report.suppressed_events,
               dataset.EventCount());

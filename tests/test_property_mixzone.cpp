@@ -39,8 +39,8 @@ TEST_P(MixZoneProperty, EventConservation) {
   const auto mechanism = MakeMechanism();
   util::Rng rng(1);
   MixZoneReport report;
-  const model::Dataset output =
-      mechanism.ApplyWithReport(Input(), rng, report);
+  const model::EventStore output =
+      mechanism.ApplyToStoreWithReport(Input(), rng, report);
   EXPECT_EQ(report.total_events, Input().EventCount());
   EXPECT_EQ(output.EventCount() + report.suppressed_events,
             report.total_events);
@@ -72,7 +72,7 @@ TEST_P(MixZoneProperty, NoPublishedPointInsideAnyZone) {
   util::Rng rng(3);
   MixZoneReport report;
   const model::Dataset output =
-      mechanism.ApplyWithReport(Input(), rng, report);
+      mechanism.ApplyToStoreWithReport(Input(), rng, report).ToDataset();
   const geo::LocalProjection projection(Input().BoundingBox().Center());
   // Points inside a detected zone during its episodes are suppressed; a
   // published point may only be inside a zone disc outside episode times.
@@ -105,7 +105,7 @@ TEST_P(MixZoneProperty, AnonymitySetsMeetTheFloor) {
   const auto mechanism = MakeMechanism();
   util::Rng rng(4);
   MixZoneReport report;
-  (void)mechanism.ApplyWithReport(Input(), rng, report);
+  (void)mechanism.ApplyToStoreWithReport(Input(), rng, report);
   for (const auto size : report.anonymity_set_sizes) {
     EXPECT_GE(size, 2u);
   }
@@ -129,7 +129,7 @@ TEST_P(MixZoneProperty, SwapsNeverExceedOccurrences) {
   const auto mechanism = MakeMechanism();
   util::Rng rng(6);
   MixZoneReport report;
-  (void)mechanism.ApplyWithReport(Input(), rng, report);
+  (void)mechanism.ApplyToStoreWithReport(Input(), rng, report);
   EXPECT_LE(report.swaps_applied, report.occurrences);
   EXPECT_LE(report.zones.size(), report.occurrences + 1);
 }

@@ -146,15 +146,16 @@ TEST(ScenarioEngine, MpcSourceFeedsGridWithoutFullMaterialize) {
   core::ScenarioSpec spec;
   spec.source = core::DatasetSourceSpec::ColumnarFile(mpc);
   // Per-trace mechanisms stream the mmap'd view trace by trace; mixzone
-  // is whole-dataset but SoA-native end to end — detection reads the
-  // view's columns and reassembly writes store columns directly. (The
-  // remaining whole-dataset mechanisms, ours/wait4me, materialize their
-  // working set by design — that is their documented adapter.)
+  // and ours are whole-dataset but SoA-native end to end — detection
+  // reads the view's columns and reassembly writes store columns
+  // directly. wait4me assembles its output through an AoS Dataset, but
+  // reads its input through the view without calling Materialize. The
+  // privacy evaluators read the same views.
   spec.mechanisms = {"speed_smoothing", "geo_ind[eps=0.01]",
                      "geo_ind[eps=0.1]", "cloaking", "gaussian",
-                     "downsampling", "mixzone"};
+                     "downsampling", "mixzone", "ours", "wait4me"};
   spec.evaluators = {"spatial_distortion", "coverage", "trajectory_stats",
-                     "poi_attack"};
+                     "poi_attack", "certification", "uncertainty"};
   spec.seeds = {5};
 
   const std::size_t before = model::FullMaterializeCount();
@@ -170,8 +171,8 @@ TEST(ScenarioEngine, MpcSourceFeedsGridWithoutFullMaterialize) {
   EXPECT_EQ(model::TraceCopyCount(), copies_before)
       << "a mechanism or evaluator built an owning Trace from a view on "
          "the store path";
-  EXPECT_EQ(engine.stats().mechanism_nodes, 7u);
-  EXPECT_EQ(engine.stats().evaluator_nodes, 28u);
+  EXPECT_EQ(engine.stats().mechanism_nodes, 9u);
+  EXPECT_EQ(engine.stats().evaluator_nodes, 54u);
   EXPECT_FALSE(report.rows().empty());
   fs::remove_all(dir);
 }

@@ -77,6 +77,8 @@ TEST(ShardStream, ReportByteIdenticalToWholeView) {
   core::ScenarioEngine whole(spec);
   const std::string reference = whole.Run().ToCsv();
   EXPECT_EQ(whole.stats().streamed_shards, 0u);
+  EXPECT_EQ(whole.stats().source_traces, World().TraceCount());
+  EXPECT_EQ(whole.stats().source_events, World().EventCount());
 
   // Streamed: same grid over the shard dir, at two thread counts. The
   // full-materialize and trace-copy counters stay flat — out-of-core
@@ -91,6 +93,9 @@ TEST(ShardStream, ReportByteIdenticalToWholeView) {
     core::ScenarioEngine streamed(std::move(streamed_spec));
     const core::Report report = streamed.Run();
     EXPECT_EQ(streamed.stats().streamed_shards, 6u) << "threads=" << threads;
+    // Pass 0 counts the source it scans, as the whole-view bind does.
+    EXPECT_EQ(streamed.stats().source_traces, whole.stats().source_traces);
+    EXPECT_EQ(streamed.stats().source_events, whole.stats().source_events);
     EXPECT_TRUE(report.AllOk());
     EXPECT_EQ(report.ToCsv(), reference) << "threads=" << threads;
     EXPECT_EQ(model::FullMaterializeCount(), materialized_before);

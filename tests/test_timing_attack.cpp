@@ -37,12 +37,13 @@ TEST(TimingAttack, ObservesCrossingsWithGroundTruth) {
   const mech::MixZone mixzone;  // radius 150 m, suppression on
   util::Rng rng(1);
   mech::MixZoneReport report;
-  const model::Dataset published =
-      mixzone.ApplyWithReport(original, rng, report);
+  const model::EventStore published =
+      mixzone.ApplyToStoreWithReport(original, rng, report);
   ASSERT_GE(report.occurrences, 1u);
   const TimingAttack attack;
-  const auto crossings = attack.ObserveCrossings(
-      original, published, projection, report.zones.front().center, 150.0);
+  const auto crossings =
+      attack.ObserveCrossings(original, published.View(), projection,
+                              report.zones.front().center, 150.0);
   ASSERT_EQ(crossings.size(), 2u);
   for (const auto& c : crossings) {
     EXPECT_LT(c.entry_time, c.exit_time);
@@ -61,12 +62,13 @@ TEST(TimingAttack, SymmetricCrossingIsAmbiguous) {
   const mech::MixZone mixzone;
   util::Rng rng(2);
   mech::MixZoneReport report;
-  const model::Dataset published =
-      mixzone.ApplyWithReport(original, rng, report);
+  const model::EventStore published =
+      mixzone.ApplyToStoreWithReport(original, rng, report);
   ASSERT_GE(report.occurrences, 1u);
   const TimingAttack attack;
-  auto crossings = attack.ObserveCrossings(
-      original, published, projection, report.zones.front().center, 150.0);
+  auto crossings =
+      attack.ObserveCrossings(original, published.View(), projection,
+                              report.zones.front().center, 150.0);
   const auto matches = attack.Match(std::move(crossings));
   ASSERT_EQ(matches.size(), 2u);
   for (const auto& m : matches) {
@@ -106,12 +108,13 @@ TEST(TimingAttack, DistinctTransitTimesAreLinkable) {
   const mech::MixZone mixzone(config);
   util::Rng rng(3);
   mech::MixZoneReport report;
-  const model::Dataset published =
-      mixzone.ApplyWithReport(original, rng, report);
+  const model::EventStore published =
+      mixzone.ApplyToStoreWithReport(original, rng, report);
   if (report.occurrences == 0) GTEST_SKIP() << "no temporal overlap";
   const TimingAttack attack;
-  auto crossings = attack.ObserveCrossings(
-      original, published, projection, report.zones.front().center, 150.0);
+  auto crossings =
+      attack.ObserveCrossings(original, published.View(), projection,
+                              report.zones.front().center, 150.0);
   if (crossings.size() < 2) GTEST_SKIP() << "one-sided crossing";
   const auto matches = attack.Match(std::move(crossings));
   EXPECT_DOUBLE_EQ(TimingAttack::Accuracy(matches), 1.0);

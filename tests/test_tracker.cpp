@@ -60,12 +60,13 @@ TEST(Tracker, ScoringUsesPublishedContinuationAsTruth) {
   const mobipriv::mech::MixZone mixzone(config);
   util::Rng rng(4);
   mobipriv::mech::MixZoneReport report;
-  const model::Dataset published =
-      mixzone.ApplyWithReport(original, rng, report);
+  const model::EventStore published =
+      mixzone.ApplyToStoreWithReport(original, rng, report);
   ASSERT_GE(report.occurrences, 1u);
   const MultiTargetTracker tracker;
-  const auto outcomes = tracker.TrackThroughZone(
-      original, published, projection, report.zones.front().center, 150.0);
+  const auto outcomes =
+      tracker.TrackThroughZone(original, published.View(), projection,
+                               report.zones.front().center, 150.0);
   ASSERT_EQ(outcomes.size(), 2u);
   for (const auto& o : outcomes) {
     EXPECT_FALSE(o.lost);

@@ -58,7 +58,7 @@ TEST(MeasureMixingUncertainty, EndToEndWithMixZone) {
   const mech::MixZone mixzone;
   util::Rng rng(1);
   mech::MixZoneReport report;
-  (void)mixzone.ApplyWithReport(world.dataset(), rng, report);
+  (void)mixzone.ApplyToStoreWithReport(world.dataset(), rng, report);
   const auto out = MeasureMixingUncertainty(world.dataset(), report);
   EXPECT_EQ(out.occurrences, report.occurrence_details.size());
   EXPECT_EQ(out.per_user.size(), 6u);
