@@ -10,6 +10,7 @@
 // figure shows: extractable POIs per user, speed coefficient of variation,
 // inter-point spacing dispersion, and the identity permutation applied.
 #include <iostream>
+#include <map>
 
 #include "attacks/poi_extraction.h"
 #include "core/experiment.h"
@@ -35,11 +36,14 @@ int main() {
                             const char* panel) {
     core::Table table({"user", "fixes", "POIs extractable", "speed CV",
                        "spacing CV"});
+    // One extraction per panel; each row counts its user's POIs.
+    std::map<model::UserId, std::size_t> pois_of;
+    for (const auto& poi : extractor.Extract(dataset, frame)) {
+      ++pois_of[poi.user];
+    }
     for (const auto& trace : dataset.traces()) {
-      std::size_t pois = 0;
-      for (const auto& poi : extractor.Extract(dataset, frame)) {
-        if (poi.user == trace.user()) ++pois;
-      }
+      const auto found = pois_of.find(trace.user());
+      const std::size_t pois = found == pois_of.end() ? 0 : found->second;
       const auto dists = model::InterEventDistances(trace);
       util::RunningStat spacing;
       for (const double d : dists) spacing.Add(d);

@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
     spec.mechanism_cache_dir = cli.GetString("mech-cache");
     spec.mechanism_cache_max_bytes = static_cast<std::uint64_t>(cache_max);
     core::ScenarioEngine engine(std::move(spec));
-    const std::string name = mech::CreateMechanism(mechanism_spec)->Name();
+    const std::string name = mech::ChainName(mechanism_spec);
 
     // ---- Publish: the engine's single mechanism node IS the publication,
     // so the file and the report cannot disagree. ------------------------

@@ -5,14 +5,15 @@
 // core/worker_protocol.h.
 //
 // Per 'A' request the worker applies one per-trace mechanism stage to
-// its owned shards of a shard directory, publishing one `.mpc` result
-// file per shard through the atomic WriteColumnar path (a SIGKILL
-// mid-write never leaves a torn file under the final name). Trace RNG
-// streams are keyed by (stage master draw, GLOBAL user id, canonical
-// position), both read from the directory by core::ProbeShardStream — the
-// engine's one shard-directory reader — so the supervisor's merged report
-// is byte-identical to the in-process run regardless of how shards were
-// partitioned.
+// its owned shards of a shard directory with core::ApplyStageToShard
+// (core/shard_stage.h, the body the engine's in-process placement runs
+// too), publishing one `.mpc` result file per shard through the atomic
+// WriteColumnar path (a SIGKILL mid-write never leaves a torn file under
+// the final name). Trace RNG streams are keyed by (stage master draw,
+// GLOBAL user id, canonical position), both read from the directory by
+// core::ProbeShardStream — the engine's one shard-directory reader — so
+// the supervisor's merged report is byte-identical to the in-process run
+// regardless of how shards were partitioned.
 //
 // The worker heartbeats on the reply pipe while applying; a worker
 // whose supervisor died sees the heartbeat write fail (SIGPIPE is
@@ -37,6 +38,7 @@
 #endif
 
 #include "core/scenario.h"
+#include "core/shard_stage.h"
 #include "core/worker_protocol.h"
 #include "mechanisms/mechanism.h"
 #include "mechanisms/registry.h"
@@ -102,7 +104,6 @@ void ProcessRequest(const wp::WorkerRequest& request) {
 
   const std::string key =
       request.prefix_name + "#" + std::to_string(request.attempt);
-  model::TraceBuffer buffer;
   for (const std::size_t shard : request.shards) {
     if (shard >= plan.shard_count) {
       throw std::runtime_error("shard index out of range: " +
@@ -114,39 +115,17 @@ void ProcessRequest(const wp::WorkerRequest& request) {
           "): " + key);
     }
     Heartbeat();
+    // The library's shard body, the same one the engine's in-process
+    // placement runs; it heartbeats every 64 traces while applying.
     const model::MappedColumnar mapped =
         model::MapColumnar(model::ShardDataPath(plan.dir, shard));
-    const std::vector<model::UserId>& l2g = plan.local_to_global[shard];
-    if (mapped.TraceCount() != plan.origin[shard].size()) {
-      throw model::IoError("shard trace count does not match manifest: " +
-                           model::ShardDataPath(plan.dir, shard));
-    }
-    buffer.Clear();
-    std::vector<model::EventStore::TraceRange> traces(mapped.TraceCount());
-    for (std::size_t i = 0; i < mapped.TraceCount(); ++i) {
-      const std::size_t begin = buffer.size();
-      kernel->ApplyToIndexedTrace(
-          mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]), master,
-          plan.origin[shard][i], buffer);
-      // Result traces keep SHARD-LOCAL user ids and the shard's name
-      // table; the supervisor re-labels views into the global id space
-      // exactly like it does for the original shards.
-      traces[i] = {mapped.TraceUser(i), begin, buffer.size()};
-      if ((i & 63u) == 63u) Heartbeat();
-    }
+    const model::EventStore result = core::ApplyStageToShard(
+        *kernel, master, plan, shard, mapped, Heartbeat);
     if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kWorkerResultWrite, key)) {
       throw model::IoError(
           "injected fault (" +
           std::string(fault::points::kWorkerResultWrite) + "): " + key);
     }
-    const std::span<const std::string> names = mapped.names();
-    const model::EventStore result = model::EventStore::FromColumns(
-        std::vector<std::string>(names.begin(), names.end()),
-        std::move(traces),
-        std::vector<double>(buffer.lat().begin(), buffer.lat().end()),
-        std::vector<double>(buffer.lng().begin(), buffer.lng().end()),
-        std::vector<mobipriv::util::Timestamp>(buffer.time().begin(),
-                                               buffer.time().end()));
     model::WriteColumnar(
         result, wp::StageShardPath(request.out_dir, request.stem, shard));
     Heartbeat();

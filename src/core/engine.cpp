@@ -18,6 +18,7 @@
 #include "core/evaluator.h"
 #include "core/output_cache.h"
 #include "core/shard_exec.h"
+#include "core/shard_stage.h"
 #include "core/worker_protocol.h"
 #include "mechanisms/mechanism.h"
 #include "mechanisms/registry.h"
@@ -337,17 +338,17 @@ ScenarioEngine::ScenarioEngine(ScenarioSpec spec)
   // in-memory memoization: rows sharing a chain prefix reuse its nodes.
   std::map<std::pair<std::string, std::size_t>, std::size_t> node_index;
   for (const std::string& text : s.mechanisms) {
+    // Stage k's node is keyed by its prefix name, the ChainName of stages
+    // [0..k]. Spec entries keep values verbatim, so ToString() reproduces
+    // each stage's original text (no precision loss).
     const util::SpecChain chain = util::SpecChain::Parse(text);
     std::vector<std::string> stage_texts;
-    std::vector<std::string> stage_names;
+    std::vector<std::string> prefix_names;
     for (const util::Spec& stage : chain.stages()) {
-      // Spec entries keep values verbatim, so ToString() reproduces the
-      // stage's original text (no precision loss).
       stage_texts.push_back(stage.ToString());
-      stage_names.push_back(
-          mech::CreateMechanism(stage_texts.back())->Name());
+      prefix_names.push_back(mech::ChainName(util::Join(stage_texts, "|")));
     }
-    const std::string chain_name = util::Join(stage_names, "|");
+    const std::string& chain_name = prefix_names.back();
     if (std::any_of(c.rows.begin(), c.rows.end(),
                     [&](const Compiled::RowPlan& row) {
                       return row.name == chain_name;
@@ -359,16 +360,13 @@ ScenarioEngine::ScenarioEngine(ScenarioSpec spec)
     row.terminal.resize(seed_count);
     for (std::size_t seed = 0; seed < seed_count; ++seed) {
       std::size_t parent = Compiled::kNoParent;
-      std::string prefix;
-      for (std::size_t k = 0; k < stage_names.size(); ++k) {
-        if (k > 0) prefix += "|";
-        prefix += stage_names[k];
+      for (std::size_t k = 0; k < prefix_names.size(); ++k) {
         ++c.stage_refs;
-        const auto key = std::make_pair(prefix, seed);
+        const auto key = std::make_pair(prefix_names[k], seed);
         auto it = node_index.find(key);
         if (it == node_index.end()) {
           Compiled::StagePlan plan;
-          plan.prefix_name = prefix;
+          plan.prefix_name = prefix_names[k];
           plan.spec_text = stage_texts[k];
           plan.parent = parent;
           plan.seed_index = seed;
@@ -518,16 +516,17 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
   // stage-fault sweep, pass 0 scanning the source for the original's
   // extents, one fold per live grid cell, pass 1 publishing each
   // (stage, shard) once and feeding every fold its slice shard by shard,
-  // and a finalize sweep that applies the skip rule. The placement
-  // decides only how stage n's published views of shard s are produced
-  // (`publish` below):
-  //   * in-process: ApplyToIndexedTrace into a per-shard TraceBuffer;
-  //   * workers (core/shard_exec.h): every stage first runs in disposable
-  //     worker processes with heartbeat liveness, per-request deadlines
-  //     and bounded retry; `publish` then maps the stage's atomically
-  //     written `.mpc` result file for the shard. `.mpc` round-trips
-  //     doubles bitwise and per-trace RNG streams are partition-
-  //     independent, so the report is byte-identical at any worker count.
+  // and a finalize sweep that applies the skip rule. Every (stage, shard)
+  // is published by one body, core::ApplyStageToShard; the placement
+  // decides only where it runs (`publish` below):
+  //   * in-process: `publish` runs it on the shard pass 1 has mapped;
+  //   * workers (core/shard_exec.h): every stage first runs it in
+  //     disposable worker processes with heartbeat liveness, per-request
+  //     deadlines and bounded retry; `publish` then maps the stage's
+  //     atomically written `.mpc` result file for the shard. `.mpc`
+  //     round-trips doubles bitwise and per-trace RNG streams are
+  //     partition-independent, so the report is byte-identical at any
+  //     worker count.
   // A stage that fails (retries exhausted, a worker-reported permanent
   // error, a torn result, a throwing kernel) degrades to the same
   // failed/skipped rows the DAG would produce.
@@ -605,42 +604,38 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
         }
       }
 
-      // Shard s's original views, re-labelled into the global user id
-      // space.
-      const auto original_views = [&](const model::MappedColumnar& mapped,
-                                       std::size_t s) {
-        const std::vector<model::UserId>& l2g = plan.local_to_global[s];
-        std::vector<model::TraceView> views(mapped.TraceCount());
-        for (std::size_t i = 0; i < views.size(); ++i) {
-          views[i] = mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]);
-        }
-        return views;
-      };
-
       // One stage's published views of one shard, with the storage they
-      // alias: a TraceBuffer in-process, a mapped result file under
-      // workers.
+      // alias: the shard body's result store in-process, a mapped result
+      // file under workers.
       struct StageShard {
-        model::TraceBuffer buffer;
+        model::EventStore store;
         model::MappedColumnar mapped;
         std::vector<model::TraceView> views;
       };
       // The placement step: fills `out` with stage n's output for shard s
       // (same trace order as `original`, same user labels), or records the
-      // stage's failure verdict in `node_results`. Post-supervision
-      // result loss is not retryable any more, so a missing or torn
-      // worker result degrades with a deterministic (basename-only) error.
+      // stage's failure verdict in `node_results`. In-process the shard
+      // body runs here; under workers it already ran, and post-supervision
+      // result loss is not retryable any more, so a missing or torn worker
+      // result degrades with a deterministic (basename-only) error.
       const auto publish = [&](std::size_t n, std::size_t s,
+                               const model::MappedColumnar& source,
                                std::span<const model::TraceView> original,
                                StageShard& out) {
-        const std::size_t trace_count = original.size();
-        out.views.resize(trace_count);
+        // Result traces carry shard-local user ids: each view takes its
+        // original's global id. An empty range is a suppressed trace.
+        const auto relabel = [&](const auto& result) {
+          out.views.resize(original.size());
+          for (std::size_t i = 0; i < original.size(); ++i) {
+            out.views[i] = result.View(i).WithUser(original[i].user());
+          }
+        };
         if (want_workers) {
           const std::string path =
               wp::StageShardPath(scratch.path, stage_stem(n), s);
           try {
             out.mapped = model::MapColumnar(path);
-            if (out.mapped.TraceCount() != trace_count) {
+            if (out.mapped.TraceCount() != original.size()) {
               throw model::IoError("trace count mismatch");
             }
           } catch (const std::exception&) {
@@ -650,20 +645,14 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
                     std::filesystem::path(path).filename().string()};
             return;
           }
-          for (std::size_t i = 0; i < trace_count; ++i) {
-            out.views[i] = out.mapped.View(i).WithUser(original[i].user());
-          }
+          relabel(out.mapped);
           return;
         }
-        std::vector<std::size_t> ends(trace_count);
         try {
-          for (std::size_t i = 0; i < trace_count; ++i) {
-            static_cast<const mech::PerTraceMechanism*>(
-                c.stage_nodes[n].instance.get())
-                ->ApplyToIndexedTrace(original[i], masters[n],
-                                      plan.origin[s][i], out.buffer);
-            ends[i] = out.buffer.size();
-          }
+          out.store = ApplyStageToShard(
+              static_cast<const mech::PerTraceMechanism&>(
+                  *c.stage_nodes[n].instance),
+              masters[n], plan, s, source);
         } catch (const std::exception& e) {
           node_results[n] = {NodeStatus::kFailed, e.what()};
           return;
@@ -671,24 +660,7 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
           node_results[n] = {NodeStatus::kFailed, "unknown exception"};
           return;
         }
-        // Views over the filled buffer (stable now: no more appends). An
-        // empty range is a suppressed trace.
-        const std::span<const double> lat = out.buffer.lat();
-        const std::span<const double> lng = out.buffer.lng();
-        const std::span<const util::Timestamp> time = out.buffer.time();
-        std::size_t begin = 0;
-        for (std::size_t i = 0; i < trace_count; ++i) {
-          const std::size_t count = ends[i] - begin;
-          out.views[i] = model::TraceView(
-              original[i].user(),
-              model::StridedSpan<double>(lat.data() + begin, count,
-                                         sizeof(double)),
-              model::StridedSpan<double>(lng.data() + begin, count,
-                                         sizeof(double)),
-              model::StridedSpan<util::Timestamp>(
-                  time.data() + begin, count, sizeof(util::Timestamp)));
-          begin = ends[i];
-        }
+        relabel(out.store);
       };
 
       // Pass 0 (extents): a read-only scan of the source shards for the
@@ -700,7 +672,8 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
       for (std::size_t s = 0; s < plan.shard_count; ++s) {
         const model::MappedColumnar mapped =
             model::MapColumnar(model::ShardDataPath(plan.dir, s));
-        for (const model::TraceView& trace : original_views(mapped, s)) {
+        for (const model::TraceView& trace :
+             GlobalShardViews(plan, s, mapped)) {
           ++stats_.source_traces;
           stats_.source_events += trace.size();
           original_bbox.Extend(trace.BoundingBox());
@@ -747,11 +720,11 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
         const model::MappedColumnar mapped =
             model::MapColumnar(model::ShardDataPath(plan.dir, s));
         const std::vector<model::TraceView> original =
-            original_views(mapped, s);
+            GlobalShardViews(plan, s, mapped);
         std::vector<StageShard> published(stage_count);
         for (std::size_t n = 0; n < stage_count; ++n) {
           if (node_results[n].status == NodeStatus::kOk) {
-            publish(n, s, original, published[n]);
+            publish(n, s, mapped, original, published[n]);
           }
         }
         for (std::size_t r = 0; r < row_count; ++r) {

@@ -21,10 +21,9 @@
 // from its PREFIX name, so a row's bytes depend only on its own stages,
 // never on what else is in the grid. The `.mpc` cache keys stage outputs
 // by the same prefix names ("prefix-fingerprints"), so warm runs reuse
-// intermediate artifacts too. Note this per-stage discipline intentionally
-// differs from running a monolithic mech::ChainMechanism object (which
-// threads ONE rng through all stages); cache keys derive from what
-// actually ran, so the two never alias (docs/FORMAT.md).
+// intermediate artifacts too. A chain exists only as this plan: the
+// registry builds single stages (mech::CreateMechanism rejects a chain
+// text) and names a chain with mech::ChainName (docs/FORMAT.md).
 //
 // Mechanism nodes run the SoA-native path (Mechanism::ApplyToStore): each
 // node's output is a columnar EventStore — no per-trace std::vector<Event>,
@@ -38,6 +37,12 @@
 // so close that their canonical names print identically (e.g. geo_ind
 // epsilons differing below 1e-4) are treated as the same grid cell — the
 // first entry's text wins.
+//
+// A shard-dir grid of single-stage per-trace rows and foldable evaluators
+// may instead stream shard by shard (EngineStats::streamed_shards). Every
+// (stage, shard) there is published by one body, core::ApplyStageToShard
+// (core/shard_stage.h), run in-process or in mobipriv_worker processes
+// (ScenarioSpec::workers); placement decides only where it runs.
 //
 // Determinism contract (test-enforced): same spec + seeds => byte-identical
 // Report at any worker count (spec.threads, MOBIPRIV_THREADS) and any

@@ -49,14 +49,14 @@ struct MetricValue {
 
 /// One resident shard of a shard-streamed evaluation (see TraceFold).
 /// `original` aliases the currently mapped shard. `published` aliases the
-/// stage's output for that shard: a per-shard TraceBuffer when the stage
-/// runs in-process, a mapped worker result file when it runs under
-/// workers. All spans are valid only for the duration of one
-/// AccumulateShard call. Trace order within a shard is canonical-order
-/// restricted: shard-local index ascending == original dataset order
-/// filtered to this shard's traces, and every trace of one user lives in
-/// the same shard — so per-user passes (radius of gyration) see exactly
-/// the trace sequence the whole-view path sees.
+/// stage's output for that shard, as core::ApplyStageToShard produced it:
+/// its result store when the stage runs in-process, a mapped worker
+/// result file when it runs under workers. All spans are valid only for
+/// the duration of one AccumulateShard call. Trace order within a shard
+/// is canonical-order restricted: shard-local index ascending == original
+/// dataset order filtered to this shard's traces, and every trace of one
+/// user lives in the same shard — so per-user passes (radius of
+/// gyration) see exactly the trace sequence the whole-view path sees.
 struct ShardSlice {
   /// Original traces of this shard, user ids rewritten to GLOBAL dense ids.
   std::span<const model::TraceView> original;

@@ -363,6 +363,21 @@ std::optional<ShardStreamPlan> ProbeShardStream(const std::string& dir) {
   }
 }
 
+std::vector<model::TraceView> GlobalShardViews(
+    const ShardStreamPlan& plan, std::size_t shard,
+    const model::MappedColumnar& mapped) {
+  if (mapped.TraceCount() != plan.origin[shard].size()) {
+    throw model::IoError("shard trace count does not match manifest: " +
+                         model::ShardDataPath(plan.dir, shard));
+  }
+  const std::vector<model::UserId>& l2g = plan.local_to_global[shard];
+  std::vector<model::TraceView> views(mapped.TraceCount());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    views[i] = mapped.View(i).WithUser(l2g[mapped.TraceUser(i)]);
+  }
+  return views;
+}
+
 BoundSource BoundSource::Bind(const DatasetSourceSpec& spec) {
   BoundSource source;
   source.description_ = spec.Describe();
@@ -383,10 +398,10 @@ BoundSource BoundSource::Bind(const DatasetSourceSpec& spec) {
       const ShardStreamPlan& plan = read.plan;
       std::vector<model::TraceView> traces(plan.total_traces);
       for (std::size_t s = 0; s < plan.shard_count; ++s) {
-        const model::MappedColumnar& mapped = read.shards[s];
-        for (std::size_t i = 0; i < mapped.TraceCount(); ++i) {
-          traces[plan.origin[s][i]] = mapped.View(i).WithUser(
-              plan.local_to_global[s][mapped.TraceUser(i)]);
+        const std::vector<model::TraceView> views =
+            GlobalShardViews(plan, s, read.shards[s]);
+        for (std::size_t i = 0; i < views.size(); ++i) {
+          traces[plan.origin[s][i]] = views[i];
         }
       }
       source.shard_maps_ = std::move(read.shards);

@@ -180,6 +180,16 @@ struct ShardStreamPlan {
 [[nodiscard]] std::optional<ShardStreamPlan> ProbeShardStream(
     const std::string& dir);
 
+/// Shard `shard`'s traces in shard order, relabelled into the global user
+/// id space: `mapped` is the caller's mapping of
+/// model::ShardDataPath(plan.dir, shard). The one relabel every shard-dir
+/// consumer goes through (BoundSource::Bind, the streamed merge and the
+/// shard body of core/shard_stage.h). Throws model::IoError when the
+/// mapped trace count disagrees with the plan.
+[[nodiscard]] std::vector<model::TraceView> GlobalShardViews(
+    const ShardStreamPlan& plan, std::size_t shard,
+    const model::MappedColumnar& mapped);
+
 /// A bound dataset source: owns whatever storage the source kind needs
 /// (parsed dataset, synthetic world, mmap mappings) and serves one
 /// canonical zero-copy DatasetView over it. For shard directories the

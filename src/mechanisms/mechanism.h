@@ -8,6 +8,10 @@
 // per-trace std::vector<Event> and no name re-interning on the way out.
 // Apply(Dataset) is the AoS adapter over it, so for the same input and
 // seed both entry points produce the same bytes and advance `rng` alike.
+// A chain of mechanisms is not a Mechanism: the scenario engine plans it
+// stage by stage (core/engine.h). Per-trace mechanisms also expose one
+// trace of their batch scheme (ApplyToIndexedTrace), which the engine's
+// shard body (core/shard_stage.h) alone calls, in-process or in a worker.
 #pragma once
 
 #include <memory>
@@ -53,14 +57,14 @@ class PerTraceMechanism : public Mechanism {
   [[nodiscard]] model::EventStore ApplyToStore(const model::DatasetView& input,
                                                util::Rng& rng) const final;
 
-  /// One trace of the batch determinism scheme, exposed for out-of-core
-  /// executors: transforms `trace` with the stream Rng that ApplyToStore
-  /// would use for dataset-order index `index` under master draw `master`
+  /// One trace of the batch determinism scheme, exposed for the
+  /// out-of-core shard body (core::ApplyStageToShard): transforms `trace`
+  /// with the stream Rng that ApplyToStore would use for dataset-order
+  /// index `index` under master draw `master`
   /// (DeriveStreamSeed(master, user, index)), appending the output fixes
-  /// to `out`. A shard-streamed engine that maps one shard at a time and
-  /// feeds each trace its ORIGINAL dataset index therefore reproduces the
-  /// whole-view ApplyToStore output bit for bit, without the input ever
-  /// being resident at once.
+  /// to `out`. Fed one shard at a time with each trace's ORIGINAL dataset
+  /// index, it reproduces the whole-view ApplyToStore output bit for bit,
+  /// without the input ever being resident at once.
   void ApplyToIndexedTrace(const model::TraceView& trace, std::uint64_t master,
                            std::uint64_t index, model::TraceBuffer& out) const {
     util::Rng trace_rng(util::DeriveStreamSeed(

@@ -10,7 +10,6 @@
 // through this registry like every baseline's, so the registry reaches up
 // one layer for the one composite the paper is about.
 #include "core/anonymizer.h"
-#include "mechanisms/chain.h"
 #include "mechanisms/cloaking.h"
 #include "mechanisms/downsampling.h"
 #include "mechanisms/gaussian_noise.h"
@@ -159,10 +158,13 @@ void RegisterMechanism(std::string base, MechanismFactory factory) {
 }
 
 std::unique_ptr<Mechanism> CreateMechanism(std::string_view spec_text) {
-  // Chain texts ("a[...]|b") dispatch before Spec::Parse: '|' is a chain
-  // separator only at the top level, and a single Spec has no stage list.
+  // '|' separates chain stages only at the top level ("a[x|y]" is one
+  // spec), and a chain is not a mechanism: the engine plans it per stage.
   if (util::SplitTopLevel(spec_text, '|').size() > 1) {
-    return CreateChain(spec_text);
+    throw util::SpecError("\"" + std::string(spec_text) +
+                          "\" is a mechanism chain; chains run through the "
+                          "scenario engine (core::ScenarioEngine), not as "
+                          "one mechanism");
   }
   const util::Spec spec = util::Spec::Parse(spec_text);
   MechanismFactory factory;
@@ -182,6 +184,16 @@ std::unique_ptr<Mechanism> CreateMechanism(std::string_view spec_text) {
     factory = it->second;
   }
   return factory(spec);
+}
+
+std::string ChainName(std::string_view text) {
+  const util::SpecChain chain = util::SpecChain::Parse(text);
+  std::string name;
+  for (const util::Spec& stage : chain.stages()) {
+    if (!name.empty()) name += '|';
+    name += CreateMechanism(stage.ToString())->Name();
+  }
+  return name;
 }
 
 std::vector<std::string> RegisteredMechanismBases() {

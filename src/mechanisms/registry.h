@@ -13,10 +13,12 @@
 //
 // Grammar: util::Spec ("base[key=value,...]"; numeric values may carry a
 // unit suffix). Spec texts with a top-level '|' are chains
-// ("geo_ind[eps=0.1]|downsampling") and build a mech::ChainMechanism that
-// applies the stages left to right. Unknown bases and unknown parameters
-// throw util::SpecError — a typo'd grid cell fails loudly at compile
-// time, not silently at report time.
+// ("geo_ind[eps=0.1]|downsampling"). A chain is not a mechanism: it
+// exists only as a scenario-engine plan, one node per stage with its own
+// per-prefix rng stream (core/engine.h), so CreateMechanism rejects it
+// and ChainName gives its canonical name. Unknown bases and unknown
+// parameters throw util::SpecError — a typo'd grid cell fails loudly at
+// compile time, not silently at report time.
 #pragma once
 
 #include <functional>
@@ -43,9 +45,19 @@ using MechanismFactory =
 void RegisterMechanism(std::string base, MechanismFactory factory);
 
 /// Instantiates a mechanism from its spec string. Throws util::SpecError
-/// on malformed specs, unknown base names or unknown parameters.
+/// on malformed specs, unknown base names or unknown parameters, and on a
+/// chain text (top-level '|'), which only the scenario engine runs.
 [[nodiscard]] std::unique_ptr<Mechanism> CreateMechanism(
     std::string_view spec);
+
+/// Canonical name of a spec text: its stages' Name()s joined with '|'
+/// ("geo_ind[eps=0.1]|downsampling" names
+/// "geo_ind[eps=0.1000]|downsampling[dt=120s]"). A single-stage text
+/// gives CreateMechanism(text)->Name().
+/// This is the name the scenario engine gives a chain's report rows and
+/// its terminal stage node (and hence its cache key). Throws
+/// util::SpecError like CreateMechanism on any bad stage.
+[[nodiscard]] std::string ChainName(std::string_view text);
 
 /// Registered base names, sorted (for error messages and --help output).
 [[nodiscard]] std::vector<std::string> RegisteredMechanismBases();

@@ -1,7 +1,6 @@
-// Differential tests for mechanism composition ("a|b|c"):
-//   * a monolithic ChainMechanism is bitwise identical to manually
-//     applying its stages in sequence with ONE rng — on the AoS path
-//     (Apply) and the SoA path (ApplyToStore), at 1 and 4 workers;
+// Tests for mechanism composition ("a|b|c"). A chain is not a mechanism:
+// it exists only as a scenario-engine plan.
+//   * the registry rejects a chain text, and mech::ChainName names it;
 //   * the scenario engine compiles chains into per-PREFIX stage nodes:
 //     rows sharing a prefix reuse its nodes (stats().stage_reuses), each
 //     shared stage runs exactly once, and the report is byte-identical
@@ -22,7 +21,6 @@
 #include "core/engine.h"
 #include "core/output_cache.h"
 #include "core/scenario.h"
-#include "mechanisms/chain.h"
 #include "mechanisms/registry.h"
 #include "model/columnar_file.h"
 #include "model/event_store.h"
@@ -76,29 +74,6 @@ void ExpectBitIdentical(const model::DatasetView& a,
   }
 }
 
-/// Manual sequential staging with one rng — the reference ChainMechanism
-/// must reproduce: stage k starts drawing where stage k-1 stopped.
-model::Dataset ManualApply(const std::vector<std::string>& stages,
-                           const model::Dataset& input, util::Rng& rng) {
-  model::Dataset current = input;
-  for (const std::string& text : stages) {
-    current = mech::CreateMechanism(text)->Apply(current, rng);
-  }
-  return current;
-}
-
-model::EventStore ManualApplyToStore(const std::vector<std::string>& stages,
-                                     const model::DatasetView& input,
-                                     util::Rng& rng) {
-  model::EventStore store;
-  model::DatasetView view = input;
-  for (const std::string& text : stages) {
-    store = mech::CreateMechanism(text)->ApplyToStore(view, rng);
-    view = store.View();
-  }
-  return store;
-}
-
 std::string JoinStages(const std::vector<std::string>& stages) {
   std::string text;
   for (const std::string& stage : stages) {
@@ -108,70 +83,31 @@ std::string JoinStages(const std::vector<std::string>& stages) {
   return text;
 }
 
-void ExpectChainMatchesManual(const std::vector<std::string>& stages,
-                              std::uint64_t seed) {
-  const std::string text = JoinStages(stages);
-  const auto chain = mech::CreateMechanism(text);
-
-  // AoS path.
-  util::Rng chain_rng(seed);
-  util::Rng manual_rng(seed);
-  const model::Dataset via_chain = chain->Apply(World(), chain_rng);
-  const model::Dataset via_manual = ManualApply(stages, World(), manual_rng);
-  ExpectBitIdentical(via_chain, via_manual, text + " [Apply]");
-
-  // SoA path (and cross-path: the store must be FromDataset(Apply(...))).
-  util::Rng store_rng(seed);
-  util::Rng store_manual_rng(seed);
-  const model::DatasetView input = World();
-  const model::EventStore store_chain = chain->ApplyToStore(input, store_rng);
-  const model::EventStore store_manual =
-      ManualApplyToStore(stages, input, store_manual_rng);
-  ExpectBitIdentical(store_chain.View(), store_manual.View(),
-                     text + " [ApplyToStore]");
-  ExpectBitIdentical(store_chain.View(), via_chain, text + " [store vs AoS]");
-}
-
-TEST(ChainComposition, PairsMatchManualStagingAtBothThreadLevels) {
-  const std::vector<std::string> pool = {"geo_ind[eps=0.05]",
-                                         "downsampling[dt=120]", "cloaking",
-                                         "mixzone[r=100m]"};
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const util::ScopedParallelism scope(threads);
-    for (const std::string& a : pool) {
-      for (const std::string& b : pool) {
-        ExpectChainMatchesManual({a, b}, 17);
-      }
-    }
+TEST(ChainComposition, CreateMechanismRejectsChainTexts) {
+  try {
+    (void)mech::CreateMechanism("geo_ind[eps=0.05]|cloaking");
+    FAIL() << "a chain text built a mechanism";
+  } catch (const util::SpecError& e) {
+    EXPECT_STREQ(e.what(),
+                 "\"geo_ind[eps=0.05]|cloaking\" is a mechanism chain; "
+                 "chains run through the scenario engine "
+                 "(core::ScenarioEngine), not as one mechanism");
   }
-}
-
-TEST(ChainComposition, EveryRegistryBaseChainsAfterAStochasticStage) {
-  // Every registered base must compose: bare base as the second stage of a
-  // chain behind a stochastic first stage (so the rng handoff position is
-  // exercised for every mechanism).
-  for (const std::string& base : mech::RegisteredMechanismBases()) {
-    ExpectChainMatchesManual({"gaussian", base}, 23);
+  // A '|' inside brackets is not a chain separator: this is one (bad)
+  // spec, rejected for its parameter, not as a chain.
+  try {
+    (void)mech::CreateMechanism("geo_ind[eps=0.05|0.1]");
+    FAIL() << "a malformed eps value parsed";
+  } catch (const util::SpecError& e) {
+    EXPECT_EQ(std::string(e.what()).find("mechanism chain"),
+              std::string::npos)
+        << e.what();
   }
-}
-
-TEST(ChainComposition, TriplesMatchManualStaging) {
-  const util::ScopedParallelism scope(4);
-  ExpectChainMatchesManual(
-      {"geo_ind[eps=0.05]", "downsampling[dt=120]", "mixzone[r=100m]"}, 31);
-  ExpectChainMatchesManual({"cloaking", "gaussian", "downsampling[dt=120]"},
-                           31);
-  ExpectChainMatchesManual(
-      {"mixzone[r=100m]", "geo_ind[eps=0.05]", "cloaking"}, 31);
-}
-
-TEST(ChainComposition, ChainMechanismValidatesItsStages) {
-  using StageList = std::vector<std::unique_ptr<mech::Mechanism>>;
-  EXPECT_THROW(mech::ChainMechanism{StageList{}}, std::invalid_argument);
-  EXPECT_THROW((void)mech::CreateMechanism("geo_ind[eps=0.05]|warp_drive"),
+  // ChainName builds every stage, so a bad stage still fails loudly.
+  EXPECT_THROW((void)mech::ChainName("geo_ind[eps=0.05]|warp_drive"),
                util::SpecError);
-  // Single-stage chain text is the mechanism itself, no wrapper name.
-  EXPECT_EQ(mech::CreateChain("cloaking")->Name(),
+  // A single-stage text is named like the mechanism itself.
+  EXPECT_EQ(mech::ChainName("cloaking"),
             mech::CreateMechanism("cloaking")->Name());
 }
 
@@ -288,17 +224,6 @@ TEST(ChainComposition, EngineStageBytesFollowThePerPrefixRngDiscipline) {
     ExpectBitIdentical(cached_stage.View(), manual.View(), prefix);
   }
 
-  // ... and this intentionally differs from the monolithic one-rng chain.
-  util::Rng mono_rng(util::DeriveStreamSeed(seed, 0, 0));
-  const model::EventStore mono =
-      mech::CreateMechanism(JoinStages(stages))->ApplyToStore(source, mono_rng);
-  const bool identical =
-      mono.EventCount() == manual.EventCount() &&
-      std::memcmp(mono.lat().data(), manual.lat().data(),
-                  mono.EventCount() * sizeof(double)) == 0;
-  EXPECT_FALSE(identical)
-      << "engine per-prefix streams unexpectedly matched the monolithic "
-         "single-rng chain";
   fs::remove_all(dir);
 }
 
@@ -308,17 +233,16 @@ TEST(ChainComposition, EngineStageBytesFollowThePerPrefixRngDiscipline) {
 TEST(ChainComposition, ChainNamesNeverAliasSingleMechanismNames) {
   // "ours[speed+mix]" is ONE mechanism (internal pipeline); its name has
   // no top-level '|', so it can never collide with a chain's cache keys.
-  const std::string ours = mech::CreateMechanism("ours[speed+mix]")->Name();
-  const std::string chain =
-      mech::CreateMechanism("speed_smoothing|mixzone")->Name();
+  const std::string ours = mech::ChainName("ours[speed+mix]");
+  const std::string chain = mech::ChainName("speed_smoothing|mixzone");
   EXPECT_EQ(ours.find('|'), std::string::npos);
   EXPECT_NE(chain.find('|'), std::string::npos);
   EXPECT_NE(ours, chain);
   EXPECT_NE(core::OutputCache::KeyText(ours, 1, 1),
             core::OutputCache::KeyText(chain, 1, 1));
 
-  // Chain names round-trip through the registry like any other name.
-  EXPECT_EQ(mech::CreateMechanism(chain)->Name(), chain);
+  // Chain names round-trip through ChainName like any other name.
+  EXPECT_EQ(mech::ChainName(chain), chain);
 }
 
 TEST(ChainComposition, CanonicallyEqualChainTextsShareOneRow) {
