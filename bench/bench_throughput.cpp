@@ -629,9 +629,10 @@ void BM_DistanceBatchMask(benchmark::State& state) {
 BENCHMARK(BM_DistanceBatchMask)->Arg(4096)->Arg(65536);
 
 void BM_MixZoneEncounterScan(benchmark::State& state) {
-  // Detection only (flatten + projection + CSR-grid encounter scan): the
-  // vectorized hot loop of BM_MixZone without clustering, permutation or
-  // output assembly diluting it.
+  // The encounter count only (flatten + projection + time-ordered cell
+  // grid + the windowed count sweep): the vectorized hot loop of
+  // BM_MixZone without zone placement, permutation or output assembly
+  // diluting it.
   const auto& world = WorldOfSize(static_cast<std::size_t>(state.range(0)));
   const mech::MixZone mixzone;
   const model::DatasetView view = world.dataset();
@@ -641,7 +642,7 @@ void BM_MixZoneEncounterScan(benchmark::State& state) {
     events += world.dataset().EventCount();
   }
   // Traffic: reads lat/lng/time per event once during flatten+project;
-  // the cell scans re-read x/y slices (amortized ~1 extra pass).
+  // the count sweep re-reads x/y slices (amortized ~1 extra pass).
   AnnotateKernel(state, events, events * 5 * sizeof(double));
 }
 BENCHMARK(BM_MixZoneEncounterScan)

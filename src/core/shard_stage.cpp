@@ -25,12 +25,10 @@ model::EventStore ApplyStageToShard(const mech::PerTraceMechanism& stage,
     if (progress && (i & 63u) == 63u) progress();
   }
   const std::span<const std::string> names = mapped.names();
+  model::TraceBuffer::Columns columns = std::move(buffer).Release();
   return model::EventStore::FromColumns(
       std::vector<std::string>(names.begin(), names.end()), std::move(ranges),
-      std::vector<double>(buffer.lat().begin(), buffer.lat().end()),
-      std::vector<double>(buffer.lng().begin(), buffer.lng().end()),
-      std::vector<util::Timestamp>(buffer.time().begin(),
-                                   buffer.time().end()));
+      std::move(columns.lat), std::move(columns.lng), std::move(columns.time));
 }
 
 }  // namespace mobipriv::core

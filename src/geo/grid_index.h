@@ -20,6 +20,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -51,6 +52,25 @@ struct NearestResult {
   h *= 0xBF58476D1CE4E5B9ULL;
   h ^= h >> 32;
   return static_cast<std::size_t>(h);
+}
+
+/// Grid coordinate of `scaled`, a coordinate already divided by the cell
+/// size: floor(scaled) when that fits an int64, else INT64_MIN. NaN, ±inf
+/// and out-of-range inputs all share that one cell (the value x86's
+/// truncating convert gives them), so every point has a cell and no
+/// conversion is undefined.
+[[nodiscard]] inline std::int64_t CellCoord(double scaled) noexcept {
+  const double f = std::floor(scaled);
+  return f >= -0x1p63 && f < 0x1p63 ? static_cast<std::int64_t>(f)
+                                    : std::numeric_limits<std::int64_t>::min();
+}
+
+/// `coord + step`, wrapping around the int64 range, so the neighbours of
+/// the extreme cells are defined instead of overflowing.
+[[nodiscard]] inline std::int64_t CellStep(std::int64_t coord,
+                                           std::int64_t step) noexcept {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(coord) +
+                                   static_cast<std::uint64_t>(step));
 }
 
 /// Maps points (with caller-supplied payload ids) to grid cells and answers
@@ -221,8 +241,7 @@ class GridIndex {
   }
 
   [[nodiscard]] CellKey KeyFor(Point2 p) const noexcept {
-    return {static_cast<std::int64_t>(std::floor(p.x / cell_size_)),
-            static_cast<std::int64_t>(std::floor(p.y / cell_size_))};
+    return {CellCoord(p.x / cell_size_), CellCoord(p.y / cell_size_)};
   }
 
   /// Linear probe for `key`. Returns the occupied slot index, or npos.
@@ -256,7 +275,8 @@ class GridIndex {
     for (std::int64_t dx = -span; dx <= span; ++dx) {
       for (std::int64_t dy = -span; dy <= span; ++dy) {
         const std::int32_t head =
-            CellHead(CellKey{center_key.cx + dx, center_key.cy + dy});
+            CellHead(CellKey{CellStep(center_key.cx, dx),
+                             CellStep(center_key.cy, dy)});
         if (head == -1) continue;
         if (!visit(head)) return;
       }

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -25,12 +26,6 @@ struct FlatEvent {
   geo::Point2 position;
   util::Timestamp time = 0;
   model::UserId user = model::kInvalidUser;
-};
-
-/// A raw co-location of two distinct users.
-struct Encounter {
-  geo::Point2 midpoint;
-  util::Timestamp time = 0;
 };
 
 /// A maximal in-zone run of one trace.
@@ -55,15 +50,15 @@ struct StitchedColumns {
 
 /// Cell-bucketed CSR layout of the flat events, replacing per-event
 /// GridIndex radius queries in the detection hot loop. Events are grouped
-/// by grid cell into contiguous SoA slices ordered by flat id, so
+/// by grid cell into contiguous SoA slices ordered by (time, flat id), so
 ///   * a cell scan streams packed x/y/time/user arrays (no intrusive-chain
 ///     pointer chasing), and
-///   * the encounter rule's "only pairs (a, b) with b > a" filter becomes a
-///     binary search for the first in-cell id greater than a — candidates
-///     below a are never visited instead of being visited and discarded.
-/// Scanning a cell slice in storage order reproduces the GridIndex FIFO
-/// (insertion == id) order exactly, which pins the encounter sequence — and
-/// with it zone clustering and the final output — bit for bit.
+///   * the meeting rule's |Δt| <= w test selects one contiguous time
+///     window of each neighbour cell's slice (a binary search, or a
+///     forward-moving bound when events are swept in time order), and
+///     candidates outside it are never visited.
+/// The zone-hit scan (step 3) reads whole slices and sorts its hits, so
+/// the slice order does not reach it.
 class EventCellGrid {
  public:
   EventCellGrid(double cell_size, const std::vector<FlatEvent>& flat)
@@ -81,10 +76,8 @@ class EventCellGrid {
 
     std::vector<std::uint32_t> counts;
     for (std::size_t id = 0; id < n; ++id) {
-      const auto cx = static_cast<std::int64_t>(
-          std::floor(flat[id].position.x / cell_size_));
-      const auto cy = static_cast<std::int64_t>(
-          std::floor(flat[id].position.y / cell_size_));
+      const std::int64_t cx = geo::CellCoord(flat[id].position.x / cell_size_);
+      const std::int64_t cy = geo::CellCoord(flat[id].position.y / cell_size_);
       const std::size_t mask = capacity - 1;
       std::size_t i = Hash(cx, cy) & mask;
       while (tab_cell_[i] != -1 &&
@@ -105,15 +98,16 @@ class EventCellGrid {
 
     // Per-cell 3x3 neighbour table, resolved once: the detection loop
     // then costs one array load per event instead of nine hash probes.
-    // Entry order is (dx, dy) row-major, matching the scan's historical
-    // iteration order exactly.
+    // Entry order is (dx, dy) row-major, the order meetings are emitted
+    // in.
     neighbors_.resize(counts.size());
     for (std::size_t c = 0; c < counts.size(); ++c) {
       int k = 0;
       for (std::int64_t dx = -1; dx <= 1; ++dx) {
         for (std::int64_t dy = -1; dy <= 1; ++dy) {
           neighbors_[c][static_cast<std::size_t>(k++)] =
-              Find(cell_cx_[c] + dx, cell_cy_[c] + dy);
+              Find(geo::CellStep(cell_cx_[c], dx),
+                   geo::CellStep(cell_cy_[c], dy));
         }
       }
     }
@@ -122,21 +116,34 @@ class EventCellGrid {
     for (std::size_t c = 0; c < counts.size(); ++c) {
       begin_[c + 1] = begin_[c] + counts[c];
     }
-    x_.resize(n);
-    y_.resize(n);
-    time_.resize(n);
-    user_.resize(n);
     id_.resize(n);
     std::vector<std::uint32_t> fill(counts.size(), 0);
     for (std::size_t id = 0; id < n; ++id) {
       const auto cell = static_cast<std::size_t>(event_cell_[id]);
-      const std::size_t pos = begin_[cell] + fill[cell]++;
-      x_[pos] = flat[id].position.x;
-      y_[pos] = flat[id].position.y;
-      time_[pos] = flat[id].time;
-      user_[pos] = flat[id].user;
-      id_[pos] = static_cast<std::uint32_t>(id);
+      id_[begin_[cell] + fill[cell]++] = static_cast<std::uint32_t>(id);
     }
+    // Each slice is sorted to (time, id) order, then its SoA columns are
+    // gathered.
+    x_.resize(n);
+    y_.resize(n);
+    time_.resize(n);
+    user_.resize(n);
+    util::ParallelForEach(counts.size(), [&](std::size_t c) {
+      const auto first = id_.begin() + static_cast<std::ptrdiff_t>(begin_[c]);
+      const auto last =
+          id_.begin() + static_cast<std::ptrdiff_t>(begin_[c + 1]);
+      std::sort(first, last, [&](std::uint32_t a, std::uint32_t b) {
+        return flat[a].time < flat[b].time ||
+               (flat[a].time == flat[b].time && a < b);
+      });
+      for (std::size_t pos = begin_[c]; pos < begin_[c + 1]; ++pos) {
+        const FlatEvent& e = flat[id_[pos]];
+        x_[pos] = e.position.x;
+        y_[pos] = e.position.y;
+        time_[pos] = e.time;
+        user_[pos] = e.user;
+      }
+    });
   }
 
   /// Dense cell id for grid coordinates, or -1 when the cell is empty.
@@ -161,7 +168,7 @@ class EventCellGrid {
     return neighbors_[static_cast<std::size_t>(cell)];
   }
 
-  /// [begin, end) slice of a dense cell in the SoA arrays (id-ascending).
+  /// [begin, end) slice of a dense cell in the SoA arrays.
   [[nodiscard]] std::size_t CellBegin(std::int32_t cell) const {
     return begin_[static_cast<std::size_t>(cell)];
   }
@@ -169,6 +176,23 @@ class EventCellGrid {
     return begin_[static_cast<std::size_t>(cell) + 1];
   }
 
+  /// [begin, end) of the cell's events with time in [lo, hi] (empty when
+  /// lo > hi).
+  [[nodiscard]] std::pair<std::size_t, std::size_t> TimeWindow(
+      std::int32_t cell, util::Timestamp lo, util::Timestamp hi) const {
+    const auto first =
+        time_.begin() + static_cast<std::ptrdiff_t>(CellBegin(cell));
+    const auto last =
+        time_.begin() + static_cast<std::ptrdiff_t>(CellEnd(cell));
+    const auto from = std::lower_bound(first, last, lo);
+    return {static_cast<std::size_t>(from - time_.begin()),
+            static_cast<std::size_t>(std::upper_bound(from, last, hi) -
+                                     time_.begin())};
+  }
+
+  [[nodiscard]] std::size_t CellCount() const noexcept {
+    return neighbors_.size();
+  }
   [[nodiscard]] double x(std::size_t i) const { return x_[i]; }
   [[nodiscard]] double y(std::size_t i) const { return y_[i]; }
   [[nodiscard]] util::Timestamp time(std::size_t i) const { return time_[i]; }
@@ -178,17 +202,6 @@ class EventCellGrid {
   /// Contiguous coordinate slices, the vector scans' load targets.
   [[nodiscard]] const double* x_data() const noexcept { return x_.data(); }
   [[nodiscard]] const double* y_data() const noexcept { return y_.data(); }
-
-  /// First index in the cell slice whose flat id exceeds `flat_id`.
-  [[nodiscard]] std::size_t FirstAbove(std::int32_t cell,
-                                       std::uint32_t flat_id) const {
-    const auto first = id_.begin() + static_cast<std::ptrdiff_t>(
-                                         CellBegin(cell));
-    const auto last =
-        id_.begin() + static_cast<std::ptrdiff_t>(CellEnd(cell));
-    return static_cast<std::size_t>(
-        std::upper_bound(first, last, flat_id) - id_.begin());
-  }
 
  private:
   [[nodiscard]] static std::size_t Hash(std::int64_t cx,
@@ -252,80 +265,218 @@ std::vector<FlatEvent> FlattenAndProject(const model::DatasetView& input,
   return flat;
 }
 
-/// Encounter detection via the cell-bucketed event grid. The per-cell
-/// position window test runs 4 candidates per step; the cheap user/time
-/// checks and pair emission stay scalar on the surviving mask bits, in
-/// ascending candidate order — the sequence is byte-identical to the
-/// scalar scan (the vector mask is the exact inverse of the scalar
-/// `d2 > r2` skip, so NaN coordinates survive it identically too).
-std::vector<Encounter> DetectEncounters(const MixZoneConfig& config,
-                                        const std::vector<FlatEvent>& flat,
-                                        const EventCellGrid& grid) {
-  const double radius = config.zone_radius_m;
+/// The times an event at `t` can meet: [t - w, t + w] clamped to the
+/// Timestamp range, so the bounds never overflow and a pair meets exactly
+/// when its true |Δt| <= w (an empty window when w < 0).
+std::pair<util::Timestamp, util::Timestamp> MeetingTimes(util::Timestamp t,
+                                                         util::Timestamp w) {
+  constexpr util::Timestamp kMin = std::numeric_limits<util::Timestamp>::min();
+  constexpr util::Timestamp kMax = std::numeric_limits<util::Timestamp>::max();
+  if (w < 0) return {kMax, kMin};
+  return {t < kMin + w ? kMin : t - w, t > kMax - w ? kMax : t + w};
+}
+
+/// Whether `later - earlier <= w` in exact arithmetic (no overflow).
+bool GapAtMost(util::Timestamp earlier, util::Timestamp later,
+               util::Timestamp w) {
+  const auto e = static_cast<std::uint64_t>(earlier);
+  const auto l = static_cast<std::uint64_t>(later);
+  if (later >= earlier) return w >= 0 && l - e <= static_cast<std::uint64_t>(w);
+  return w >= 0 || e - l >= 0 - static_cast<std::uint64_t>(w);
+}
+
+/// Visits, in slice order, every event j in [begin, end) — a time window
+/// of one cell's slice — that meets event `id` at `a`: a higher flat id,
+/// another user, and not skipped by d2 > r2. The position test runs 4
+/// candidates per step; its mask is the exact inverse of the scalar skip,
+/// so NaN coordinates pass it identically. The id and user checks stay
+/// scalar on the surviving lanes.
+template <typename Visit>
+void ForEachMeeting(const EventCellGrid& grid, std::size_t begin,
+                    std::size_t end, std::uint32_t id, geo::Point2 a,
+                    model::UserId user, double r_sq, Visit&& visit) {
+  using util::F64x4;
+  const auto meet = [&](std::size_t j) {
+    if (grid.id(j) > id && grid.user(j) != user) visit(j);
+  };
+  const F64x4 vax = F64x4::Set1(a.x);
+  const F64x4 vay = F64x4::Set1(a.y);
+  const F64x4 vr2 = F64x4::Set1(r_sq);
+  std::size_t j = begin;
+  for (; j + util::kSimdWidth <= end; j += util::kSimdWidth) {
+    const F64x4 ddx = F64x4::Load(grid.x_data() + j) - vax;
+    const F64x4 ddy = F64x4::Load(grid.y_data() + j) - vay;
+    // Candidates are the lanes NOT skipped by d2 > r2.
+    int m = ~util::MoveMask(util::CmpLt(vr2, ddx * ddx + ddy * ddy)) & 0xF;
+    while (m != 0) {
+      meet(j + static_cast<std::size_t>(
+                   std::countr_zero(static_cast<unsigned>(m))));
+      m &= m - 1;
+    }
+  }
+  for (; j < end; ++j) {
+    const double ddx = grid.x(j) - a.x;
+    const double ddy = grid.y(j) - a.y;
+    if (ddx * ddx + ddy * ddy > r_sq) continue;
+    meet(j);
+  }
+}
+
+/// Step 1: the number of encounters — meetings of two distinct users'
+/// events within the zone radius and the time window, each counted once,
+/// from its lower flat id. Cells count in parallel: each sweeps its
+/// time-ordered slice against each neighbour's, whose time window only
+/// moves forward, so no window is searched for. The sum does not depend
+/// on the worker count. When `meets` is given, it is sized to the events
+/// and marks every event that meets a higher id (the events step 2
+/// visits).
+std::size_t CountMeetings(const MixZoneConfig& config,
+                          const std::vector<FlatEvent>& flat,
+                          const EventCellGrid& grid,
+                          std::vector<std::uint8_t>* meets = nullptr) {
+  if (meets != nullptr) meets->assign(flat.size(), 0);
+  const double r_sq = config.zone_radius_m * config.zone_radius_m;
+  std::vector<std::size_t> cell_count(grid.CellCount(), 0);
+  util::ParallelForEach(grid.CellCount(), [&](std::size_t c) {
+    const auto cell = static_cast<std::int32_t>(c);
+    std::size_t count = 0;
+    for (const std::int32_t other : grid.Neighbors(cell)) {
+      if (other < 0) continue;
+      const std::size_t other_end = grid.CellEnd(other);
+      std::size_t lo = grid.CellBegin(other);
+      std::size_t hi = lo;
+      for (std::size_t i = grid.CellBegin(cell); i < grid.CellEnd(cell);
+           ++i) {
+        const auto [t_lo, t_hi] =
+            MeetingTimes(grid.time(i), config.time_window_s);
+        while (lo < other_end && grid.time(lo) < t_lo) ++lo;
+        hi = std::max(hi, lo);
+        while (hi < other_end && grid.time(hi) <= t_hi) ++hi;
+        const std::size_t before = count;
+        ForEachMeeting(grid, lo, hi, grid.id(i), {grid.x(i), grid.y(i)},
+                       grid.user(i), r_sq, [&](std::size_t) { ++count; });
+        if (meets != nullptr && count != before) (*meets)[grid.id(i)] = 1;
+      }
+    }
+    cell_count[c] = count;
+  });
+  return std::accumulate(cell_count.begin(), cell_count.end(),
+                         std::size_t{0});
+}
+
+/// Step 2: greedy first-fit zone placement, fused with the meeting scan
+/// so that no encounter is ever stored. Encounters are generated in one
+/// fixed sequence — events in flat-id order; per event, neighbour cells
+/// in (dx, dy) row-major order; per cell, ascending partner id — and each
+/// midpoint becomes a new zone centre unless an existing centre lies
+/// within the rejection radius R. Only events marked by CountMeetings
+/// have encounters to place.
+std::vector<geo::Point2> PlaceZones(const MixZoneConfig& config,
+                                    const std::vector<FlatEvent>& flat,
+                                    const EventCellGrid& grid,
+                                    const std::vector<std::uint8_t>& meets) {
+  const double radius = config.zone_radius_m;  // r: meeting distance
   const double r_sq = radius * radius;
-  // Cell size equals the query radius, so every radius-r disc is covered
-  // by the 3x3 cell neighbourhood of its centre (grid.Neighbors).
-  // Each id-range block collects its encounters independently; blocks are
-  // concatenated in id order afterwards, so the encounter sequence (and
-  // with it the greedy zone clustering) is byte-identical to a serial
-  // scan whatever the worker count.
-  const std::size_t block_size = 1024;
-  const std::size_t blocks = (flat.size() + block_size - 1) / block_size;
-  std::vector<std::vector<Encounter>> block_encounters(blocks);
-  util::ParallelForEach(blocks, [&](std::size_t block) {
-    using util::F64x4;
-    const F64x4 vr2 = F64x4::Set1(r_sq);
-    const std::uint64_t lo = block * block_size;
-    const std::uint64_t hi =
-        std::min<std::uint64_t>(flat.size(), lo + block_size);
-    for (std::uint64_t id = lo; id < hi; ++id) {
-      const FlatEvent& a = flat[id];
-      const F64x4 vax = F64x4::Set1(a.position.x);
-      const F64x4 vay = F64x4::Set1(a.position.y);
-      // Scalar user/time filter + emission for one in-radius candidate.
-      const auto emit = [&](std::size_t j) {
-        if (a.user == grid.user(j)) return;
-        if (std::abs(a.time - grid.time(j)) > config.time_window_s) return;
-        block_encounters[block].push_back(Encounter{
-            geo::Midpoint(a.position, {grid.x(j), grid.y(j)}),
-            std::min(a.time, grid.time(j))});
-      };
-      // The grid pre-resolves each cell's 3x3 neighbourhood in the same
-      // (dx, dy) order the historical nested loop probed, so swapping the
-      // nine hash lookups for one table row keeps the candidate sequence
-      // byte-identical.
-      for (const std::int32_t cell : grid.Neighbors(grid.EventCell(id))) {
-        if (cell < 0) continue;
-        const std::size_t end = grid.CellEnd(cell);
-        std::size_t j =
-            grid.FirstAbove(cell, static_cast<std::uint32_t>(id));
-        for (; j + util::kSimdWidth <= end; j += util::kSimdWidth) {
-          const F64x4 ddx = F64x4::Load(grid.x_data() + j) - vax;
-          const F64x4 ddy = F64x4::Load(grid.y_data() + j) - vay;
-          // Candidates are the lanes NOT skipped by d2 > r2.
-          int m = ~util::MoveMask(
-                      util::CmpLt(vr2, ddx * ddx + ddy * ddy)) &
-                  0xF;
-          while (m != 0) {
-            emit(j + static_cast<std::size_t>(
-                         std::countr_zero(static_cast<unsigned>(m))));
-            m &= m - 1;
-          }
-        }
-        for (; j < end; ++j) {
-          const double ddx = grid.x(j) - a.position.x;
-          const double ddy = grid.y(j) - a.position.y;
-          if (ddx * ddx + ddy * ddy > r_sq) continue;
-          emit(j);
+  const double reject_radius = config.zone_radius_m;  // R
+  const double reject_sq = reject_radius * reject_radius;
+  // Every encounter midpoint of event a lies within r/2 of a. So only the
+  // centres within R + r/2 of a can reject one, and a centre within
+  // R - r/2 of a rejects them all: a's scan is skipped. The R/1024
+  // margins cover the rounding of the midpoint and distance arithmetic
+  // while a lies within 2^30 R of the origin (and r² is finite); beyond
+  // that — and for NaN or infinite coordinates, whose NaN midpoints are
+  // inserted as centres — every midpoint is probed against the grid of
+  // all centres.
+  const double margin = reject_radius / 1024.0;
+  const double skip_radius = reject_radius - radius / 2.0 - margin;
+  const double skip_sq = skip_radius > 0.0 ? skip_radius * skip_radius : -1.0;
+  const double near_radius = reject_radius + radius / 2.0 + margin;
+  const double near_sq = near_radius * near_radius;
+  const bool shortcuts =
+      radius > 0.0 && r_sq < std::numeric_limits<double>::infinity();
+  const double bound = shortcuts ? reject_radius * 0x1p30 : -1.0;
+  std::vector<geo::Point2> centers;
+  geo::GridIndex center_index(reject_radius);
+  // Each centre is also listed in every event cell within `reach` cells
+  // of its own, so one list holds every centre within R + r/2 of any
+  // event of the cell.
+  const std::int64_t reach =
+      shortcuts ? static_cast<std::int64_t>(std::ceil(near_radius / radius))
+                : 0;
+  std::vector<std::vector<geo::Point2>> cell_centers(grid.CellCount());
+  const auto insert = [&](geo::Point2 c) {
+    center_index.Insert(c, static_cast<std::uint64_t>(centers.size()));
+    centers.push_back(c);
+    if (!shortcuts) return;
+    const std::int64_t cx = geo::CellCoord(c.x / radius);
+    const std::int64_t cy = geo::CellCoord(c.y / radius);
+    for (std::int64_t dx = -reach; dx <= reach; ++dx) {
+      for (std::int64_t dy = -reach; dy <= reach; ++dy) {
+        const std::int32_t cell =
+            grid.Find(geo::CellStep(cx, dx), geo::CellStep(cy, dy));
+        if (cell >= 0) {
+          cell_centers[static_cast<std::size_t>(cell)].push_back(c);
         }
       }
     }
-  });
-  std::vector<Encounter> encounters;
-  for (const auto& block : block_encounters) {
-    encounters.insert(encounters.end(), block.begin(), block.end());
+  };
+  std::vector<geo::Point2> near;  // centres within near_radius of a
+  std::vector<std::uint32_t> partners;
+  for (std::uint32_t id = 0; id < flat.size(); ++id) {
+    if (meets[id] == 0) continue;
+    const FlatEvent& a = flat[id];
+    const std::int32_t home = grid.EventCell(id);
+    const bool bounded = std::abs(a.position.x) <= bound &&
+                         std::abs(a.position.y) <= bound;
+    if (bounded) {
+      near.clear();
+      bool covered = false;
+      for (const geo::Point2 c : cell_centers[static_cast<std::size_t>(home)]) {
+        const double dx = c.x - a.position.x;
+        const double dy = c.y - a.position.y;
+        const double d2 = dx * dx + dy * dy;
+        if (d2 <= skip_sq) {
+          covered = true;
+          break;
+        }
+        if (d2 <= near_sq) near.push_back(c);
+      }
+      if (covered) continue;
+    }
+    // GridIndex::AnyWithin(mid, R), over the near list when it holds
+    // every centre that can answer.
+    const auto rejected = [&](geo::Point2 mid) {
+      if (!bounded) return center_index.AnyWithin(mid, reject_radius);
+      for (const geo::Point2 c : near) {
+        const double dx = c.x - mid.x;
+        const double dy = c.y - mid.y;
+        if (dx * dx + dy * dy <= reject_sq) return true;
+      }
+      return false;
+    };
+    const auto [t_lo, t_hi] = MeetingTimes(a.time, config.time_window_s);
+    for (const std::int32_t cell : grid.Neighbors(home)) {
+      if (cell < 0) continue;
+      const auto [begin, end] = grid.TimeWindow(cell, t_lo, t_hi);
+      partners.clear();
+      ForEachMeeting(grid, begin, end, id, a.position, a.user, r_sq,
+                     [&](std::size_t j) {
+                       partners.push_back(static_cast<std::uint32_t>(j));
+                     });
+      std::sort(partners.begin(), partners.end(),
+                [&](std::uint32_t p, std::uint32_t q) {
+                  return grid.id(p) < grid.id(q);
+                });
+      for (const std::uint32_t j : partners) {
+        const geo::Point2 mid =
+            geo::Midpoint(a.position, {grid.x(j), grid.y(j)});
+        if (rejected(mid)) continue;
+        insert(mid);
+        near.push_back(mid);
+      }
+    }
   }
-  return encounters;
+  return centers;
 }
 
 /// Stable per-trace time ordering on columns — the exact permutation
@@ -369,28 +520,15 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
   const auto& traces = input.traces();
   const std::vector<FlatEvent> flat = FlattenAndProject(input, projection);
 
-  // ---- 1. Encounter detection via the cell-bucketed event grid. ----
+  // ---- 1 & 2. Encounter count and zone placement over the event grid.
   const double radius = config.zone_radius_m;
   const double r_sq = radius * radius;
   const std::int64_t span = 1;
   const EventCellGrid grid(radius, flat);
-  const std::vector<Encounter> encounters =
-      DetectEncounters(config, flat, grid);
-  report.encounters = encounters.size();
-
-  // ---- 2. Greedy zone clustering (first-fit by centre distance). ----
-  // Centers are immutable once created, so a grid over them answers the
-  // first-fit probe ("is any existing center within the zone radius?") in
-  // O(1) instead of scanning every center per encounter — AnyWithin
-  // early-exits on the first hit, never collecting the neighbour list.
-  std::vector<geo::Point2> zone_centers;
-  geo::GridIndex center_index(config.zone_radius_m);
-  for (const Encounter& e : encounters) {
-    if (center_index.AnyWithin(e.midpoint, config.zone_radius_m)) continue;
-    center_index.Insert(e.midpoint,
-                        static_cast<std::uint64_t>(zone_centers.size()));
-    zone_centers.push_back(e.midpoint);
-  }
+  std::vector<std::uint8_t> meets;
+  report.encounters = CountMeetings(config, flat, grid, &meets);
+  const std::vector<geo::Point2> zone_centers =
+      PlaceZones(config, flat, grid, meets);
 
   // ---- 3 & 4. Per-zone passages and occurrence grouping. ----
   struct Occurrence {
@@ -421,13 +559,12 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
     const F64x4 vcx = F64x4::Set1(center.x);
     const F64x4 vcy = F64x4::Set1(center.y);
     const F64x4 vr2 = F64x4::Set1(r_sq);
-    const auto ccx =
-        static_cast<std::int64_t>(std::floor(center.x / radius));
-    const auto ccy =
-        static_cast<std::int64_t>(std::floor(center.y / radius));
+    const std::int64_t ccx = geo::CellCoord(center.x / radius);
+    const std::int64_t ccy = geo::CellCoord(center.y / radius);
     for (std::int64_t dx = -span; dx <= span; ++dx) {
       for (std::int64_t dy = -span; dy <= span; ++dy) {
-        const std::int32_t cell = grid.Find(ccx + dx, ccy + dy);
+        const std::int32_t cell =
+            grid.Find(geo::CellStep(ccx, dx), geo::CellStep(ccy, dy));
         if (cell < 0) continue;
         const std::size_t end = grid.CellEnd(cell);
         std::size_t j = grid.CellBegin(cell);
@@ -504,7 +641,7 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
         group_end = passages[k].exit;
         continue;
       }
-      if (passages[k].enter <= group_end + config.time_window_s) {
+      if (GapAtMost(group_end, passages[k].enter, config.time_window_s)) {
         group_end = std::max(group_end, passages[k].exit);
       } else {
         flush_group(group_start, k);
@@ -726,7 +863,8 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
       const bool joinable =
           !stitched.time.empty() && stitched_open_at_zone &&
           seg.starts_at_zone &&
-          seg.time.front() - stitched.time.back() <= config.time_window_s;
+          GapAtMost(stitched.time.back(), seg.time.front(),
+                    config.time_window_s);
       if (!joinable) flush();
       stitched.lat.insert(stitched.lat.end(), seg.lat.begin(),
                           seg.lat.end());
@@ -831,7 +969,7 @@ std::size_t MixZone::CountEncounters(const model::DatasetView& input) const {
       bbox.IsEmpty() ? geo::LatLng{0.0, 0.0} : bbox.Center());
   const std::vector<FlatEvent> flat = FlattenAndProject(input, projection);
   const EventCellGrid grid(config_.zone_radius_m, flat);
-  return DetectEncounters(config_, flat, grid).size();
+  return CountMeetings(config_, flat, grid);
 }
 
 }  // namespace mobipriv::mech

@@ -4,9 +4,13 @@
 // When users naturally meet (public transport, malls, workplaces), the
 // meeting area becomes a mix-zone in the sense of Beresford & Stajano [6]:
 // a well-delimited disc in which nobody is tracked. The mechanism
-//   1. *detects* natural meetings — events of distinct users within
-//      `zone_radius_m` of each other within `time_window_s`;
-//   2. clusters those encounters into zones (disc of radius zone_radius_m);
+//   1. *detects* natural meetings (encounters) — events of distinct users
+//      within `zone_radius_m` of each other within `time_window_s`;
+//   2. clusters those encounters into zones (disc of radius
+//      zone_radius_m), first-fit in one fixed encounter order. Steps 1
+//      and 2 are one pass that places each encounter as it is found and
+//      stores none; the report's encounter count comes from a separate
+//      count-only pass;
 //   3. for each zone *occurrence* (a maximal episode during which >= 2 users
 //      are simultaneously inside), suppresses every in-zone event and
 //      applies a uniformly random permutation to the participants'
@@ -99,10 +103,11 @@ class MixZone final : public Mechanism {
       const model::DatasetView& input, util::Rng& rng,
       MixZoneReport& report) const;
 
-  /// Runs detection only (projection + cell-grid encounter scan, steps the
-  /// full mechanism shares) and returns the raw encounter count. Cheap
-  /// instrumentation surface for benchmarks and tuning — no rng, no
-  /// clustering, no output assembly.
+  /// Runs the encounter count only (projection, the time-ordered cell
+  /// grid and the parallel count pass that also fills
+  /// MixZoneReport::encounters) and returns it. Cheap instrumentation
+  /// surface for benchmarks and tuning — no rng, no zone placement, no
+  /// output assembly.
   [[nodiscard]] std::size_t CountEncounters(
       const model::DatasetView& input) const;
 

@@ -19,6 +19,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "model/dataset.h"
@@ -74,6 +75,17 @@ class TraceBuffer {
   [[nodiscard]] std::span<const double> lng() const noexcept { return lng_; }
   [[nodiscard]] std::span<const util::Timestamp> time() const noexcept {
     return time_;
+  }
+
+  /// The three columns, moved out: hands a finished buffer to
+  /// EventStore::FromColumns without copying it.
+  struct Columns {
+    std::vector<double> lat;
+    std::vector<double> lng;
+    std::vector<util::Timestamp> time;
+  };
+  [[nodiscard]] Columns Release() && {
+    return {std::move(lat_), std::move(lng_), std::move(time_)};
   }
 
   /// Owning Trace over the whole buffer content (used by the AoS adapter;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "geo/projection.h"
 
 namespace mobipriv::mech {
@@ -228,6 +230,40 @@ TEST(MixZone, SingleUserNeverMixes) {
       mechanism.ApplyToStoreWithReport(dataset, rng, report);
   EXPECT_EQ(report.encounters, 0u);
   EXPECT_EQ(out.EventCount(), dataset.EventCount());
+}
+
+TEST(MixZone, ExtremeTimestampsMeetOnlyWithinTheWindow) {
+  // Pairs at the ends of the timestamp range. Their time tests must not
+  // overflow, and a pair whose true |dt| exceeds the window never meets:
+  // INT64_MIN and INT64_MAX at one place are ~2^64 s apart.
+  constexpr util::Timestamp kMin = std::numeric_limits<util::Timestamp>::min();
+  constexpr util::Timestamp kMax = std::numeric_limits<util::Timestamp>::max();
+  const geo::LocalProjection projection(kOrigin);
+  const auto at = [&](double x) { return projection.Unproject({x, 0.0}); };
+  model::Dataset dataset;
+  dataset.AddTraceForUser("first", {{at(0.0), kMin}});
+  dataset.AddTraceForUser("last", {{at(0.0), kMax}});
+  // Meet: 10 s apart at the top of the range, exactly the window apart
+  // at the bottom.
+  dataset.AddTraceForUser("late_a", {{at(5000.0), kMax - 10}});
+  dataset.AddTraceForUser("late_b", {{at(5000.0), kMax}});
+  dataset.AddTraceForUser("early_a",
+                          {{at(10000.0), kMin}, {at(10000.0), kMin + 1}});
+  dataset.AddTraceForUser("early_b", {{at(10000.0), kMin + 600}});
+  MixZoneConfig config;
+  config.time_window_s = 600;
+  const MixZone mechanism(config);
+  util::Rng rng(1);
+  MixZoneReport report;
+  const model::EventStore out =
+      mechanism.ApplyToStoreWithReport(dataset, rng, report);
+  // (late_a, late_b) and (early_a@kMin, early_b); early_a@kMin+1 is 599 s
+  // from early_b, so it meets too.
+  EXPECT_EQ(report.encounters, 3u);
+  EXPECT_EQ(mechanism.CountEncounters(dataset), 3u);
+  EXPECT_EQ(report.occurrences, 2u);
+  EXPECT_EQ(out.EventCount() + report.suppressed_events,
+            dataset.EventCount());
 }
 
 TEST(MixZone, NameEncodesConfig) {

@@ -266,8 +266,10 @@ model::Dataset UnsortedWorld() {
   return dataset;
 }
 
-/// Pairs exactly at the radius and exactly at the time window, and pairs
-/// just past either bound, spread so each pair is its own candidate zone.
+/// Pairs exactly at the radius, |dt| exactly the window (either sign) or
+/// one second past it (their second fixes are then exactly the window
+/// apart), and pairs one longitude step past the radius, spread so each
+/// pair is its own candidate zone.
 model::Dataset BoundaryWorld(double radius, util::Timestamp window) {
   model::Dataset dataset;
   AddAnchors(dataset);

@@ -178,19 +178,26 @@ TEST(PathologicalInputs, MetricsOnSelfAreReflexive) {
   }
 }
 
-TEST(PathologicalInputs, PerfectTwinsMixEverywhere) {
-  // Two identical traces are one continuous encounter: the mix-zone stage
-  // must handle a trace that never leaves the zone (suppressing it
-  // entirely is legal).
+TEST(PathologicalInputs, MixZoneSurvivesTheZoo) {
+  // Every zoo dataset through the mix-zone stage: no throw, every input
+  // event either published or suppressed, and the stand-alone encounter
+  // scan agreeing with the report. Two identical traces are one
+  // continuous encounter: the stage must handle a trace that never
+  // leaves the zone (suppressing it entirely is legal).
+  const mech::MixZone mixzone;
   for (const auto& [name, dataset] : PathologicalZoo()) {
-    if (name != "perfect_twins") continue;
-    mech::MixZone mixzone;
+    SCOPED_TRACE(name);
     util::Rng rng(1);
     mech::MixZoneReport report;
-    const auto output = mixzone.ApplyToStoreWithReport(dataset, rng, report);
-    EXPECT_GT(report.encounters, 0u);
+    model::EventStore output;
+    ASSERT_NO_THROW(output =
+                        mixzone.ApplyToStoreWithReport(dataset, rng, report));
     EXPECT_EQ(output.EventCount() + report.suppressed_events,
               dataset.EventCount());
+    EXPECT_EQ(mixzone.CountEncounters(dataset), report.encounters);
+    if (name == "perfect_twins") {
+      EXPECT_GT(report.encounters, 0u);
+    }
   }
 }
 
