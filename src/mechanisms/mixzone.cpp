@@ -378,84 +378,29 @@ std::vector<geo::Point2> PlaceZones(const MixZoneConfig& config,
   const double radius = config.zone_radius_m;  // r: meeting distance
   const double r_sq = radius * radius;
   const double reject_radius = config.zone_radius_m;  // R
-  const double reject_sq = reject_radius * reject_radius;
-  // Every encounter midpoint of event a lies within r/2 of a. So only the
-  // centres within R + r/2 of a can reject one, and a centre within
-  // R - r/2 of a rejects them all: a's scan is skipped. The R/1024
-  // margins cover the rounding of the midpoint and distance arithmetic
-  // while a lies within 2^30 R of the origin (and r² is finite); beyond
-  // that — and for NaN or infinite coordinates, whose NaN midpoints are
-  // inserted as centres — every midpoint is probed against the grid of
-  // all centres.
-  const double margin = reject_radius / 1024.0;
-  const double skip_radius = reject_radius - radius / 2.0 - margin;
-  const double skip_sq = skip_radius > 0.0 ? skip_radius * skip_radius : -1.0;
-  const double near_radius = reject_radius + radius / 2.0 + margin;
-  const double near_sq = near_radius * near_radius;
-  const bool shortcuts =
-      radius > 0.0 && r_sq < std::numeric_limits<double>::infinity();
-  const double bound = shortcuts ? reject_radius * 0x1p30 : -1.0;
+  // Every encounter midpoint of event a lies within r/2 of a, so a centre
+  // within R - r/2 of a rejects them all and a's scan is skipped. The
+  // R/1024 margin covers the rounding of the midpoint and distance
+  // arithmetic while a lies within 2^30 R of the origin (and r² is
+  // finite); beyond that — and for NaN or infinite coordinates, whose NaN
+  // midpoints are inserted as centres — every midpoint is probed.
+  const double skip_radius =
+      reject_radius - radius / 2.0 - reject_radius / 1024.0;
+  const bool shortcut = skip_radius > 0.0 &&
+                        r_sq < std::numeric_limits<double>::infinity();
+  const double bound = shortcut ? reject_radius * 0x1p30 : -1.0;
   std::vector<geo::Point2> centers;
   geo::GridIndex center_index(reject_radius);
-  // Each centre is also listed in every event cell within `reach` cells
-  // of its own, so one list holds every centre within R + r/2 of any
-  // event of the cell.
-  const std::int64_t reach =
-      shortcuts ? static_cast<std::int64_t>(std::ceil(near_radius / radius))
-                : 0;
-  std::vector<std::vector<geo::Point2>> cell_centers(grid.CellCount());
-  const auto insert = [&](geo::Point2 c) {
-    center_index.Insert(c, static_cast<std::uint64_t>(centers.size()));
-    centers.push_back(c);
-    if (!shortcuts) return;
-    const std::int64_t cx = geo::CellCoord(c.x / radius);
-    const std::int64_t cy = geo::CellCoord(c.y / radius);
-    for (std::int64_t dx = -reach; dx <= reach; ++dx) {
-      for (std::int64_t dy = -reach; dy <= reach; ++dy) {
-        const std::int32_t cell =
-            grid.Find(geo::CellStep(cx, dx), geo::CellStep(cy, dy));
-        if (cell >= 0) {
-          cell_centers[static_cast<std::size_t>(cell)].push_back(c);
-        }
-      }
-    }
-  };
-  std::vector<geo::Point2> near;  // centres within near_radius of a
   std::vector<std::uint32_t> partners;
   for (std::uint32_t id = 0; id < flat.size(); ++id) {
     if (meets[id] == 0) continue;
     const FlatEvent& a = flat[id];
-    const std::int32_t home = grid.EventCell(id);
-    const bool bounded = std::abs(a.position.x) <= bound &&
-                         std::abs(a.position.y) <= bound;
-    if (bounded) {
-      near.clear();
-      bool covered = false;
-      for (const geo::Point2 c : cell_centers[static_cast<std::size_t>(home)]) {
-        const double dx = c.x - a.position.x;
-        const double dy = c.y - a.position.y;
-        const double d2 = dx * dx + dy * dy;
-        if (d2 <= skip_sq) {
-          covered = true;
-          break;
-        }
-        if (d2 <= near_sq) near.push_back(c);
-      }
-      if (covered) continue;
+    if (std::abs(a.position.x) <= bound && std::abs(a.position.y) <= bound &&
+        center_index.AnyWithin(a.position, skip_radius)) {
+      continue;
     }
-    // GridIndex::AnyWithin(mid, R), over the near list when it holds
-    // every centre that can answer.
-    const auto rejected = [&](geo::Point2 mid) {
-      if (!bounded) return center_index.AnyWithin(mid, reject_radius);
-      for (const geo::Point2 c : near) {
-        const double dx = c.x - mid.x;
-        const double dy = c.y - mid.y;
-        if (dx * dx + dy * dy <= reject_sq) return true;
-      }
-      return false;
-    };
     const auto [t_lo, t_hi] = MeetingTimes(a.time, config.time_window_s);
-    for (const std::int32_t cell : grid.Neighbors(home)) {
+    for (const std::int32_t cell : grid.Neighbors(grid.EventCell(id))) {
       if (cell < 0) continue;
       const auto [begin, end] = grid.TimeWindow(cell, t_lo, t_hi);
       partners.clear();
@@ -470,9 +415,9 @@ std::vector<geo::Point2> PlaceZones(const MixZoneConfig& config,
       for (const std::uint32_t j : partners) {
         const geo::Point2 mid =
             geo::Midpoint(a.position, {grid.x(j), grid.y(j)});
-        if (rejected(mid)) continue;
-        insert(mid);
-        near.push_back(mid);
+        if (center_index.AnyWithin(mid, reject_radius)) continue;
+        center_index.Insert(mid, static_cast<std::uint64_t>(centers.size()));
+        centers.push_back(mid);
       }
     }
   }

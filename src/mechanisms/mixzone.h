@@ -7,10 +7,11 @@
 //   1. *detects* natural meetings (encounters) — events of distinct users
 //      within `zone_radius_m` of each other within `time_window_s`;
 //   2. clusters those encounters into zones (disc of radius
-//      zone_radius_m), first-fit in one fixed encounter order. Steps 1
-//      and 2 are one pass that places each encounter as it is found and
-//      stores none; the report's encounter count comes from a separate
-//      count-only pass;
+//      zone_radius_m), first-fit in one fixed encounter order. A
+//      parallel pass counts the encounters (the report's count) and marks
+//      the events that have one; a serial first-fit pass then places
+//      zones over the marked events in that order and stores no
+//      encounter;
 //   3. for each zone *occurrence* (a maximal episode during which >= 2 users
 //      are simultaneously inside), suppresses every in-zone event and
 //      applies a uniformly random permutation to the participants'
