@@ -447,23 +447,38 @@ void SortColumnsByTime(StitchedColumns& st) {
   st.time = std::move(time);
 }
 
-/// The whole mechanism: detection, clustering, occurrence grouping,
-/// identity permutation and reassembly — everything except the final
-/// packaging of the stitched columns into an EventStore. Output traces
-/// arrive per-trace time-sorted, in (ascending final identity,
-/// chronological) order.
-std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
-                                     const model::DatasetView& input,
-                                     util::Rng& rng, MixZoneReport& report) {
-  report = MixZoneReport{};
-  report.total_events = input.EventCount();
+/// A zone episode that mixes: the passages of >= min_users distinct users
+/// whose in-zone intervals, dilated by the time window, overlap.
+struct Occurrence {
+  std::size_t zone = 0;  // into MixZoneReport::zones
+  std::vector<ZonePassage> passages;
+  std::vector<model::UserId> users;  // distinct, ascending
+  util::Timestamp end = 0;           // latest exit among passages
+};
 
-  // ---- 0. Project everything onto one dataset-wide tangent plane. ----
+/// The view's events on one dataset-wide tangent plane, centred on its
+/// bounding box.
+std::vector<FlatEvent> ProjectEvents(const model::DatasetView& input) {
   const geo::GeoBoundingBox bbox = input.BoundingBox();
   const geo::LocalProjection projection(
       bbox.IsEmpty() ? geo::LatLng{0.0, 0.0} : bbox.Center());
+  return FlattenAndProject(input, projection);
+}
+
+/// The detection pass (steps 1-3 of mixzone.h): projection, encounter
+/// count, zone placement, passages and occurrence grouping. Resets
+/// `report` and fills its encounters, zones, occurrences,
+/// occurrence_details and total_events. Returns the occurrences in the order the publication
+/// permutes them (by end time), index-aligned with
+/// report.occurrence_details.
+std::vector<Occurrence> DetectOccurrences(const MixZoneConfig& config,
+                                          const model::DatasetView& input,
+                                          MixZoneReport& report) {
+  report = MixZoneReport{};
+  report.total_events = input.EventCount();
+
   const auto& traces = input.traces();
-  const std::vector<FlatEvent> flat = FlattenAndProject(input, projection);
+  const std::vector<FlatEvent> flat = ProjectEvents(input);
 
   // ---- 1 & 2. Encounter count and zone placement over the event grid.
   const double radius = config.zone_radius_m;
@@ -475,12 +490,7 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
   const std::vector<geo::Point2> zone_centers =
       PlaceZones(config, flat, grid, meets);
 
-  // ---- 3 & 4. Per-zone passages and occurrence grouping. ----
-  struct Occurrence {
-    std::size_t zone = 0;
-    std::vector<ZonePassage> passages;
-    util::Timestamp end = 0;  // latest exit among passages
-  };
+  // ---- 3. Per-zone passages and occurrence grouping. ----
   // Every zone's passage/occurrence detection is independent: compute them
   // in parallel into per-zone outcomes, then merge in zone order so the
   // result is identical to the serial zone-by-zone scan.
@@ -561,18 +571,13 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
     const auto flush_group = [&](std::size_t first, std::size_t last) {
       if (first >= last) return;
       Occurrence occ;
-      occ.zone = z;
       occ.passages.assign(passages.begin() + static_cast<std::ptrdiff_t>(first),
                           passages.begin() + static_cast<std::ptrdiff_t>(last));
-      std::size_t distinct_users = 0;
-      {
-        std::vector<model::UserId> users;
-        for (const auto& p : occ.passages) users.push_back(p.user);
-        std::sort(users.begin(), users.end());
-        distinct_users = static_cast<std::size_t>(
-            std::unique(users.begin(), users.end()) - users.begin());
-      }
-      if (distinct_users < config.min_users) return;
+      for (const auto& p : occ.passages) occ.users.push_back(p.user);
+      std::sort(occ.users.begin(), occ.users.end());
+      occ.users.erase(std::unique(occ.users.begin(), occ.users.end()),
+                      occ.users.end());
+      if (occ.users.size() < config.min_users) return;
       occ.end = 0;
       for (const auto& p : occ.passages) occ.end = std::max(occ.end, p.exit);
       ++info.occurrences;
@@ -597,31 +602,46 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
     flush_group(group_start, passages.size());
   });
 
+  // Only zones that mix appear in the report.
   std::vector<Occurrence> occurrences;
-  report.zones.reserve(zone_centers.size());
-  // zone_centers index -> index in report.zones (only mixing zones appear).
-  std::vector<std::ptrdiff_t> zone_report_index(zone_centers.size(), -1);
-  for (std::size_t z = 0; z < zone_centers.size(); ++z) {
-    ZoneOutcome& outcome = outcomes[z];
-    if (outcome.info.occurrences > 0) {
-      zone_report_index[z] =
-          static_cast<std::ptrdiff_t>(report.zones.size());
-      report.zones.push_back(outcome.info);
+  for (ZoneOutcome& outcome : outcomes) {
+    if (outcome.occurrences.empty()) continue;
+    for (Occurrence& occ : outcome.occurrences) {
+      occ.zone = report.zones.size();
+      occurrences.push_back(std::move(occ));
     }
+    report.zones.push_back(outcome.info);
     report.anonymity_set_sizes.insert(report.anonymity_set_sizes.end(),
                                       outcome.anonymity_set_sizes.begin(),
                                       outcome.anonymity_set_sizes.end());
-    for (Occurrence& occ : outcome.occurrences) {
-      occurrences.push_back(std::move(occ));
-    }
   }
   report.occurrences = occurrences.size();
 
-  // ---- 5. Chronological identity permutation + suppression marking. ----
+  // The publication permutes occurrences in the order they end.
   std::sort(occurrences.begin(), occurrences.end(),
             [](const Occurrence& a, const Occurrence& b) {
               return a.end < b.end;
             });
+  report.occurrence_details.reserve(occurrences.size());
+  for (const Occurrence& occ : occurrences) {
+    report.occurrence_details.push_back(
+        OccurrenceInfo{occ.zone, occ.users, false});
+  }
+  return occurrences;
+}
+
+/// The publication pass (steps 4-5) over the detected `occurrences`:
+/// suppression, the identity permutations (marking the drawn
+/// non-identity ones in report.occurrence_details) and reassembly — every
+/// step except the final packaging of the stitched columns into an
+/// EventStore. Output traces arrive per-trace time-sorted, in (ascending
+/// final identity, chronological) order.
+std::vector<StitchedColumns> Publish(const MixZoneConfig& config,
+                                     const model::DatasetView& input,
+                                     const std::vector<Occurrence>& occurrences,
+                                     util::Rng& rng, MixZoneReport& report) {
+  const auto& traces = input.traces();
+  // ---- 4. Chronological identity permutation + suppression marking. ----
   std::vector<model::UserId> owner(traces.size());
   for (std::uint32_t t = 0; t < traces.size(); ++t) {
     owner[t] = traces[t].user();
@@ -634,7 +654,8 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
   std::vector<std::vector<std::pair<util::Timestamp, model::UserId>>>
       switches(traces.size());
 
-  for (const Occurrence& occ : occurrences) {
+  for (std::size_t o = 0; o < occurrences.size(); ++o) {
+    const Occurrence& occ = occurrences[o];
     if (config.suppress_zone_points) {
       for (const ZonePassage& p : occ.passages) {
         for (std::uint32_t i = p.first_event; i <= p.last_event; ++i) {
@@ -655,17 +676,6 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
         participants.end());
     if (participants.size() < 2) continue;
 
-    OccurrenceInfo detail;
-    detail.zone_index = static_cast<std::size_t>(
-        zone_report_index[occ.zone] < 0 ? 0 : zone_report_index[occ.zone]);
-    for (const std::uint32_t trace_idx : participants) {
-      detail.users.push_back(traces[trace_idx].user());
-    }
-    std::sort(detail.users.begin(), detail.users.end());
-    detail.users.erase(
-        std::unique(detail.users.begin(), detail.users.end()),
-        detail.users.end());
-
     std::vector<std::size_t> perm(participants.size());
     std::iota(perm.begin(), perm.end(), 0);
     rng.Shuffle(std::span<std::size_t>(perm));
@@ -676,9 +686,8 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
         break;
       }
     }
-    detail.swapped = !is_identity;
-    report.occurrence_details.push_back(detail);
     if (is_identity) continue;  // drew the identity permutation: no swap
+    report.occurrence_details[o].swapped = true;
     ++report.swaps_applied;
 
     std::vector<model::UserId> old_owners(participants.size());
@@ -708,7 +717,7 @@ std::vector<StitchedColumns> MixCore(const MixZoneConfig& config,
                      });
   }
 
-  // ---- 6. Reassemble output traces under final identities. ----
+  // ---- 5. Reassemble output traces under final identities. ----
   // Each input trace is cut into segments at its identity switches; the
   // segments of one identity are then stitched back together only when
   // temporally adjacent (gap <= time window, i.e. the same mixing episode).
@@ -866,8 +875,8 @@ model::EventStore MixZone::ApplyToStore(const model::DatasetView& input,
 model::EventStore MixZone::ApplyToStoreWithReport(
     const model::DatasetView& input, util::Rng& rng,
     MixZoneReport& report) const {
-  const std::vector<StitchedColumns> stitched =
-      MixCore(config_, input, rng, report);
+  const std::vector<StitchedColumns> stitched = Publish(
+      config_, input, DetectOccurrences(config_, input, report), rng, report);
 
   // Prefix-sum trace sizes into column offsets, then bulk-copy each
   // stitched trace's columns into its pre-sized slot (disjoint slices, so
@@ -908,11 +917,14 @@ model::EventStore MixZone::ApplyToStoreWithReport(
                                         std::move(time));
 }
 
+MixZoneReport MixZone::Detect(const model::DatasetView& input) const {
+  MixZoneReport report;
+  (void)DetectOccurrences(config_, input, report);
+  return report;
+}
+
 std::size_t MixZone::CountEncounters(const model::DatasetView& input) const {
-  const geo::GeoBoundingBox bbox = input.BoundingBox();
-  const geo::LocalProjection projection(
-      bbox.IsEmpty() ? geo::LatLng{0.0, 0.0} : bbox.Center());
-  const std::vector<FlatEvent> flat = FlattenAndProject(input, projection);
+  const std::vector<FlatEvent> flat = ProjectEvents(input);
   const EventCellGrid grid(config_.zone_radius_m, flat);
   return CountMeetings(config_, flat, grid);
 }

@@ -3,19 +3,24 @@
 //
 // When users naturally meet (public transport, malls, workplaces), the
 // meeting area becomes a mix-zone in the sense of Beresford & Stajano [6]:
-// a well-delimited disc in which nobody is tracked. The mechanism
-//   1. *detects* natural meetings (encounters) — events of distinct users
-//      within `zone_radius_m` of each other within `time_window_s`;
-//   2. clusters those encounters into zones (disc of radius
-//      zone_radius_m), first-fit in one fixed encounter order. A
-//      parallel pass counts the encounters (the report's count) and marks
-//      the events that have one; a serial first-fit pass then places
-//      zones over the marked events in that order and stores no
-//      encounter;
-//   3. for each zone *occurrence* (a maximal episode during which >= 2 users
-//      are simultaneously inside), suppresses every in-zone event and
-//      applies a uniformly random permutation to the participants'
-//      identities from their zone exit onwards.
+// a well-delimited disc in which nobody is tracked. The mechanism runs in
+// two passes. Detection (MixZone::Detect) draws no randomness:
+//   1. it counts natural meetings (encounters) — events of distinct users
+//      within `zone_radius_m` of each other within `time_window_s` — in a
+//      parallel pass that also marks the events that have one;
+//   2. it places zones (discs of radius zone_radius_m) first-fit in one
+//      fixed encounter order, in a serial pass over the marked events that
+//      stores no encounter;
+//   3. it cuts each trace's fixes inside a zone into passages and groups
+//      them into zone *occurrences*: maximal episodes whose passages,
+//      dilated by the time window, overlap, kept when >= min_users distinct
+//      users take part.
+// Publication then works over those occurrences, in the order they end:
+//   4. it suppresses every in-zone event and applies a uniformly random
+//      permutation to the participants' identities from their zone exit
+//      onwards;
+//   5. it cuts traces at the identity switches and stitches each
+//      identity's zone-severed segments back together.
 // The identity permutation may be the identity permutation — exactly the
 // point: an adversary observing entries and exits cannot tell whether a
 // swap happened. Zones are never fabricated: only naturally crossing paths
@@ -103,6 +108,14 @@ class MixZone final : public Mechanism {
   [[nodiscard]] model::EventStore ApplyToStoreWithReport(
       const model::DatasetView& input, util::Rng& rng,
       MixZoneReport& report) const;
+
+  /// Runs the detection pass only — the steps before any rng draw — and
+  /// returns its report: encounters, zones, occurrences,
+  /// occurrence_details and total_events, exactly as
+  /// ApplyToStoreWithReport reports them, with nothing swapped or
+  /// suppressed (swaps_applied, suppressed_events and every
+  /// OccurrenceInfo::swapped stay 0).
+  [[nodiscard]] MixZoneReport Detect(const model::DatasetView& input) const;
 
   /// Runs the encounter count only (projection, the time-ordered cell
   /// grid and the parallel count pass that also fills

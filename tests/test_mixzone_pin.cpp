@@ -87,8 +87,8 @@ struct Pin {
 };
 
 /// Runs `config` on `input` with Rng(seed) at 1 and 4 workers and checks
-/// both runs against `pin`; also checks CountEncounters against the
-/// report and event conservation.
+/// both runs against `pin`; also checks CountEncounters and Detect
+/// against the report, and event conservation.
 void ExpectPinned(const Pin& pin, const MixZoneConfig& config,
                   const model::DatasetView& input, std::uint64_t seed) {
   const MixZone mixzone(config);
@@ -111,6 +111,19 @@ void ExpectPinned(const Pin& pin, const MixZoneConfig& config,
                   static_cast<unsigned long long>(report_digest));
     }
     EXPECT_EQ(mixzone.CountEncounters(input), report.encounters) << context;
+    // Detection alone reports the same zones and occurrences, with nothing
+    // swapped or suppressed.
+    MixZoneReport unswapped = report;
+    unswapped.swaps_applied = 0;
+    unswapped.suppressed_events = 0;
+    for (OccurrenceInfo& detail : unswapped.occurrence_details) {
+      detail.swapped = false;
+    }
+    util::Rng detect_rng(seed);
+    util::Rng unswapped_rng(seed);
+    EXPECT_EQ(ReportDigest(mixzone.Detect(input), detect_rng),
+              ReportDigest(unswapped, unswapped_rng))
+        << context;
     EXPECT_EQ(store.EventCount() + report.suppressed_events,
               input.EventCount())
         << context;
