@@ -70,8 +70,8 @@ int main() {
       const auto uncertainty =
           privacy::MeasureMixingUncertainty(dataset, report);
       std::vector<double> anon_sizes;
-      for (const auto s : report.anonymity_set_sizes) {
-        anon_sizes.push_back(static_cast<double>(s));
+      for (const auto& occurrence : report.occurrence_details) {
+        anon_sizes.push_back(static_cast<double>(occurrence.users.size()));
       }
       table.AddRow(
           {util::FormatDouble(radius, 0), std::to_string(window),

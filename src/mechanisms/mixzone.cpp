@@ -497,7 +497,6 @@ std::vector<Occurrence> DetectOccurrences(const MixZoneConfig& config,
   struct ZoneOutcome {
     MixZoneInfo info;
     std::vector<Occurrence> occurrences;
-    std::vector<std::size_t> anonymity_set_sizes;
   };
   std::vector<ZoneOutcome> outcomes(zone_centers.size());
   util::ParallelForEach(zone_centers.size(), [&](std::size_t z) {
@@ -582,8 +581,7 @@ std::vector<Occurrence> DetectOccurrences(const MixZoneConfig& config,
       for (const auto& p : occ.passages) occ.end = std::max(occ.end, p.exit);
       ++info.occurrences;
       info.max_anonymity_set =
-          std::max(info.max_anonymity_set, occ.passages.size());
-      outcome.anonymity_set_sizes.push_back(occ.passages.size());
+          std::max(info.max_anonymity_set, occ.users.size());
       outcome.occurrences.push_back(std::move(occ));
     };
     for (std::size_t k = 0; k < passages.size(); ++k) {
@@ -611,9 +609,6 @@ std::vector<Occurrence> DetectOccurrences(const MixZoneConfig& config,
       occurrences.push_back(std::move(occ));
     }
     report.zones.push_back(outcome.info);
-    report.anonymity_set_sizes.insert(report.anonymity_set_sizes.end(),
-                                      outcome.anonymity_set_sizes.begin(),
-                                      outcome.anonymity_set_sizes.end());
   }
   report.occurrences = occurrences.size();
 

@@ -57,26 +57,34 @@ struct MixZoneInfo {
   geo::Point2 center;  ///< planar, in the dataset projection frame
   double radius_m = 0.0;
   std::size_t occurrences = 0;
-  std::size_t max_anonymity_set = 0;  ///< most users mixed in one occurrence
+  /// Largest anonymity set among its occurrences: the most distinct users
+  /// in one occurrence.
+  std::size_t max_anonymity_set = 0;
 };
 
-/// One zone episode that actually mixed (for uncertainty accounting).
+/// One zone occurrence (for uncertainty accounting). Its anonymity set is
+/// `users`: the distinct users who take part, the count the min_users
+/// floor gates on and privacy::MeasureMixingUncertainty scores as
+/// log2(users.size()) bits (Beresford & Stajano).
 struct OccurrenceInfo {
   std::size_t zone_index = 0;               ///< into MixZoneReport::zones
   std::vector<model::UserId> users;         ///< distinct participants
   bool swapped = false;                     ///< non-identity permutation drawn
 };
 
-/// Aggregate outcome of one MixZone application.
+/// Aggregate outcome of one MixZone application. Detection fills the
+/// zones, occurrences, encounters and total_events; publication fills
+/// swaps_applied, suppressed_events and OccurrenceInfo::swapped.
 struct MixZoneReport {
-  std::vector<MixZoneInfo> zones;
+  std::vector<MixZoneInfo> zones;     ///< only zones with an occurrence
+  /// One per occurrence, in the order publication permutes them (by the
+  /// latest zone exit).
   std::vector<OccurrenceInfo> occurrence_details;
   std::size_t encounters = 0;         ///< raw co-location pairs found
   std::size_t occurrences = 0;        ///< zone episodes with >= min_users
   std::size_t swaps_applied = 0;      ///< non-identity permutations drawn
   std::size_t suppressed_events = 0;  ///< points removed inside zones
   std::size_t total_events = 0;       ///< events in the input dataset
-  std::vector<std::size_t> anonymity_set_sizes;  ///< one per occurrence
 
   [[nodiscard]] double SuppressionRatio() const noexcept {
     return total_events == 0

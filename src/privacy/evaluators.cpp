@@ -1,22 +1,9 @@
 #include "privacy/evaluators.h"
 
-#include "model/columnar_file.h"
 #include "privacy/uncertainty.h"
-#include "util/rng.h"
 #include "util/string_utils.h"
 
 namespace mobipriv::privacy {
-namespace {
-
-double TotalBits(const mech::MixZoneReport& report) {
-  double bits = 0.0;
-  for (const std::size_t size : report.anonymity_set_sizes) {
-    bits += AnonymitySetEntropyBits(size);
-  }
-  return bits;
-}
-
-}  // namespace
 
 CertificationEvaluator::CertificationEvaluator(CertificationConfig config)
     : config_(config) {}
@@ -76,28 +63,16 @@ std::string UncertaintyEvaluator::Name() const {
 std::vector<core::MetricValue> UncertaintyEvaluator::Evaluate(
     const core::EvalInput& input) const {
   const mech::MixZone detector(config_);
-  // The detection pass is deterministic; the rng only feeds the identity
-  // permutations of the (discarded) mixed output, so any stream works —
-  // derive one from the cell seed and this evaluator's name to keep the
-  // call reproducible and independent of sibling evaluators.
-  const std::string name = Name();
-  const std::uint64_t name_hash = model::Fnv1a64(name.data(), name.size());
-
-  mech::MixZoneReport potential;
-  util::Rng original_rng(util::DeriveStreamSeed(input.seed, name_hash, 0));
-  (void)detector.ApplyToStoreWithReport(input.original, original_rng,
-                                        potential);
-  mech::MixZoneReport residual;
-  util::Rng published_rng(util::DeriveStreamSeed(input.seed, name_hash, 1));
-  (void)detector.ApplyToStoreWithReport(input.published, published_rng,
-                                        residual);
+  const UncertaintyReport potential = MeasureMixingUncertainty(
+      input.original, detector.Detect(input.original));
+  const UncertaintyReport residual = MeasureMixingUncertainty(
+      input.published, detector.Detect(input.published));
   return {
-      {"mix_potential_bits", TotalBits(potential)},
+      {"mix_potential_bits", potential.total_bits},
       {"mix_potential_occurrences",
        static_cast<double>(potential.occurrences)},
-      {"mix_residual_bits", TotalBits(residual)},
-      {"mix_residual_occurrences",
-       static_cast<double>(residual.occurrences)},
+      {"mix_residual_bits", residual.total_bits},
+      {"mix_residual_occurrences", static_cast<double>(residual.occurrences)},
   };
 }
 

@@ -35,14 +35,16 @@ class CertificationEvaluator final : public core::Evaluator {
 };
 
 /// Scores the mixing uncertainty an adversary faces: runs mix-zone
-/// detection over the ORIGINAL dataset (the potential — what natural
-/// meetings could have provided) and over the PUBLISHED dataset (the
-/// residual — meetings still observable after anonymization). Entropy is
-/// log2(k) bits per occurrence with anonymity set k. Metrics:
+/// detection (mech::MixZone::Detect, no publication) over the ORIGINAL
+/// dataset (the potential — what natural meetings could have provided)
+/// and over the PUBLISHED dataset (the residual — meetings still
+/// observable after anonymization), and scores each with
+/// MeasureMixingUncertainty: log2(k) bits per occurrence whose anonymity
+/// set is k distinct users. Metrics:
 ///   mix_potential_bits / mix_potential_occurrences
 ///   mix_residual_bits  / mix_residual_occurrences
-/// Anonymity-set sizes are rng-independent (detection is deterministic),
-/// so the metrics are too.
+/// Detection draws no randomness, so the metrics do not depend on the
+/// seed.
 class UncertaintyEvaluator final : public core::Evaluator {
  public:
   explicit UncertaintyEvaluator(mech::MixZoneConfig config = {});

@@ -183,7 +183,7 @@ TEST(MixZone, ReportAccounting) {
   const model::Dataset input = CrossingPair();
   (void)mechanism.ApplyToStoreWithReport(input, rng, report);
   EXPECT_EQ(report.total_events, CrossingPair().EventCount());
-  EXPECT_EQ(report.anonymity_set_sizes.size(), report.occurrences);
+  EXPECT_EQ(report.occurrence_details.size(), report.occurrences);
   EXPECT_GE(report.SuppressionRatio(), 0.0);
   EXPECT_LE(report.SuppressionRatio(), 1.0);
   EXPECT_FALSE(report.ToString().empty());

@@ -106,8 +106,8 @@ TEST_P(MixZoneProperty, AnonymitySetsMeetTheFloor) {
   util::Rng rng(4);
   MixZoneReport report;
   (void)mechanism.ApplyToStoreWithReport(Input(), rng, report);
-  for (const auto size : report.anonymity_set_sizes) {
-    EXPECT_GE(size, 2u);
+  for (const auto& occurrence : report.occurrence_details) {
+    EXPECT_GE(occurrence.users.size(), 2u);
   }
   for (const auto& zone : report.zones) {
     EXPECT_GE(zone.max_anonymity_set, 2u);

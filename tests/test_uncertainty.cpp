@@ -1,7 +1,12 @@
 #include "privacy/uncertainty.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "core/evaluator.h"
+#include "model/event_store.h"
+#include "privacy/evaluators.h"
 #include "synth/population.h"
 
 namespace mobipriv::privacy {
@@ -74,6 +79,56 @@ TEST(MeasureMixingUncertainty, EndToEndWithMixZone) {
     EXPECT_LT(occ.zone_index, report.zones.size());
   }
   EXPECT_EQ(swapped, report.swaps_applied);
+}
+
+// One anonymity-set definition: distinct users per detected occurrence.
+// On each side the evaluator scores what MeasureMixingUncertainty scores
+// over MixZone::Detect, whatever the seed, and a zone's max_anonymity_set
+// is its largest occurrence's distinct-user count.
+TEST(UncertaintyEvaluator, ScoresDetectedOccurrencesByDistinctUsers) {
+  synth::PopulationConfig config;
+  config.agents = 60;
+  config.days = 1;
+  config.seed = 31;
+  const synth::SyntheticWorld world(config);
+  const model::DatasetView original = world.dataset();
+  const mech::MixZone mixzone;
+  util::Rng rng(5);
+  const model::EventStore published = mixzone.ApplyToStore(original, rng);
+
+  const auto bits = [&](const model::DatasetView& view) {
+    return MeasureMixingUncertainty(view, mixzone.Detect(view)).total_bits;
+  };
+  const double potential = bits(original);
+  const double residual = bits(published.View());
+  EXPECT_GT(potential, 0.0);
+  const UncertaintyEvaluator evaluator;
+  const geo::LocalProjection frame(original.BoundingBox().Center());
+  const auto first = evaluator.Evaluate({original, published.View(), frame, 1});
+  const auto second =
+      evaluator.Evaluate({original, published.View(), frame, 99});
+  ASSERT_EQ(first.size(), 4u);
+  EXPECT_EQ(first[0].metric, "mix_potential_bits");
+  EXPECT_EQ(first[0].value, potential);
+  EXPECT_EQ(first[2].metric, "mix_residual_bits");
+  EXPECT_EQ(first[2].value, residual);
+  ASSERT_EQ(second.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(second[i].metric, first[i].metric);
+    EXPECT_EQ(second[i].value, first[i].value) << first[i].metric;
+  }
+
+  mech::MixZoneReport report;
+  util::Rng apply_rng(5);
+  (void)mixzone.ApplyToStoreWithReport(original, apply_rng, report);
+  std::vector<std::size_t> largest(report.zones.size(), 0);
+  for (const auto& occ : report.occurrence_details) {
+    largest[occ.zone_index] =
+        std::max(largest[occ.zone_index], occ.users.size());
+  }
+  for (std::size_t z = 0; z < report.zones.size(); ++z) {
+    EXPECT_EQ(report.zones[z].max_anonymity_set, largest[z]) << "zone " << z;
+  }
 }
 
 }  // namespace
