@@ -30,7 +30,6 @@ std::string Anonymizer::Name() const {
   if (config_.enable_speed_smoothing && config_.enable_mixzones) name += "+";
   if (config_.enable_mixzones) name += "mix";
   const mech::SpeedSmoothingConfig speed_defaults;
-  const mech::MixZoneConfig mix_defaults;
   if (config_.enable_speed_smoothing) {
     if (config_.speed.spacing_m != speed_defaults.spacing_m) {
       name += ",eps=" + util::FormatDouble(config_.speed.spacing_m, 0) + "m";
@@ -42,20 +41,7 @@ std::string Anonymizer::Name() const {
     }
   }
   if (config_.enable_mixzones) {
-    if (config_.mixzone.zone_radius_m != mix_defaults.zone_radius_m) {
-      name += ",r=" +
-              util::FormatDouble(config_.mixzone.zone_radius_m, 0) + "m";
-    }
-    if (config_.mixzone.time_window_s != mix_defaults.time_window_s) {
-      name += ",w=" + std::to_string(config_.mixzone.time_window_s) + "s";
-    }
-    if (config_.mixzone.min_users != mix_defaults.min_users) {
-      name += ",min_users=" + std::to_string(config_.mixzone.min_users);
-    }
-    if (config_.mixzone.suppress_zone_points !=
-        mix_defaults.suppress_zone_points) {
-      name += ",suppress=0";
-    }
+    name += mech::MixZoneSpecParams(config_.mixzone);
   }
   name += "]";
   return name;

@@ -4,6 +4,7 @@
 #include <mutex>
 
 #include "attacks/evaluators.h"
+#include "mechanisms/registry.h"
 #include "metrics/evaluators.h"
 #include "privacy/evaluators.h"
 
@@ -97,13 +98,8 @@ Registry& GlobalRegistry() {
     f["uncertainty"] =
         [](const util::Spec& spec) -> std::unique_ptr<Evaluator> {
       spec.RequireKnownKeys({"r", "w", "min_users"}, "uncertainty");
-      mech::MixZoneConfig config;
-      config.zone_radius_m = spec.NumberOf("r", config.zone_radius_m);
-      config.time_window_s = static_cast<util::Timestamp>(
-          spec.IntOf("w", config.time_window_s));
-      config.min_users = static_cast<std::size_t>(spec.IntOf(
-          "min_users", static_cast<std::int64_t>(config.min_users)));
-      return std::make_unique<privacy::UncertaintyEvaluator>(config);
+      return std::make_unique<privacy::UncertaintyEvaluator>(
+          mech::ParseMixZoneConfig(spec));
     };
     return r;
   }();

@@ -52,6 +52,15 @@ struct MixZoneConfig {
   bool suppress_zone_points = true;
 };
 
+/// `config` as spec parameters, ",key=value" pieces in the registry's key
+/// order: r and w (always when `with_radius_and_window`, otherwise only
+/// when they differ from the defaults), then min_users and suppress when
+/// they differ. Every Name() that carries a mix-zone config prints it with
+/// this, so differently-tuned configs never share a name (the scenario
+/// engine memoizes stages by name).
+[[nodiscard]] std::string MixZoneSpecParams(const MixZoneConfig& config,
+                                            bool with_radius_and_window = false);
+
 /// One detected zone with its occurrences (for reports and tests).
 struct MixZoneInfo {
   geo::Point2 center;  ///< planar, in the dataset projection frame

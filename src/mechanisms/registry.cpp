@@ -1,6 +1,7 @@
 #include "mechanisms/registry.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -30,16 +31,6 @@ struct Registry {
 void FillSpeedConfig(const util::Spec& spec, SpeedSmoothingConfig& config) {
   config.spacing_m = spec.NumberOf("eps", config.spacing_m);
   config.min_length_m = spec.NumberOf("min_len", config.min_length_m);
-}
-
-void FillMixZoneConfig(const util::Spec& spec, MixZoneConfig& config) {
-  config.zone_radius_m = spec.NumberOf("r", config.zone_radius_m);
-  config.time_window_s = static_cast<util::Timestamp>(
-      spec.IntOf("w", config.time_window_s));
-  config.min_users = static_cast<std::size_t>(
-      spec.IntOf("min_users", static_cast<std::int64_t>(config.min_users)));
-  config.suppress_zone_points =
-      spec.IntOf("suppress", config.suppress_zone_points ? 1 : 0) != 0;
 }
 
 /// "ours[...]": the bracket body is stage flags joined by '+'
@@ -80,7 +71,7 @@ std::unique_ptr<Mechanism> MakeOurs(const util::Spec& spec) {
     }
   }
   FillSpeedConfig(spec, config.speed);
-  FillMixZoneConfig(spec, config.mixzone);
+  config.mixzone = ParseMixZoneConfig(spec);
   return std::make_unique<core::Anonymizer>(config);
 }
 
@@ -101,9 +92,7 @@ Registry& GlobalRegistry() {
     };
     f["mixzone"] = [](const util::Spec& spec) -> std::unique_ptr<Mechanism> {
       spec.RequireKnownKeys({"r", "w", "min_users", "suppress"}, "mixzone");
-      MixZoneConfig config;
-      FillMixZoneConfig(spec, config);
-      return std::make_unique<MixZone>(config);
+      return std::make_unique<MixZone>(ParseMixZoneConfig(spec));
     };
     f["geo_ind"] = [](const util::Spec& spec) -> std::unique_ptr<Mechanism> {
       spec.RequireKnownKeys({"eps"}, "geo_ind");
@@ -150,6 +139,26 @@ Registry& GlobalRegistry() {
 }
 
 }  // namespace
+
+MixZoneConfig ParseMixZoneConfig(const util::Spec& spec) {
+  const auto invalid = [&](const std::string& key, const std::string& rule) {
+    return util::SpecError("spec " + spec.ToString() + ": parameter " + key +
+                           " must be " + rule);
+  };
+  MixZoneConfig config;
+  config.zone_radius_m = spec.NumberOf("r", config.zone_radius_m);
+  if (!(std::isfinite(config.zone_radius_m) && config.zone_radius_m > 0.0)) {
+    throw invalid("r", "finite and > 0");
+  }
+  config.time_window_s = spec.IntOf("w", config.time_window_s);
+  if (config.time_window_s <= 0) throw invalid("w", "> 0");
+  const std::int64_t min_users =
+      spec.IntOf("min_users", static_cast<std::int64_t>(config.min_users));
+  if (min_users < 2) throw invalid("min_users", ">= 2");
+  config.min_users = static_cast<std::size_t>(min_users);
+  config.suppress_zone_points = spec.IntOf("suppress", 1) != 0;
+  return config;
+}
 
 void RegisterMechanism(std::string base, MechanismFactory factory) {
   Registry& registry = GlobalRegistry();

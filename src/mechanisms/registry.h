@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "mechanisms/mechanism.h"
+#include "mechanisms/mixzone.h"
 #include "util/spec.h"
 
 namespace mobipriv::mech {
@@ -58,6 +59,13 @@ void RegisterMechanism(std::string base, MechanismFactory factory);
 /// its terminal stage node (and hence its cache key). Throws
 /// util::SpecError like CreateMechanism on any bad stage.
 [[nodiscard]] std::string ChainName(std::string_view text);
+
+/// The mix-zone knobs of `spec` — r (metres), w (seconds), min_users and
+/// suppress, each defaulting to MixZoneConfig's value when absent. The one
+/// parser behind "mixzone", "ours" and the "uncertainty" evaluator; the
+/// caller checks which keys its base accepts. Throws util::SpecError
+/// naming the key unless r is finite and > 0, w > 0 and min_users >= 2.
+[[nodiscard]] MixZoneConfig ParseMixZoneConfig(const util::Spec& spec);
 
 /// Registered base names, sorted (for error messages and --help output).
 [[nodiscard]] std::vector<std::string> RegisteredMechanismBases();

@@ -42,20 +42,13 @@ std::vector<core::MetricValue> CertificationEvaluator::Evaluate(
 }
 
 UncertaintyEvaluator::UncertaintyEvaluator(mech::MixZoneConfig config)
-    : config_(config) {}
+    : config_(config) {
+  // Detection never suppresses, so the knob is not part of this evaluator.
+  config_.suppress_zone_points = mech::MixZoneConfig{}.suppress_zone_points;
+}
 
 std::string UncertaintyEvaluator::Name() const {
-  const mech::MixZoneConfig defaults;
-  std::string params;
-  if (config_.zone_radius_m != defaults.zone_radius_m) {
-    params += ",r=" + util::FormatDouble(config_.zone_radius_m, 0) + "m";
-  }
-  if (config_.time_window_s != defaults.time_window_s) {
-    params += ",w=" + std::to_string(config_.time_window_s) + "s";
-  }
-  if (config_.min_users != defaults.min_users) {
-    params += ",min_users=" + std::to_string(config_.min_users);
-  }
+  const std::string params = mech::MixZoneSpecParams(config_);
   if (params.empty()) return "uncertainty";
   return "uncertainty[" + params.substr(1) + "]";
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/anonymizer.h"
+#include "core/evaluator.h"
 #include "core/experiment.h"
 #include "mechanisms/geo_indistinguishability.h"
 #include "mechanisms/mixzone.h"
@@ -55,9 +56,12 @@ TEST(MechanismRegistry, NameRoundTripsForWholeRoster) {
     const auto rebuilt = mech::CreateMechanism(name);
     EXPECT_EQ(rebuilt->Name(), name) << "spec: " << name;
   }
-  // Stage mechanisms round-trip too.
+  // Stage mechanisms round-trip too, and a mix zone's name carries its
+  // non-default gate knobs.
   for (const char* name :
-       {"speed_smoothing[eps=100m]", "mixzone[r=150m,w=600s]"}) {
+       {"speed_smoothing[eps=100m]", "mixzone[r=150m,w=600s]",
+        "mixzone[r=150m,w=600s,min_users=3]",
+        "mixzone[r=150m,w=600s,suppress=0]"}) {
     EXPECT_EQ(mech::CreateMechanism(name)->Name(), name);
   }
 }
@@ -124,6 +128,39 @@ TEST(MechanismRegistry, RejectsUnknownBaseAndParams) {
   EXPECT_THROW((void)mech::CreateMechanism("ours[turbo]"), util::SpecError);
   EXPECT_THROW((void)mech::CreateMechanism("identity[x=1]"),
                util::SpecError);
+}
+
+// One parser validates the mix-zone knobs of the mechanism, the pipeline
+// and the evaluator alike, and its error names the bad key.
+TEST(MechanismRegistry, RejectsInvalidMixZoneParameters) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"r=-50", "r"},         {"r=0", "r"},
+      {"r=1e999", "r"},       {"w=-5", "w"},
+      {"w=0", "w"},           {"min_users=1", "min_users"},
+      {"min_users=0", "min_users"}, {"min_users=-3", "min_users"}};
+  const auto expect_rejected = [](const auto& create, const std::string& spec,
+                                  const std::string& key) {
+    try {
+      (void)create(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const util::SpecError& error) {
+      EXPECT_NE(std::string(error.what()).find("parameter " + key),
+                std::string::npos)
+          << spec << ": " << error.what();
+    }
+  };
+  for (const auto& [param, key] : bad) {
+    const std::string p = param;
+    for (const std::string& spec :
+         {"mixzone[" + p + "]", "ours[" + p + "]", "ours[mix," + p + "]"}) {
+      expect_rejected(mech::CreateMechanism, spec, key);
+    }
+    expect_rejected(core::CreateEvaluator, "uncertainty[" + p + "]", key);
+  }
+  // The smallest valid values pass.
+  EXPECT_NO_THROW(
+      (void)mech::CreateMechanism("mixzone[r=0.5,w=1,min_users=2]"));
+  EXPECT_NO_THROW((void)core::CreateEvaluator("uncertainty[w=1,min_users=2]"));
 }
 
 TEST(MechanismRegistry, ExtensionPoint) {

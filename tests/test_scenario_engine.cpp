@@ -67,6 +67,21 @@ TEST(ScenarioEngine, GridCoversEveryCell) {
   }
 }
 
+TEST(ScenarioEngine, MixZoneGateKnobsNameSeparateStages) {
+  // min_users and suppress change what a mix zone publishes, so the
+  // engine, which memoizes stages by name, must run each spec.
+  core::ScenarioSpec spec = BaseSpec();
+  spec.mechanisms = {"mixzone", "mixzone[min_users=3]", "mixzone[suppress=0]"};
+  spec.evaluators = {"coverage"};
+  core::ScenarioEngine engine(spec);
+  const core::Report report = engine.Run();
+  EXPECT_EQ(engine.stats().mechanism_nodes, 3u);
+  ASSERT_EQ(report.rows().size(), 3u);
+  EXPECT_EQ(report.rows()[0].mechanism, "mixzone[r=150m,w=600s]");
+  EXPECT_EQ(report.rows()[1].mechanism, "mixzone[r=150m,w=600s,min_users=3]");
+  EXPECT_EQ(report.rows()[2].mechanism, "mixzone[r=150m,w=600s,suppress=0]");
+}
+
 TEST(ScenarioEngine, MemoizesDuplicateMechanismSpecs) {
   core::ScenarioSpec spec = BaseSpec();
   // "cloaking" canonicalizes to "cloaking[cell=250m]": one shared node.
