@@ -222,11 +222,14 @@ class EventCellGrid {
   std::vector<std::uint32_t> id_;
 };
 
-/// Flat slot per event, computed up front so projection parallelizes; the
-/// projection itself runs 4 fixes per step with the scalar op order
-/// preserved (Project4 lanes are bit-identical to Project).
-std::vector<FlatEvent> FlattenAndProject(const model::DatasetView& input,
-                                         const geo::LocalProjection& projection) {
+/// The view's events on one dataset-wide tangent plane, centred on its
+/// bounding box. Flat slot per event, computed up front so projection
+/// parallelizes; the projection itself runs 4 fixes per step with the
+/// scalar op order preserved (Project4 lanes are bit-identical to Project).
+std::vector<FlatEvent> FlattenAndProject(const model::DatasetView& input) {
+  const geo::GeoBoundingBox bbox = input.BoundingBox();
+  const geo::LocalProjection projection(
+      bbox.IsEmpty() ? geo::LatLng{0.0, 0.0} : bbox.Center());
   const auto& traces = input.traces();
   std::vector<std::size_t> offset(traces.size() + 1, 0);
   for (std::size_t t = 0; t < traces.size(); ++t) {
@@ -456,34 +459,22 @@ struct Occurrence {
   util::Timestamp end = 0;           // latest exit among passages
 };
 
-/// The view's events on one dataset-wide tangent plane, centred on its
-/// bounding box.
-std::vector<FlatEvent> ProjectEvents(const model::DatasetView& input) {
-  const geo::GeoBoundingBox bbox = input.BoundingBox();
-  const geo::LocalProjection projection(
-      bbox.IsEmpty() ? geo::LatLng{0.0, 0.0} : bbox.Center());
-  return FlattenAndProject(input, projection);
-}
-
 /// The detection pass (steps 1-3 of mixzone.h): projection, encounter
 /// count, zone placement, passages and occurrence grouping. Resets
 /// `report` and fills its encounters, zones, occurrences,
-/// occurrence_details and total_events. Returns the occurrences in the order the publication
-/// permutes them (by end time), index-aligned with
+/// occurrence_details and total_events. Returns the occurrences in the
+/// order the publication permutes them (by end time), index-aligned with
 /// report.occurrence_details.
 std::vector<Occurrence> DetectOccurrences(const MixZoneConfig& config,
                                           const model::DatasetView& input,
                                           MixZoneReport& report) {
   report = MixZoneReport{};
   report.total_events = input.EventCount();
-
-  const auto& traces = input.traces();
-  const std::vector<FlatEvent> flat = ProjectEvents(input);
+  const std::vector<FlatEvent> flat = FlattenAndProject(input);
 
   // ---- 1 & 2. Encounter count and zone placement over the event grid.
   const double radius = config.zone_radius_m;
   const double r_sq = radius * radius;
-  const std::int64_t span = 1;
   const EventCellGrid grid(radius, flat);
   std::vector<std::uint8_t> meets;
   report.encounters = CountMeetings(config, flat, grid, &meets);
@@ -515,8 +506,8 @@ std::vector<Occurrence> DetectOccurrences(const MixZoneConfig& config,
     const F64x4 vr2 = F64x4::Set1(r_sq);
     const std::int64_t ccx = geo::CellCoord(center.x / radius);
     const std::int64_t ccy = geo::CellCoord(center.y / radius);
-    for (std::int64_t dx = -span; dx <= span; ++dx) {
-      for (std::int64_t dy = -span; dy <= span; ++dy) {
+    for (std::int64_t dx = -1; dx <= 1; ++dx) {
+      for (std::int64_t dy = -1; dy <= 1; ++dy) {
         const std::int32_t cell =
             grid.Find(geo::CellStep(ccx, dx), geo::CellStep(ccy, dy));
         if (cell < 0) continue;
@@ -552,8 +543,7 @@ std::vector<Occurrence> DetectOccurrences(const MixZoneConfig& config,
         ++run_end;
       }
       const FlatEvent& last = flat[hits[run_end]];
-      passages.push_back(ZonePassage{first.trace,
-                                     traces[first.trace].user(), first.time,
+      passages.push_back(ZonePassage{first.trace, first.user, first.time,
                                      last.time, first.index, last.index});
       h = run_end + 1;
     }
@@ -577,7 +567,6 @@ std::vector<Occurrence> DetectOccurrences(const MixZoneConfig& config,
       occ.users.erase(std::unique(occ.users.begin(), occ.users.end()),
                       occ.users.end());
       if (occ.users.size() < config.min_users) return;
-      occ.end = 0;
       for (const auto& p : occ.passages) occ.end = std::max(occ.end, p.exit);
       ++info.occurrences;
       info.max_anonymity_set =
@@ -617,7 +606,6 @@ std::vector<Occurrence> DetectOccurrences(const MixZoneConfig& config,
             [](const Occurrence& a, const Occurrence& b) {
               return a.end < b.end;
             });
-  report.occurrence_details.reserve(occurrences.size());
   for (const Occurrence& occ : occurrences) {
     report.occurrence_details.push_back(
         OccurrenceInfo{occ.zone, occ.users, false});
@@ -638,11 +626,9 @@ std::vector<StitchedColumns> Publish(const MixZoneConfig& config,
   const auto& traces = input.traces();
   // ---- 4. Chronological identity permutation + suppression marking. ----
   std::vector<model::UserId> owner(traces.size());
-  for (std::uint32_t t = 0; t < traces.size(); ++t) {
-    owner[t] = traces[t].user();
-  }
   std::vector<std::vector<bool>> suppressed(traces.size());
   for (std::uint32_t t = 0; t < traces.size(); ++t) {
+    owner[t] = traces[t].user();
     suppressed[t].assign(traces[t].size(), false);
   }
   // Per trace: (time, owner-from-then-on), appended in chronological order.
@@ -669,19 +655,12 @@ std::vector<StitchedColumns> Publish(const MixZoneConfig& config,
     participants.erase(
         std::unique(participants.begin(), participants.end()),
         participants.end());
-    if (participants.size() < 2) continue;
 
     std::vector<std::size_t> perm(participants.size());
     std::iota(perm.begin(), perm.end(), 0);
     rng.Shuffle(std::span<std::size_t>(perm));
-    bool is_identity = true;
-    for (std::size_t k = 0; k < perm.size(); ++k) {
-      if (perm[k] != k) {
-        is_identity = false;
-        break;
-      }
-    }
-    if (is_identity) continue;  // drew the identity permutation: no swap
+    // A sorted permutation is the identity: no swap.
+    if (std::is_sorted(perm.begin(), perm.end())) continue;
     report.occurrence_details[o].swapped = true;
     ++report.swaps_applied;
 
@@ -939,7 +918,7 @@ MixZoneReport MixZone::Detect(const model::DatasetView& input) const {
 }
 
 std::size_t MixZone::CountEncounters(const model::DatasetView& input) const {
-  const std::vector<FlatEvent> flat = ProjectEvents(input);
+  const std::vector<FlatEvent> flat = FlattenAndProject(input);
   const EventCellGrid grid(config_.zone_radius_m, flat);
   return CountMeetings(config_, flat, grid);
 }

@@ -3,22 +3,20 @@
 //
 // When users naturally meet (public transport, malls, workplaces), the
 // meeting area becomes a mix-zone in the sense of Beresford & Stajano [6]:
-// a well-delimited disc in which nobody is tracked. The mechanism runs in
-// two passes. Detection (MixZone::Detect) draws no randomness:
-//   1. it counts natural meetings (encounters) — events of distinct users
-//      within `zone_radius_m` of each other within `time_window_s` — in a
-//      parallel pass that also marks the events that have one;
-//   2. it places zones (discs of radius zone_radius_m) first-fit in one
-//      fixed encounter order, in a serial pass over the marked events that
-//      stores no encounter;
-//   3. it cuts each trace's fixes inside a zone into passages and groups
-//      them into zone *occurrences*: maximal episodes whose passages,
-//      dilated by the time window, overlap, kept when >= min_users distinct
-//      users take part.
-// Publication then works over those occurrences, in the order they end:
-//   4. it suppresses every in-zone event and applies a uniformly random
-//      permutation to the participants' identities from their zone exit
-//      onwards;
+// a well-delimited disc in which nobody is tracked. The mechanism runs two
+// passes. Detection (MixZone::Detect) draws no randomness:
+//   1. a parallel pass counts encounters — events of distinct users within
+//      `zone_radius_m` and `time_window_s` of each other — and marks the
+//      events that have one;
+//   2. a serial first-fit pass over the marked events places zones (discs
+//      of radius zone_radius_m) in one fixed encounter order, storing no
+//      encounter;
+//   3. in-zone fixes form passages, grouped into *occurrences* (passages
+//      that overlap once dilated by the time window) of >= min_users
+//      distinct users.
+// Publication then takes the occurrences in the order they end:
+//   4. it suppresses every in-zone event and permutes the participants'
+//      identities uniformly at random from their zone exit onwards;
 //   5. it cuts traces at the identity switches and stitches each
 //      identity's zone-severed segments back together.
 // The identity permutation may be the identity permutation — exactly the
@@ -52,12 +50,10 @@ struct MixZoneConfig {
   bool suppress_zone_points = true;
 };
 
-/// `config` as spec parameters, ",key=value" pieces in the registry's key
-/// order: r and w (always when `with_radius_and_window`, otherwise only
-/// when they differ from the defaults), then min_users and suppress when
-/// they differ. Every Name() that carries a mix-zone config prints it with
-/// this, so differently-tuned configs never share a name (the scenario
-/// engine memoizes stages by name).
+/// `config`'s non-default knobs as ",key=value" spec pieces in the order
+/// r, w, min_users, suppress (r and w always when
+/// `with_radius_and_window`): what every Name() carrying a mix-zone config
+/// prints, so differently-tuned configs never share a name.
 [[nodiscard]] std::string MixZoneSpecParams(const MixZoneConfig& config,
                                             bool with_radius_and_window = false);
 
@@ -66,15 +62,12 @@ struct MixZoneInfo {
   geo::Point2 center;  ///< planar, in the dataset projection frame
   double radius_m = 0.0;
   std::size_t occurrences = 0;
-  /// Largest anonymity set among its occurrences: the most distinct users
-  /// in one occurrence.
+  /// Most distinct users in one occurrence (its largest anonymity set).
   std::size_t max_anonymity_set = 0;
 };
 
-/// One zone occurrence (for uncertainty accounting). Its anonymity set is
-/// `users`: the distinct users who take part, the count the min_users
-/// floor gates on and privacy::MeasureMixingUncertainty scores as
-/// log2(users.size()) bits (Beresford & Stajano).
+/// One zone occurrence. Its anonymity set is `users`, the count the
+/// min_users floor gates on and privacy::MeasureMixingUncertainty scores.
 struct OccurrenceInfo {
   std::size_t zone_index = 0;               ///< into MixZoneReport::zones
   std::vector<model::UserId> users;         ///< distinct participants
@@ -86,8 +79,7 @@ struct OccurrenceInfo {
 /// swaps_applied, suppressed_events and OccurrenceInfo::swapped.
 struct MixZoneReport {
   std::vector<MixZoneInfo> zones;     ///< only zones with an occurrence
-  /// One per occurrence, in the order publication permutes them (by the
-  /// latest zone exit).
+  /// One per occurrence, by latest zone exit (the permutation order).
   std::vector<OccurrenceInfo> occurrence_details;
   std::size_t encounters = 0;         ///< raw co-location pairs found
   std::size_t occurrences = 0;        ///< zone episodes with >= min_users
@@ -126,12 +118,9 @@ class MixZone final : public Mechanism {
       const model::DatasetView& input, util::Rng& rng,
       MixZoneReport& report) const;
 
-  /// Runs the detection pass only — the steps before any rng draw — and
-  /// returns its report: encounters, zones, occurrences,
-  /// occurrence_details and total_events, exactly as
-  /// ApplyToStoreWithReport reports them, with nothing swapped or
-  /// suppressed (swaps_applied, suppressed_events and every
-  /// OccurrenceInfo::swapped stay 0).
+  /// Runs the detection pass only (no rng) and returns the report
+  /// ApplyToStoreWithReport gives, minus publication: swaps_applied,
+  /// suppressed_events and every OccurrenceInfo::swapped stay 0.
   [[nodiscard]] MixZoneReport Detect(const model::DatasetView& input) const;
 
   /// Runs the encounter count only (projection, the time-ordered cell

@@ -141,20 +141,20 @@ Registry& GlobalRegistry() {
 }  // namespace
 
 MixZoneConfig ParseMixZoneConfig(const util::Spec& spec) {
-  const auto invalid = [&](const std::string& key, const std::string& rule) {
-    return util::SpecError("spec " + spec.ToString() + ": parameter " + key +
-                           " must be " + rule);
+  const auto require = [&](bool valid, const char* key, const char* rule) {
+    if (valid) return;
+    throw util::SpecError("spec " + spec.ToString() + ": parameter " + key +
+                          " must be " + rule);
   };
   MixZoneConfig config;
   config.zone_radius_m = spec.NumberOf("r", config.zone_radius_m);
-  if (!(std::isfinite(config.zone_radius_m) && config.zone_radius_m > 0.0)) {
-    throw invalid("r", "finite and > 0");
-  }
+  require(std::isfinite(config.zone_radius_m) && config.zone_radius_m > 0.0,
+          "r", "finite and > 0");
   config.time_window_s = spec.IntOf("w", config.time_window_s);
-  if (config.time_window_s <= 0) throw invalid("w", "> 0");
+  require(config.time_window_s > 0, "w", "> 0");
   const std::int64_t min_users =
       spec.IntOf("min_users", static_cast<std::int64_t>(config.min_users));
-  if (min_users < 2) throw invalid("min_users", ">= 2");
+  require(min_users >= 2, "min_users", ">= 2");
   config.min_users = static_cast<std::size_t>(min_users);
   config.suppress_zone_points = spec.IntOf("suppress", 1) != 0;
   return config;

@@ -42,10 +42,7 @@ std::vector<core::MetricValue> CertificationEvaluator::Evaluate(
 }
 
 UncertaintyEvaluator::UncertaintyEvaluator(mech::MixZoneConfig config)
-    : config_(config) {
-  // Detection never suppresses, so the knob is not part of this evaluator.
-  config_.suppress_zone_points = mech::MixZoneConfig{}.suppress_zone_points;
-}
+    : config_(config) {}
 
 std::string UncertaintyEvaluator::Name() const {
   const std::string params = mech::MixZoneSpecParams(config_);

@@ -71,7 +71,8 @@ TEST(ScenarioEngine, MixZoneGateKnobsNameSeparateStages) {
   // min_users and suppress change what a mix zone publishes, so the
   // engine, which memoizes stages by name, must run each spec.
   core::ScenarioSpec spec = BaseSpec();
-  spec.mechanisms = {"mixzone", "mixzone[min_users=3]", "mixzone[suppress=0]"};
+  spec.mechanisms = {"mixzone", "mixzone[min_users=3]",
+                     "mixzone[suppress=0]"};
   spec.evaluators = {"coverage"};
   core::ScenarioEngine engine(spec);
   const core::Report report = engine.Run();
