@@ -27,6 +27,7 @@
 #include "mechanisms/speed_smoothing.h"
 #include "mechanisms/wait4me.h"
 #include "metrics/range_queries.h"
+#include "metrics/spatial_distortion.h"
 #include "model/io.h"
 #include "model/sharded_dataset.h"
 #include "synth/population.h"
@@ -153,6 +154,27 @@ void BM_RangeQueryError(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_RangeQueryError)->Arg(100)->Unit(benchmark::kMillisecond);
+
+/// Spatial distortion of a world against its `gaussian` publication: the
+/// per-user matching, the interpolation cursor, the pruned path scan and
+/// the two summary sorts. Items are original fixes.
+void BM_SpatialDistortion(benchmark::State& state) {
+  const bool rss_reset = util::ResetPeakRss();
+  const auto& world = WorldOfSize(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(1);
+  const model::EventStore published =
+      mech::CreateMechanism("gaussian")->ApplyToStore(world.dataset(), rng);
+  std::size_t events = 0;
+  for (auto _ : state) {
+    const metrics::DistortionSummary summary =
+        metrics::MeasureDistortion(world.dataset(), published.View());
+    benchmark::DoNotOptimize(summary.path_m.mean);
+    events += world.dataset().EventCount();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  RecordPeakRss(state, rss_reset);
+}
+BENCHMARK(BM_SpatialDistortion)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 /// The acceptance workload: full anonymization pipeline (speed smoothing +
 /// mix zones) followed by the POI-extraction attack on the published data.

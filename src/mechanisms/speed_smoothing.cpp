@@ -67,14 +67,18 @@ void SmoothColumns(const model::TraceView& trace, double spacing_m,
   // (<= 0.5 s) is the only deviation from exact constant speed.
   const util::Timestamp t0 = trace.time(0);
   const util::Timestamp t1 = trace.time(trace.size() - 1);
+  // t1 - t0 without signed overflow (a span may pass INT64_MAX); negating
+  // the converted magnitude is exact, so in-range spans keep their bits.
+  const double span =
+      t1 >= t0 ? static_cast<double>(util::ElapsedSeconds(t0, t1))
+               : -static_cast<double>(util::ElapsedSeconds(t1, t0));
   const auto n = resampled.size();
   const auto rows = out.Extend(n);
   const auto time_at = [&](std::size_t k) {
     const double alpha =
         static_cast<double>(k) / static_cast<double>(n - 1);
     return static_cast<util::Timestamp>(
-        std::llround(static_cast<double>(t0) +
-                     alpha * static_cast<double>(t1 - t0)));
+        std::llround(static_cast<double>(t0) + alpha * span));
   };
   std::size_t k = 0;
   for (; k + util::kSimdWidth <= n; k += util::kSimdWidth) {

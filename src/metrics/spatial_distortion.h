@@ -30,20 +30,21 @@ struct DistortionSummary {
   [[nodiscard]] std::string ToString() const;
 };
 
-/// Index into `published.traces()` of the published trace of the same user
-/// with the longest time-span overlap with `original` (sessions of one user
-/// can share small boundary windows, so "first overlapping" is not unique).
-/// -1 when no candidate overlaps.
-[[nodiscard]] std::ptrdiff_t FindBestMatchIndex(
-    const model::TraceView& original, const model::DatasetView& published);
-
-/// Matches original and published traces by user id via FindBestMatchIndex.
-/// Sampling: every original fix. Mechanisms that re-identify users
-/// (mix-zones) should be measured before swapping, or per matched segment —
-/// see bench E3 notes.
+/// Matches each original trace to the published trace of the same user
+/// with the longest time-span overlap (sessions of one user can share small
+/// boundary windows, so "first overlapping" is not unique); the lowest
+/// published index wins a tie, and a trace with no overlapping candidate
+/// is skipped. Sampling: every original fix. Mechanisms that re-identify
+/// users (mix-zones) should be measured before swapping, or per matched
+/// segment — see bench E3 notes.
 ///
-/// Original traces fan out on the thread pool; per-trace deviations merge
-/// in trace order, so the summary is byte-identical at any worker count.
+/// Cost: one (user, index)-sorted table of the published traces, so
+/// matching scans only the trace's own user's sessions; per matched trace
+/// O(n + m) for the synchronized view (a forward interpolation cursor) and
+/// a bounding-box-pruned path scan, exact to the bit (docs/PERFORMANCE.md,
+/// "Pruned spatial distortion"). Original traces fan out on the thread
+/// pool and write their deviations at prefix offsets of two buffers, so
+/// the summary is byte-identical at any worker count.
 [[nodiscard]] DistortionSummary MeasureDistortion(
     const model::DatasetView& original, const model::DatasetView& published);
 
@@ -53,7 +54,8 @@ struct DistortionSummary {
     const model::TraceView& original, const model::TraceView& published);
 
 /// Geometry-only deviation: distance from each original fix to the
-/// published polyline.
+/// published polyline (geo::DistanceToPolyline's value, found by a scan
+/// that skips segment boxes too far away to lower the minimum).
 [[nodiscard]] std::vector<double> PathDeviation(
     const model::TraceView& original, const model::TraceView& published);
 

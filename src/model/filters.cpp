@@ -79,8 +79,9 @@ geo::LatLng InterpolateAt(const Trace& trace, util::Timestamp t) {
   const auto& after = *it;
   const auto& before = *(it - 1);
   if (after.time == before.time) return before.position;
-  const double alpha = static_cast<double>(t - before.time) /
-                       static_cast<double>(after.time - before.time);
+  const double alpha =
+      static_cast<double>(util::ElapsedSeconds(before.time, t)) /
+      static_cast<double>(util::ElapsedSeconds(before.time, after.time));
   return geo::LatLng{
       before.position.lat +
           (after.position.lat - before.position.lat) * alpha,

@@ -60,8 +60,12 @@ geo::LatLng InterpolateAt(const TraceView& trace, util::Timestamp t) {
   const std::size_t n = trace.size();
   if (t <= trace.time(0)) return trace.position(0);
   if (t >= trace.time(n - 1)) return trace.position(n - 1);
-  // lower_bound: first index with time >= t (exists: t < last time).
-  std::size_t lo = 0, hi = n;
+  // The first index with time >= t exists: t < last time.
+  return InterpolateBetween(trace, FirstAtOrAfter(trace, t), t);
+}
+
+std::size_t FirstAtOrAfter(const TraceView& trace, util::Timestamp t) {
+  std::size_t lo = 0, hi = trace.size();
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (trace.time(mid) < t) {
@@ -70,12 +74,17 @@ geo::LatLng InterpolateAt(const TraceView& trace, util::Timestamp t) {
       hi = mid;
     }
   }
-  const std::size_t after = lo;
-  const std::size_t before = lo - 1;
+  return lo;
+}
+
+geo::LatLng InterpolateBetween(const TraceView& trace, std::size_t after,
+                               util::Timestamp t) {
+  const std::size_t before = after - 1;
   if (trace.time(after) == trace.time(before)) return trace.position(before);
   const double alpha =
-      static_cast<double>(t - trace.time(before)) /
-      static_cast<double>(trace.time(after) - trace.time(before));
+      static_cast<double>(util::ElapsedSeconds(trace.time(before), t)) /
+      static_cast<double>(
+          util::ElapsedSeconds(trace.time(before), trace.time(after)));
   return geo::LatLng{
       trace.lat(before) + (trace.lat(after) - trace.lat(before)) * alpha,
       trace.lng(before) + (trace.lng(after) - trace.lng(before)) * alpha};

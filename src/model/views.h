@@ -132,6 +132,20 @@ class TraceView {
 [[nodiscard]] geo::LatLng InterpolateAt(const TraceView& trace,
                                         util::Timestamp t);
 
+/// Index of the first fix with time >= t, by InterpolateAt's binary search
+/// (on an unordered view: the index that search lands on); size() when
+/// every fix is earlier.
+[[nodiscard]] std::size_t FirstAtOrAfter(const TraceView& trace,
+                                         util::Timestamp t);
+
+/// InterpolateAt's value at `t` between fixes `after - 1` and `after`, for
+/// `time(after - 1) < t <= time(after)`: the pair its binary search picks.
+/// A caller that finds the pair another way (a forward cursor over
+/// ascending query times) gets the same bits.
+[[nodiscard]] geo::LatLng InterpolateBetween(const TraceView& trace,
+                                             std::size_t after,
+                                             util::Timestamp t);
+
 /// Non-owning view of a whole dataset: a list of trace views plus the dense
 /// id -> name table (may be empty for anonymous/synthetic views).
 class DatasetView {

@@ -1,8 +1,11 @@
 #include "util/statistics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 namespace mobipriv::util {
@@ -69,11 +72,71 @@ double Mean(std::span<const double> values) {
   return sum / static_cast<double>(values.size());
 }
 
+bool RadixSortable(std::span<const double> values) noexcept {
+  // Eligible bit patterns: exactly zero, or a biased exponent in
+  // [1, 0x7FF] with a clear sign bit and, at 0x7FF, a zero mantissa (+inf).
+  constexpr std::uint64_t kInf = 0x7FF0000000000000ULL;
+  constexpr std::uint64_t kMinNormal = 0x0010000000000000ULL;
+  std::uint64_t bad = 0;
+  for (const double v : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    bad |= static_cast<std::uint64_t>(bits > kInf) |
+           static_cast<std::uint64_t>(bits != 0 && bits < kMinNormal);
+  }
+  return bad == 0;
+}
+
+void SortAscending(std::span<double> values) {
+  if (values.size() < kRadixSortMinValues ||
+      values.size() > std::numeric_limits<std::uint32_t>::max() ||
+      !RadixSortable(values)) {
+    std::sort(values.begin(), values.end());
+    return;
+  }
+  // LSD radix sort over the eight bytes of the bit pattern. All eight
+  // histograms come from one read; a byte every value shares is skipped.
+  constexpr std::size_t kDigits = 8;
+  constexpr std::size_t kBuckets = 256;
+  const std::size_t n = values.size();
+  std::vector<std::uint32_t> counts(kDigits * kBuckets, 0);
+  for (const double v : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (std::size_t d = 0; d < kDigits; ++d) {
+      ++counts[d * kBuckets + ((bits >> (8 * d)) & 0xFF)];
+    }
+  }
+  std::vector<double> scratch(n);
+  double* from = values.data();
+  double* to = scratch.data();
+  for (std::size_t d = 0; d < kDigits; ++d) {
+    std::uint32_t* count = counts.data() + d * kBuckets;
+    const auto first_bits = std::bit_cast<std::uint64_t>(from[0]);
+    if (count[(first_bits >> (8 * d)) & 0xFF] == n) continue;
+    std::uint32_t start = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const std::uint32_t c = count[b];
+      count[b] = start;
+      start += c;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto bits = std::bit_cast<std::uint64_t>(from[i]);
+      to[count[(bits >> (8 * d)) & 0xFF]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  if (from != values.data()) std::copy(from, from + n, values.data());
+}
+
 Summary Summary::Of(std::span<const double> values) {
+  std::vector<double> copy(values.begin(), values.end());
+  return OfInPlace(copy);
+}
+
+Summary Summary::OfInPlace(std::span<double> values) {
   Summary s;
   if (values.empty()) return s;
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
+  SortAscending(values);
+  const std::span<const double> sorted = values;
   RunningStat rs;
   for (const double v : sorted) rs.Add(v);
   s.count = rs.Count();

@@ -49,9 +49,30 @@ struct Summary {
   /// input is left untouched). Empty input yields an all-zero summary.
   static Summary Of(std::span<const double> values);
 
+  /// The same summary, bit for bit, sorting `values` in place (by
+  /// SortAscending) instead of a copy.
+  static Summary OfInPlace(std::span<double> values);
+
   /// Compact single-line rendering, e.g. for benchmark table cells.
   [[nodiscard]] std::string ToString() const;
 };
+
+/// SortAscending radix-sorts arrays of at least this many eligible values;
+/// below it `std::sort` is as fast as eight counting passes.
+inline constexpr std::size_t kRadixSortMinValues = 2048;
+
+/// True when every value is +0.0, a positive normal number or +inf: no
+/// sign bit, no NaN, no denormal. On such values the order of the IEEE
+/// bit patterns is the numeric order, and equal values have equal bits.
+/// Denormals are left out because a flush-to-zero mode makes `<` treat
+/// them as zero, so their bit order could differ from std::sort's.
+[[nodiscard]] bool RadixSortable(std::span<const double> values) noexcept;
+
+/// Sorts ascending, into exactly the sequence `std::sort` gives: by an LSD
+/// radix sort on the bit patterns when the array has at least
+/// kRadixSortMinValues values and RadixSortable holds (any correct sort of
+/// such values yields the same bits), by `std::sort` otherwise.
+void SortAscending(std::span<double> values);
 
 /// Linear-interpolated percentile of *sorted* data, q in [0, 1].
 /// Requires sorted_values non-empty and ascending.

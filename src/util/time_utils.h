@@ -17,6 +17,15 @@ inline constexpr Timestamp kSecondsPerMinute = 60;
 inline constexpr Timestamp kSecondsPerHour = 3600;
 inline constexpr Timestamp kSecondsPerDay = 86400;
 
+/// `later - earlier` for `later >= earlier`, exact over the whole Timestamp
+/// range: the signed subtraction overflows once a span passes INT64_MAX,
+/// the unsigned difference of the ordered pair never does.
+[[nodiscard]] inline constexpr std::uint64_t ElapsedSeconds(
+    Timestamp earlier, Timestamp later) noexcept {
+  return static_cast<std::uint64_t>(later) -
+         static_cast<std::uint64_t>(earlier);
+}
+
 /// Parses "YYYY-MM-DD hh:mm:ss" (or with 'T' separator) as UTC.
 /// Returns nullopt on malformed input. Days-from-civil algorithm (Hinnant),
 /// no locale or timezone dependence.

@@ -4,6 +4,8 @@
 // backwards-ordered ingestion, extreme coordinates, huge time gaps.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "attacks/home_work.h"
 #include "attacks/poi_extraction.h"
 #include "attacks/reident.h"
@@ -15,6 +17,7 @@
 #include "metrics/range_queries.h"
 #include "metrics/spatial_distortion.h"
 #include "metrics/trajectory_stats.h"
+#include "model/filters.h"
 #include "mechanisms/mixzone.h"
 #include "mechanisms/registry.h"
 #include "privacy/certification.h"
@@ -90,6 +93,61 @@ std::vector<std::pair<std::string, model::Dataset>> PathologicalZoo() {
     zoo.emplace_back("perfect_twins", std::move(d));
   }
   return zoo;
+}
+
+/// Traces spanning more than INT64_MAX seconds, from near INT64_MIN/2 to
+/// near INT64_MAX/2: one with an interior fix at 0, one without. They are
+/// not in the zoo because the time-grid kernels (home_work's day loop,
+/// kdelta's and wait4me's resampling grids) step once per grid cell
+/// across the span.
+model::Dataset ExtremeTimestamps() {
+  constexpr util::Timestamp kMin = std::numeric_limits<util::Timestamp>::min();
+  constexpr util::Timestamp kMax = std::numeric_limits<util::Timestamp>::max();
+  model::Dataset d;
+  d.AddTraceForUser("u", {{{45.764, 4.8357}, kMin / 2 - 1000},
+                          {{45.770, 4.8400}, 0},
+                          {{45.776, 4.8443}, kMax / 2 + 1000}});
+  d.AddTraceForUser("v", {{{45.764, 4.8357}, kMin / 2 - 1000},
+                          {{45.776, 4.8443}, kMax / 2 + 1000}});
+  return d;
+}
+
+TEST(PathologicalInputs, ExtremeTimestampsDoNotOverflow) {
+  // Every time difference across the span is computed exactly (the UBSan
+  // suite run turns a signed overflow here into a failure).
+  const model::Dataset dataset = ExtremeTimestamps();
+  for (const model::Trace& trace : dataset.traces()) {
+    const model::TraceView view(trace);
+    for (const util::Timestamp t :
+         {trace.front().time + 1, util::Timestamp{-1}, util::Timestamp{1},
+          trace.back().time - 1}) {
+      const geo::LatLng a = model::InterpolateAt(trace, t);
+      const geo::LatLng b = model::InterpolateAt(view, t);
+      EXPECT_TRUE(a.IsValid()) << t;
+      EXPECT_EQ(a.lat, b.lat) << t;
+      EXPECT_EQ(a.lng, b.lng) << t;
+    }
+  }
+  // Halfway through the interior fix's first leg, and through the
+  // two-fix trace, sits halfway between the fixes.
+  const model::TraceView u(dataset.traces()[0]);
+  const model::TraceView v(dataset.traces()[1]);
+  EXPECT_NEAR(model::InterpolateAt(u, u.time(0) / 2).lat, 45.767, 1e-9);
+  EXPECT_NEAR(model::InterpolateAt(v, 0).lat, 45.770, 1e-9);
+
+  const auto distortion = metrics::MeasureDistortion(dataset, dataset);
+  EXPECT_EQ(distortion.compared_traces, 2u);
+  EXPECT_EQ(distortion.synchronized_m.max, 0.0);
+  EXPECT_EQ(distortion.path_m.max, 0.0);
+
+  for (const char* spec : {"speed_smoothing", "ours[speed]"}) {
+    util::Rng rng(1);
+    const model::Dataset output =
+        mech::CreateMechanism(spec)->Apply(dataset, rng);
+    for (const auto& published : output.traces()) {
+      EXPECT_TRUE(published.IsTimeOrdered()) << spec;
+    }
+  }
 }
 
 TEST(PathologicalInputs, AllMechanismsSurviveTheZoo) {

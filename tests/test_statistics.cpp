@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace mobipriv::util {
 namespace {
@@ -113,6 +118,109 @@ TEST(SummaryOf, Basic) {
   EXPECT_NEAR(s.median, 50.5, 1e-9);
   EXPECT_NEAR(s.p95, 95.05, 0.01);
   EXPECT_FALSE(s.ToString().empty());
+}
+
+// Today's Summary::Of: a std::sort of a copy, then the same fold.
+Summary OracleSummary(std::vector<double> values) {
+  Summary s;
+  if (values.empty()) return s;
+  std::sort(values.begin(), values.end());
+  RunningStat rs;
+  for (const double v : values) rs.Add(v);
+  s.count = rs.Count();
+  s.mean = rs.Mean();
+  s.stddev = rs.Stddev();
+  s.min = values.front();
+  s.p25 = PercentileSorted(values, 0.25);
+  s.median = PercentileSorted(values, 0.50);
+  s.p75 = PercentileSorted(values, 0.75);
+  s.p95 = PercentileSorted(values, 0.95);
+  s.p99 = PercentileSorted(values, 0.99);
+  s.max = values.back();
+  return s;
+}
+
+bool SameBits(const Summary& a, const Summary& b) {
+  const double fa[] = {a.mean, a.stddev, a.min,  a.p25, a.median,
+                       a.p75,  a.p95,    a.p99, a.max};
+  const double fb[] = {b.mean, b.stddev, b.min,  b.p25, b.median,
+                       b.p75,  b.p95,    b.p99, b.max};
+  return a.count == b.count && std::memcmp(fa, fb, sizeof fa) == 0;
+}
+
+// SortAscending and Summary::Of against the std::sort oracle, bit for bit.
+void ExpectSortsLikeStdSort(const std::vector<double>& values) {
+  std::vector<double> want = values;
+  std::sort(want.begin(), want.end());
+  std::vector<double> got = values;
+  SortAscending(got);
+  ASSERT_EQ(got.size(), want.size());
+  if (!got.empty()) {
+    EXPECT_EQ(
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0);
+  }
+  EXPECT_TRUE(SameBits(Summary::Of(values), OracleSummary(values)));
+  std::vector<double> in_place = values;
+  EXPECT_TRUE(SameBits(Summary::OfInPlace(in_place), OracleSummary(values)));
+}
+
+// Non-negative values: a narrow band, a spread of exponents, many exact
+// duplicates, zeros and +inf.
+std::vector<double> RandomNonNegative(Rng& rng, std::size_t n) {
+  std::vector<double> values(n);
+  for (double& v : values) {
+    const double pick = rng.NextDouble();
+    if (pick < 0.4) {
+      v = rng.Uniform(0.0, 1000.0);
+    } else if (pick < 0.7) {
+      v = std::ldexp(rng.Uniform(1.0, 2.0),
+                     static_cast<int>(rng.UniformInt(-1000, 1000)));
+    } else if (pick < 0.95) {
+      v = std::floor(rng.Uniform(0.0, 20.0));
+    } else {
+      v = pick < 0.975 ? 0.0 : std::numeric_limits<double>::infinity();
+    }
+  }
+  return values;
+}
+
+TEST(SortAscending, MatchesStdSortAboveAndBelowTheRadixThreshold) {
+  Rng rng(11);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7},
+        kRadixSortMinValues - 1, kRadixSortMinValues,
+        3 * kRadixSortMinValues + 5, std::size_t{100000}}) {
+    SCOPED_TRACE(n);
+    const std::vector<double> values = RandomNonNegative(rng, n);
+    EXPECT_TRUE(RadixSortable(values));
+    ExpectSortsLikeStdSort(values);
+  }
+  // All values equal in their high digits: the shared digits are skipped.
+  std::vector<double> narrow(2 * kRadixSortMinValues);
+  for (double& v : narrow) v = 1.0 + rng.Uniform(0.0, 1e-12);
+  ExpectSortsLikeStdSort(narrow);
+}
+
+TEST(SortAscending, IneligibleValuesTakeTheStdSortFallback) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double odd[] = {-0.0, -1.5, kNan, -kNan,
+                        std::numeric_limits<double>::denorm_min(),
+                        std::numeric_limits<double>::min() / 4,
+                        -std::numeric_limits<double>::infinity()};
+  Rng rng(12);
+  for (const double value : odd) {
+    for (const std::size_t n : {std::size_t{50}, 2 * kRadixSortMinValues}) {
+      SCOPED_TRACE(value);
+      std::vector<double> values = RandomNonNegative(rng, n);
+      for (std::size_t i = 0; i < n; i += 97) values[i] = value;
+      EXPECT_FALSE(RadixSortable(values));
+      ExpectSortsLikeStdSort(values);
+    }
+  }
+  // +0.0, the smallest normal and +inf stay eligible.
+  EXPECT_TRUE(RadixSortable(std::vector<double>{
+      0.0, std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::infinity()}));
 }
 
 TEST(Histogram, BinningAndClamping) {
