@@ -32,15 +32,22 @@ std::string PoiAttackEvaluator::Name() const {
   return name + "]";
 }
 
-std::vector<core::MetricValue> PoiAttackEvaluator::Evaluate(
+core::PreparedPtr PoiAttackEvaluator::Prepare(
     const core::EvalInput& input) const {
   // Reference POIs come from the STANDARD extractor on the original
   // data; the (possibly adaptive) configured extractor attacks the
   // published data — see the class comment.
   const PoiExtractor reference_extractor{PoiExtractionConfig{}};
+  return core::MakePrepared(
+      reference_extractor.Extract(input.original, input.frame));
+}
+
+std::vector<core::MetricValue> PoiAttackEvaluator::Score(
+    const core::PreparedOriginal& prepared,
+    const core::EvalInput& input) const {
+  const auto& reference =
+      core::PreparedAs<std::vector<ExtractedPoi>>(prepared);
   const PoiExtractor extractor(extraction_);
-  const std::vector<ExtractedPoi> reference =
-      reference_extractor.Extract(input.original, input.frame);
   const std::vector<ExtractedPoi> published =
       extractor.Extract(input.published, input.frame);
 
@@ -73,10 +80,18 @@ ReidentEvaluator::ReidentEvaluator(ReidentConfig config)
 
 std::string ReidentEvaluator::Name() const { return "reident"; }
 
-std::vector<core::MetricValue> ReidentEvaluator::Evaluate(
+core::PreparedPtr ReidentEvaluator::Prepare(
     const core::EvalInput& input) const {
   const ReidentificationAttack attack(config_);
-  const auto profiles = attack.BuildProfiles(input.original, input.frame);
+  return core::MakePrepared(attack.BuildProfiles(input.original, input.frame));
+}
+
+std::vector<core::MetricValue> ReidentEvaluator::Score(
+    const core::PreparedOriginal& prepared,
+    const core::EvalInput& input) const {
+  const ReidentificationAttack attack(config_);
+  const auto& profiles =
+      core::PreparedAs<std::vector<MobilityProfile>>(prepared);
   const auto results = attack.Attack(profiles, input.published, input.frame);
   const metrics::ReidentReport report = metrics::SummarizeReident(results);
   const double linkable_frac =
@@ -96,10 +111,18 @@ std::string HomeWorkEvaluator::Name() const {
   return "home_work[radius=" + util::FormatDouble(match_radius_m_, 0) + "m]";
 }
 
-std::vector<core::MetricValue> HomeWorkEvaluator::Evaluate(
+core::PreparedPtr HomeWorkEvaluator::Prepare(
     const core::EvalInput& input) const {
   const HomeWorkAttack attack(config_);
-  const auto reference = attack.Infer(input.original, input.frame);
+  return core::MakePrepared(attack.Infer(input.original, input.frame));
+}
+
+std::vector<core::MetricValue> HomeWorkEvaluator::Score(
+    const core::PreparedOriginal& prepared,
+    const core::EvalInput& input) const {
+  const HomeWorkAttack attack(config_);
+  const auto& reference =
+      core::PreparedAs<std::vector<HomeWorkGuess>>(prepared);
   const auto published = attack.Infer(input.published, input.frame);
   std::map<model::UserId, const HomeWorkGuess*> published_by_user;
   for (const HomeWorkGuess& guess : published) {

@@ -21,13 +21,16 @@ namespace mobipriv::attacks {
 /// that is the adaptive adversary of the paper's Section II discussion,
 /// who calibrates the clustering diameter to the defense's noise scale.
 /// The paper's core privacy claim is poi_survival ~ 0 for the
-/// constant-speed pipeline.
-class PoiAttackEvaluator final : public core::Evaluator {
+/// constant-speed pipeline. Prepared: the reference POIs.
+class PoiAttackEvaluator final : public core::PreparedEvaluator {
  public:
   explicit PoiAttackEvaluator(PoiExtractionConfig extraction = {},
                               double match_radius_m = 250.0);
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
+  [[nodiscard]] core::PreparedPtr Prepare(
+      const core::EvalInput& input) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Score(
+      const core::PreparedOriginal& prepared,
       const core::EvalInput& input) const override;
 
  private:
@@ -37,11 +40,15 @@ class PoiAttackEvaluator final : public core::Evaluator {
 
 /// "reident": POI-profile linkage. Profiles are trained on the original
 /// (identified) dataset and matched against the published traces.
-class ReidentEvaluator final : public core::Evaluator {
+/// Prepared: the profiles.
+class ReidentEvaluator final : public core::PreparedEvaluator {
  public:
   explicit ReidentEvaluator(ReidentConfig config = {});
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
+  [[nodiscard]] core::PreparedPtr Prepare(
+      const core::EvalInput& input) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Score(
+      const core::PreparedOriginal& prepared,
       const core::EvalInput& input) const override;
 
  private:
@@ -51,12 +58,16 @@ class ReidentEvaluator final : public core::Evaluator {
 /// "home_work[radius=...m]": home/work inference on both datasets; a
 /// published guess counts when it lands within the match radius of the
 /// original-data guess for the same user (the quasi-identifier pair).
-class HomeWorkEvaluator final : public core::Evaluator {
+/// Prepared: the original-data guesses.
+class HomeWorkEvaluator final : public core::PreparedEvaluator {
  public:
   explicit HomeWorkEvaluator(HomeWorkConfig config = {},
                              double match_radius_m = 300.0);
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
+  [[nodiscard]] core::PreparedPtr Prepare(
+      const core::EvalInput& input) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Score(
+      const core::PreparedOriginal& prepared,
       const core::EvalInput& input) const override;
 
  private:

@@ -1,16 +1,47 @@
 #include "attacks/home_work.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 namespace mobipriv::attacks {
 namespace {
 
-/// Overlap of the absolute intervals [a0, a1] and [b0, b1], >= 0.
-util::Timestamp Overlap(util::Timestamp a0, util::Timestamp a1,
-                        util::Timestamp b0, util::Timestamp b1) {
-  return std::max<util::Timestamp>(
-      0, std::min(a1, b1) - std::max(a0, b0));
+/// Wide enough for every day start and overlap sum the full Timestamp
+/// range produces.
+using Wide = __int128;
+
+Wide FloorDiv(Wide a, Wide b) {
+  const Wide q = a / b;
+  return (a % b != 0 && a < 0) ? q - 1 : q;
+}
+
+/// Seconds of [from, to] inside [k * D + o0, k * D + o1], summed over the
+/// days k in [first, last] (D = seconds per day). The days whose window
+/// lies wholly inside [from, to] form one run and add o1 - o0 each; only
+/// the days around it, where the window is cut, are measured one by one.
+/// For windows within a day that is at most a few days at each end.
+Wide WindowOverlapOverDays(Wide from, Wide to, Wide first, Wide last,
+                           Wide o0, Wide o1) {
+  if (o1 <= o0 || first > last) return 0;
+  constexpr Wide kDay = util::kSecondsPerDay;
+  const auto cut = [&](Wide k) {
+    return std::max<Wide>(
+        0, std::min(to, k * kDay + o1) - std::max(from, k * kDay + o0));
+  };
+  // k * D + o0 >= from  <=>  k >= ceil((from - o0) / D), and
+  // k * D + o1 <= to    <=>  k <= floor((to - o1) / D).
+  const Wide inner_first = std::max(first, -FloorDiv(o0 - from, kDay));
+  const Wide inner_last = std::min(last, FloorDiv(to - o1, kDay));
+  Wide total = 0;
+  if (inner_first > inner_last) {
+    for (Wide k = first; k <= last; ++k) total += cut(k);
+    return total;
+  }
+  total = (inner_last - inner_first + 1) * (o1 - o0);
+  for (Wide k = first; k < inner_first; ++k) total += cut(k);
+  for (Wide k = inner_last + 1; k <= last; ++k) total += cut(k);
+  return total;
 }
 
 }  // namespace
@@ -22,26 +53,25 @@ util::Timestamp HomeWorkAttack::DailyWindowOverlap(
     util::Timestamp from, util::Timestamp to, util::Timestamp window_start,
     util::Timestamp window_end) {
   if (to <= from) return 0;
-  util::Timestamp total = 0;
-  // Consider each day the interval touches (plus the one before, for
-  // windows that wrap midnight into it).
-  const util::Timestamp first_day =
-      util::StartOfDay(from) - util::kSecondsPerDay;
-  const util::Timestamp last_day = util::StartOfDay(to);
-  for (util::Timestamp day = first_day; day <= last_day;
-       day += util::kSecondsPerDay) {
-    if (window_start < window_end) {
-      total += Overlap(from, to, day + window_start, day + window_end);
-    } else {
-      // Wrapping window, e.g. 21:00 -> 06:00: the evening part of this day
-      // and the morning part of the next day.
-      total += Overlap(from, to, day + window_start,
-                       day + util::kSecondsPerDay);
-      total += Overlap(from, to, day + util::kSecondsPerDay,
-                       day + util::kSecondsPerDay + window_end);
-    }
+  // Every day the interval touches, plus the one before for windows that
+  // wrap midnight into it. A wrapping window, e.g. 21:00 -> 06:00, is the
+  // evening part of each day and the morning part of the next.
+  constexpr Wide kDay = util::kSecondsPerDay;
+  const Wide first = FloorDiv(from, kDay) - 1;
+  const Wide last = FloorDiv(to, kDay);
+  Wide total = 0;
+  if (window_start < window_end) {
+    total = WindowOverlapOverDays(from, to, first, last, window_start,
+                                  window_end);
+  } else {
+    total = WindowOverlapOverDays(from, to, first, last, window_start, kDay) +
+            WindowOverlapOverDays(from, to, first, last, kDay,
+                                  kDay + Wide{window_end});
   }
-  return total;
+  // An interval of ~2^64 s overlaps a daily window for more than
+  // INT64_MAX seconds.
+  return static_cast<util::Timestamp>(std::min<Wide>(
+      total, std::numeric_limits<util::Timestamp>::max()));
 }
 
 std::vector<HomeWorkGuess> HomeWorkAttack::Infer(

@@ -44,7 +44,8 @@ class HomeWorkAttack {
 
   /// Seconds of overlap between [from, to] and the daily window
   /// [window_start, window_end), handling windows that wrap midnight.
-  /// Exposed for tests.
+  /// Constant time for windows within a day, whatever the span; exact over
+  /// the whole Timestamp range, saturating at INT64_MAX. Exposed for tests.
   [[nodiscard]] static util::Timestamp DailyWindowOverlap(
       util::Timestamp from, util::Timestamp to, util::Timestamp window_start,
       util::Timestamp window_end);

@@ -4,7 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <exception>
 #include <filesystem>
+#include <functional>
+#include <future>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -42,6 +45,9 @@ struct DagNode {
   std::function<void()> work;
   std::vector<std::size_t> dependents;
   std::size_t dependency_count = 0;
+  /// False for a node that applies node_timeout_ms itself and never fails
+  /// as a DAG node (a prepare node hands its verdict to its cells).
+  bool watchdog = true;
 };
 
 /// Per-node outcome of one DAG execution (graceful degradation: nothing
@@ -58,6 +64,23 @@ struct NodeResult {
 std::string WatchdogError(double timeout_ms) {
   return "node exceeded node_timeout (" +
          util::FormatDouble(timeout_ms, 0) + " ms watchdog)";
+}
+
+double ElapsedMs(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// The error text a contained node records for `error`.
+std::string ErrorText(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown exception";
+  }
 }
 
 /// Executes the DAG with per-node error containment. A node that throws
@@ -90,12 +113,8 @@ std::vector<NodeResult> ExecuteDag(std::vector<DagNode>& nodes,
       result.error = "unknown exception";
       return;
     }
-    if (node_timeout_ms > 0.0) {
-      const double elapsed_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-      if (elapsed_ms > node_timeout_ms) {
+    if (node_timeout_ms > 0.0 && nodes[index].watchdog) {
+      if (ElapsedMs(start) > node_timeout_ms) {
         result.status = NodeStatus::kFailed;
         result.error = WatchdogError(node_timeout_ms);
       }
@@ -268,6 +287,7 @@ std::string EngineStats::ToString() const {
   os << "grid_cells=" << grid_cells
      << " mechanism_nodes=" << mechanism_nodes
      << " evaluator_nodes=" << evaluator_nodes;
+  if (prepare_nodes > 0) os << " prepare_nodes=" << prepare_nodes;
   if (stage_reuses > 0) os << " stage_reuses=" << stage_reuses;
   if (cache_hits + cache_misses > 0) {
     os << " cache_hits=" << cache_hits << " cache_misses=" << cache_misses;
@@ -320,6 +340,9 @@ struct ScenarioEngine::Compiled {
   std::size_t stage_refs = 0;  ///< total (row, seed, stage) references
   std::vector<std::string> eval_names;
   std::vector<std::unique_ptr<Evaluator>> evaluators;
+  /// Parallel to `evaluators`: the evaluator when it splits off a prepared
+  /// original side, else nullptr.
+  std::vector<const PreparedEvaluator*> prepared;
   bool ran = false;
 };
 
@@ -386,6 +409,8 @@ ScenarioEngine::ScenarioEngine(ScenarioSpec spec)
     if (std::find(c.eval_names.begin(), c.eval_names.end(), name) ==
         c.eval_names.end()) {
       c.eval_names.push_back(std::move(name));
+      c.prepared.push_back(
+          dynamic_cast<const PreparedEvaluator*>(evaluator.get()));
       c.evaluators.push_back(std::move(evaluator));
     }
   }
@@ -411,11 +436,30 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
   const std::size_t row_count = c.rows.size();
   const std::size_t eval_nodes = row_count * seed_count * eval_count;
 
+  // One prepared column per (prepared evaluator, seed): column
+  // column_rank[e] * seed_count + s holds evaluator e's original side for
+  // seed s, shared by every row. Node results are laid out as stages,
+  // then columns (always ok: a column's verdict goes to its cells), then
+  // cells.
+  std::vector<std::size_t> column_rank(eval_count, Compiled::kNoParent);
+  std::size_t prepared_count = 0;
+  for (std::size_t e = 0; e < eval_count; ++e) {
+    if (c.prepared[e] != nullptr) column_rank[e] = prepared_count++;
+  }
+  const std::size_t column_count = prepared_count * seed_count;
+  const auto column_of = [&](std::size_t e, std::size_t s) {
+    return column_rank[e] == Compiled::kNoParent
+               ? Compiled::kNoParent
+               : column_rank[e] * seed_count + s;
+  };
+  const std::size_t cell_base = stage_count + column_count;
+
   stats_.grid_cells =
       c.spec.mechanisms.size() * seed_count * c.spec.evaluators.size();
   stats_.mechanism_nodes = stage_count;
   stats_.stage_reuses = c.stage_refs - stage_count;
   stats_.evaluator_nodes = eval_nodes;
+  stats_.prepare_nodes = column_count;
 
   // ---- Report assembly, shared by the DAG and the shard stream. -------
   // A row whose terminal did not finish ok contributes one
@@ -448,7 +492,7 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
             }
             for (std::size_t e = 0; e < eval_count; ++e) {
               const std::size_t slot = (r * seed_count + s) * eval_count + e;
-              const NodeResult& eval_result = node_results[stage_count + slot];
+              const NodeResult& eval_result = node_results[cell_base + slot];
               if (eval_result.status != NodeStatus::kOk) {
                 report.rows_.push_back({c.rows[r].name, seeds[s],
                                         c.eval_names[e], "", 0.0,
@@ -487,7 +531,9 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
                    c.stage_nodes[i].instance.get()) != nullptr;
   }
   for (std::size_t e = 0; foldable && e < eval_count; ++e) {
-    foldable = c.evaluators[e]->MakeTraceFold(seeds[0]) != nullptr;
+    foldable = c.prepared[e] != nullptr
+                   ? c.prepared[e]->MakeOriginalFold(seeds[0]) != nullptr
+                   : c.evaluators[e]->MakeTraceFold(seeds[0]) != nullptr;
   }
   // The worker placement additionally needs a worker binary; the
   // watchdog is COMPATIBLE with it (it becomes the per-request deadline,
@@ -533,7 +579,7 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
   if (stream) {
     const ShardStreamPlan& plan = *stream;
     stats_.streamed_shards = plan.shard_count;
-    std::vector<NodeResult> node_results(stage_count + eval_nodes);
+    std::vector<NodeResult> node_results(cell_base + eval_nodes);
     std::vector<std::vector<MetricValue>> results(eval_nodes);
     stats_.run_ms = TimeMs([&] {
       // Engine-side injected stage faults fire before any work, with the
@@ -684,6 +730,35 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
         }
       }
 
+      // One original-side fold per prepared column. Pass 1 feeds it every
+      // shard once, before the cells; its result reaches the column's cell
+      // folds through `prepared`, and an error it throws fails every live
+      // cell of the column with that error's text, as a throwing Evaluate
+      // fails its own cell.
+      struct Column {
+        std::unique_ptr<OriginalFold> fold;
+        std::promise<PreparedPtr> promise;
+        std::shared_future<PreparedPtr> prepared;
+        std::exception_ptr error;
+      };
+      std::vector<Column> columns(column_count);
+      for (std::size_t e = 0; e < eval_count; ++e) {
+        for (std::size_t s = 0; s < seed_count; ++s) {
+          const std::size_t col = column_of(e, s);
+          if (col == Compiled::kNoParent) continue;
+          columns[col].fold = c.prepared[e]->MakeOriginalFold(seeds[s]);
+          columns[col].prepared = columns[col].promise.get_future().share();
+        }
+      }
+      const auto contain = [](const std::function<void()>& work,
+                              std::exception_ptr& error) {
+        try {
+          work();
+        } catch (...) {
+          error = std::current_exception();
+        }
+      };
+
       // One fold per grid cell whose terminal has not failed yet (skip and
       // fault verdicts mirror the DAG's evaluator nodes exactly).
       std::vector<std::unique_ptr<TraceFold>> folds(eval_nodes);
@@ -692,7 +767,7 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
           const std::size_t terminal = c.rows[r].terminal[s];
           for (std::size_t e = 0; e < eval_count; ++e) {
             const std::size_t slot = (r * seed_count + s) * eval_count + e;
-            NodeResult& cell = node_results[stage_count + slot];
+            NodeResult& cell = node_results[cell_base + slot];
             if (node_results[terminal].status != NodeStatus::kOk) {
               cell = {NodeStatus::kSkipped,
                       "dependency failed: " + node_results[terminal].error};
@@ -706,16 +781,33 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
                           "): " + c.eval_names[e]};
               continue;
             }
-            folds[slot] = c.evaluators[e]->MakeTraceFold(seeds[s]);
+            const std::size_t col = column_of(e, s);
+            folds[slot] =
+                col == Compiled::kNoParent
+                    ? c.evaluators[e]->MakeTraceFold(seeds[s])
+                    : c.prepared[e]->MakeScoreFold(columns[col].prepared,
+                                                   seeds[s]);
           }
         }
       }
+      // A live cell whose column has failed takes the column's error.
+      const auto fail_on_column = [&](std::size_t slot, std::size_t col) {
+        NodeResult& cell = node_results[cell_base + slot];
+        if (col == Compiled::kNoParent || !columns[col].error ||
+            cell.status != NodeStatus::kOk || !folds[slot]) {
+          return false;
+        }
+        cell = {NodeStatus::kFailed, ErrorText(columns[col].error)};
+        folds[slot].reset();
+        return true;
+      };
 
       // Pass 1 (folds): map one shard, publish each surviving stage's
       // output for THAT shard only — the only time any (stage, shard) is
-      // published — feed every live fold its slice in ascending shard
-      // order, drop everything, move on: the resident set the streamed
-      // path promises is one shard's input plus one shard's outputs.
+      // published — feed every column and then every live cell fold its
+      // slice in ascending shard order, drop everything, move on: the
+      // resident set the streamed path promises is one shard's input plus
+      // one shard's outputs.
       for (std::size_t s = 0; s < plan.shard_count; ++s) {
         const model::MappedColumnar mapped =
             model::MapColumnar(model::ShardDataPath(plan.dir, s));
@@ -727,33 +819,41 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
             publish(n, s, mapped, original, published[n]);
           }
         }
+        ShardSlice slice;
+        slice.original = original;
+        slice.canonical_index = plan.origin[s];
+        slice.user_count = plan.global_names.size();
+        slice.original_bbox = original_bbox;
+        slice.original_t_min = t_min;
+        slice.original_t_max = t_max;
+        for (Column& column : columns) {
+          if (!column.fold) continue;
+          contain([&] { column.fold->AccumulateShard(slice); }, column.error);
+          if (column.error) column.fold.reset();
+        }
         for (std::size_t r = 0; r < row_count; ++r) {
           for (std::size_t ss = 0; ss < seed_count; ++ss) {
             const std::size_t terminal = c.rows[r].terminal[ss];
             if (node_results[terminal].status != NodeStatus::kOk) continue;
+            slice.published = published[terminal].views;
             for (std::size_t e = 0; e < eval_count; ++e) {
               const std::size_t slot =
                   (r * seed_count + ss) * eval_count + e;
-              NodeResult& cell = node_results[stage_count + slot];
+              NodeResult& cell = node_results[cell_base + slot];
+              if (fail_on_column(slot, column_of(e, ss))) continue;
               if (cell.status != NodeStatus::kOk || !folds[slot]) continue;
-              ShardSlice slice;
-              slice.original = original;
-              slice.canonical_index = plan.origin[s];
-              slice.published = published[terminal].views;
-              slice.user_count = plan.global_names.size();
-              slice.original_bbox = original_bbox;
-              slice.original_t_min = t_min;
-              slice.original_t_max = t_max;
-              try {
-                folds[slot]->AccumulateShard(slice);
-              } catch (const std::exception& ex) {
-                cell = {NodeStatus::kFailed, ex.what()};
-              } catch (...) {
-                cell = {NodeStatus::kFailed, "unknown exception"};
-              }
+              std::exception_ptr error;
+              contain([&] { folds[slot]->AccumulateShard(slice); }, error);
+              if (error) cell = {NodeStatus::kFailed, ErrorText(error)};
             }
           }
         }
+      }
+      for (Column& column : columns) {
+        if (!column.fold) continue;
+        contain([&] { column.promise.set_value(column.fold->Finalize()); },
+                column.error);
+        column.fold.reset();
       }
 
       // A stage failing mid-stream strands its cells' partial folds. The
@@ -766,20 +866,17 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
           const std::size_t terminal = c.rows[r].terminal[s];
           for (std::size_t e = 0; e < eval_count; ++e) {
             const std::size_t slot = (r * seed_count + s) * eval_count + e;
-            NodeResult& cell = node_results[stage_count + slot];
+            NodeResult& cell = node_results[cell_base + slot];
             if (node_results[terminal].status != NodeStatus::kOk) {
               cell = {NodeStatus::kSkipped,
                       "dependency failed: " + node_results[terminal].error};
               folds[slot].reset();
             }
+            if (fail_on_column(slot, column_of(e, s))) continue;
             if (cell.status != NodeStatus::kOk || !folds[slot]) continue;
-            try {
-              results[slot] = folds[slot]->Finalize();
-            } catch (const std::exception& ex) {
-              cell = {NodeStatus::kFailed, ex.what()};
-            } catch (...) {
-              cell = {NodeStatus::kFailed, "unknown exception"};
-            }
+            std::exception_ptr error;
+            contain([&] { results[slot] = folds[slot]->Finalize(); }, error);
+            if (error) cell = {NodeStatus::kFailed, ErrorText(error)};
           }
         }
       }
@@ -824,12 +921,13 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
   std::vector<model::DatasetView> published(stage_count);
   std::vector<std::vector<MetricValue>> results(eval_nodes);
 
-  // ---- Compile the DAG (topological layout: stages, then evals). ------
+  // ---- Compile the DAG (topological layout: stages, prepares, evals). --
   // Stage nodes are in creation order, so a node's parent always precedes
-  // it; evaluator nodes follow all stage nodes and depend on their row's
-  // terminal.
+  // it; one prepare node per prepared column follows them, with no
+  // dependency; evaluator nodes come last and depend on their row's
+  // terminal and, when prepared, on their column's prepare node.
   std::vector<DagNode> nodes;
-  nodes.reserve(stage_count + eval_nodes);
+  nodes.reserve(cell_base + eval_nodes);
   for (std::size_t i = 0; i < stage_count; ++i) {
     const Compiled::StagePlan& plan = c.stage_nodes[i];
     DagNode dag_node;
@@ -880,15 +978,49 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
       nodes[plan.parent].dependents.push_back(i);
     }
   }
+  // A prepare node never fails as a DAG node: it stores its error (or
+  // its watchdog verdict) and every cell of its column rethrows it, so
+  // the cells report "failed" with that text rather than "skipped".
+  struct PreparedColumn {
+    PreparedPtr value;
+    std::exception_ptr error;
+  };
+  std::vector<PreparedColumn> columns(column_count);
+  for (std::size_t e = 0; e < eval_count; ++e) {
+    for (std::size_t s = 0; s < seed_count; ++s) {
+      const std::size_t col = column_of(e, s);
+      if (col == Compiled::kNoParent) continue;
+      DagNode dag_node;
+      dag_node.watchdog = false;
+      dag_node.work = [&, e, s, col] {
+        PreparedColumn& column = columns[col];
+        const auto start = std::chrono::steady_clock::now();
+        try {
+          column.value = c.prepared[e]->Prepare(
+              {source.view(), model::DatasetView(), frame, seeds[s]});
+        } catch (...) {
+          column.error = std::current_exception();
+          return;
+        }
+        const double timeout_ms = c.spec.node_timeout_ms;
+        if (timeout_ms > 0.0 && ElapsedMs(start) > timeout_ms) {
+          column.error = std::make_exception_ptr(
+              std::runtime_error(WatchdogError(timeout_ms)));
+        }
+      };
+      nodes.push_back(std::move(dag_node));
+    }
+  }
   for (std::size_t r = 0; r < row_count; ++r) {
     for (std::size_t s = 0; s < seed_count; ++s) {
       const std::size_t terminal = c.rows[r].terminal[s];
       for (std::size_t e = 0; e < eval_count; ++e) {
         const std::size_t result_slot =
             (r * seed_count + s) * eval_count + e;
+        const std::size_t col = column_of(e, s);
         DagNode dag_node;
-        dag_node.dependency_count = 1;
-        dag_node.work = [&, terminal, s, e, result_slot] {
+        dag_node.dependency_count = col == Compiled::kNoParent ? 1 : 2;
+        dag_node.work = [&, terminal, s, e, col, result_slot] {
           if (MOBIPRIV_FAULT_POINT_KEYED(fault::points::kEngineEvaluatorRun,
                                          c.eval_names[e])) {
             throw std::runtime_error(
@@ -898,9 +1030,18 @@ Report ScenarioEngine::Run(std::vector<model::EventStore>* terminals) {
           }
           const EvalInput input{source.view(), published[terminal], frame,
                                 seeds[s]};
-          results[result_slot] = c.evaluators[e]->Evaluate(input);
+          if (col == Compiled::kNoParent) {
+            results[result_slot] = c.evaluators[e]->Evaluate(input);
+            return;
+          }
+          const PreparedColumn& column = columns[col];
+          if (column.error) std::rethrow_exception(column.error);
+          results[result_slot] = c.prepared[e]->Score(*column.value, input);
         };
         nodes[terminal].dependents.push_back(nodes.size());
+        if (col != Compiled::kNoParent) {
+          nodes[stage_count + col].dependents.push_back(nodes.size());
+        }
         nodes.push_back(std::move(dag_node));
       }
     }

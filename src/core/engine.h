@@ -13,6 +13,12 @@
 // the equivalent standalone bench runs (bench_throughput's
 // BM_EngineGrid / BM_EngineGridIndependent pair).
 //
+// An evaluator whose original side depends only on the source, the
+// frame and the seed (core::PreparedEvaluator) gets one prepare node per
+// (evaluator, seed) column; its evaluation nodes depend on it and on
+// their row's terminal, and score against its read-only result. The shard
+// stream does the same with one OriginalFold per column.
+//
 // Chain specs ("a[...]|b[...]|c") compile into one node PER STAGE, keyed
 // by (prefix canonical name, seed) where the prefix name is the stage
 // names [0..k] joined with '|'. Grid rows sharing a stage prefix share
@@ -126,6 +132,10 @@ struct EngineStats {
   std::size_t grid_cells = 0;       ///< spec mechanisms x seeds x evaluators
   std::size_t mechanism_nodes = 0;  ///< memoized (stage prefix, seed) nodes
   std::size_t evaluator_nodes = 0;  ///< evaluation nodes run
+  /// Original sides built: one per (PreparedEvaluator, seed) column, a
+  /// prepare node of the DAG or an OriginalFold of the shard stream,
+  /// however many rows share it.
+  std::size_t prepare_nodes = 0;
   /// Stage references served by an already-compiled node instead of a new
   /// one: total (row, seed, stage) references minus mechanism_nodes. 0
   /// when no grid rows share a chain prefix (or duplicate a mechanism);

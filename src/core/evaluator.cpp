@@ -106,7 +106,62 @@ Registry& GlobalRegistry() {
   return *registry;
 }
 
+/// PreparedEvaluator::MakeTraceFold: one cell's OriginalFold and score
+/// fold on the same slices. The original side finalizes first, so the
+/// score fold's future is ready when its own Finalize reads it.
+class PreparedCellFold final : public TraceFold {
+ public:
+  PreparedCellFold(std::unique_ptr<OriginalFold> original,
+                   std::promise<PreparedPtr> prepared,
+                   std::unique_ptr<TraceFold> score)
+      : original_(std::move(original)),
+        prepared_(std::move(prepared)),
+        score_(std::move(score)) {}
+
+  void AccumulateShard(const ShardSlice& slice) override {
+    original_->AccumulateShard(slice);
+    score_->AccumulateShard(slice);
+  }
+
+  std::vector<MetricValue> Finalize() override {
+    prepared_.set_value(original_->Finalize());
+    return score_->Finalize();
+  }
+
+ private:
+  std::unique_ptr<OriginalFold> original_;
+  std::promise<PreparedPtr> prepared_;
+  std::unique_ptr<TraceFold> score_;
+};
+
 }  // namespace
+
+std::unique_ptr<OriginalFold> PreparedEvaluator::MakeOriginalFold(
+    std::uint64_t /*seed*/) const {
+  return nullptr;
+}
+
+std::unique_ptr<TraceFold> PreparedEvaluator::MakeScoreFold(
+    std::shared_future<PreparedPtr> /*prepared*/,
+    std::uint64_t /*seed*/) const {
+  return nullptr;
+}
+
+std::vector<MetricValue> PreparedEvaluator::Evaluate(
+    const EvalInput& input) const {
+  return Score(*Prepare(input), input);
+}
+
+std::unique_ptr<TraceFold> PreparedEvaluator::MakeTraceFold(
+    std::uint64_t seed) const {
+  std::unique_ptr<OriginalFold> original = MakeOriginalFold(seed);
+  if (!original) return nullptr;
+  std::promise<PreparedPtr> prepared;
+  std::unique_ptr<TraceFold> score =
+      MakeScoreFold(prepared.get_future().share(), seed);
+  return std::make_unique<PreparedCellFold>(
+      std::move(original), std::move(prepared), std::move(score));
+}
 
 void RegisterEvaluator(std::string base, EvaluatorFactory factory) {
   Registry& registry = GlobalRegistry();

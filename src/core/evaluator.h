@@ -8,12 +8,15 @@
 // over the existing metric/attack kernels; the registry below turns spec
 // strings ("coverage[cell=200m]", "reident", ...) into instances, exactly
 // like mechanisms/registry.h does for mechanisms — a scenario grid is
-// mechanism spec strings x evaluator spec strings.
+// mechanism spec strings x evaluator spec strings. A PreparedEvaluator
+// splits off the part that reads only the original, so the engine
+// computes it once per (evaluator, seed) column instead of once per row.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <span>
 #include <string>
@@ -63,7 +66,8 @@ struct ShardSlice {
   /// Original dataset-order index of each trace (parallel to `original`).
   std::span<const std::size_t> canonical_index;
   /// Published traces, parallel to `original`. A size()==0 view means the
-  /// mechanism suppressed the trace (whole-view assembly drops it).
+  /// mechanism suppressed the trace (whole-view assembly drops it). The
+  /// span itself is empty in the slices an OriginalFold sees.
   std::span<const model::TraceView> published;
   /// Global user count (names table size) of the full dataset.
   std::size_t user_count = 0;
@@ -85,12 +89,56 @@ struct ShardSlice {
 /// Contract: the returned metrics must be bit-identical to Evaluate()
 /// over the whole views — folds replicate their evaluator's arithmetic,
 /// not approximate it. Implementations are single-threaded (one fold per
-/// grid cell).
+/// grid cell). A prepared evaluator's cell fold (MakeScoreFold) reads only
+/// the published side of its slices; its column's original side arrives
+/// through the shared future it was built with.
 class TraceFold {
  public:
   virtual ~TraceFold() = default;
   virtual void AccumulateShard(const ShardSlice& slice) = 0;
   [[nodiscard]] virtual std::vector<MetricValue> Finalize() = 0;
+};
+
+/// What a prepared evaluator derives from the ORIGINAL alone (reference
+/// POIs, profiles, sampled queries and their counts, ...). The engine
+/// builds one per (evaluator, seed) grid column and every row of the
+/// column scores against it concurrently, so it is immutable once built.
+class PreparedOriginal {
+ public:
+  virtual ~PreparedOriginal() = default;
+};
+using PreparedPtr = std::shared_ptr<const PreparedOriginal>;
+
+/// A prepared side holding one value of type T, for evaluators whose
+/// original side is a plain struct or vector.
+template <typename T>
+struct PreparedValue final : PreparedOriginal {
+  explicit PreparedValue(T v) : value(std::move(v)) {}
+  T value;
+};
+
+template <typename T>
+[[nodiscard]] PreparedPtr MakePrepared(T value) {
+  return std::make_shared<const PreparedValue<T>>(std::move(value));
+}
+
+/// The value MakePrepared<T> stored. A prepared side is only ever scored
+/// by the evaluator that built it, so the type is known.
+template <typename T>
+[[nodiscard]] const T& PreparedAs(const PreparedOriginal& prepared) {
+  return static_cast<const PreparedValue<T>&>(prepared).value;
+}
+
+/// Streamed counterpart of PreparedEvaluator::Prepare for one column: the
+/// engine feeds it every shard's slice once, in ascending shard order,
+/// with `ShardSlice::published` empty, then calls Finalize once. The
+/// result must be what Prepare returns over the whole original, as far as
+/// the evaluator's cell folds read it.
+class OriginalFold {
+ public:
+  virtual ~OriginalFold() = default;
+  virtual void AccumulateShard(const ShardSlice& slice) = 0;
+  [[nodiscard]] virtual PreparedPtr Finalize() = 0;
 };
 
 class Evaluator {
@@ -117,6 +165,46 @@ class Evaluator {
     (void)seed;
     return nullptr;
   }
+};
+
+/// An evaluator whose original side depends only on the source, the
+/// frame and the seed, split into Prepare (the original side) and Score
+/// (one row against it). The engine prepares once per (evaluator, seed)
+/// column and shares the result read-only with every row of the column:
+/// a prepare node of the whole-view DAG, or one OriginalFold fed by the
+/// shard stream. A throwing Prepare fails every cell of its column with
+/// its own error text, exactly as a throwing Evaluate would. Evaluate and
+/// MakeTraceFold run both halves for one cell, for callers outside the
+/// engine; the engine recognises the split by this class.
+class PreparedEvaluator : public Evaluator {
+ public:
+  /// Builds the column's original side from `input.original`,
+  /// `input.frame` and `input.seed`; `input.published` is not read. Never
+  /// returns nullptr.
+  [[nodiscard]] virtual PreparedPtr Prepare(const EvalInput& input) const = 0;
+
+  /// Scores one row against `prepared`, which Prepare (or the column's
+  /// OriginalFold) built from the same original, frame and seed. Stateless
+  /// and deterministic, like Evaluate.
+  [[nodiscard]] virtual std::vector<MetricValue> Score(
+      const PreparedOriginal& prepared, const EvalInput& input) const = 0;
+
+  /// The streamed split, both or neither: the column's OriginalFold, and a
+  /// cell fold that reads `prepared` (ready before its Finalize runs) for
+  /// the original side. nullptr (the default) declares the evaluator
+  /// non-foldable.
+  [[nodiscard]] virtual std::unique_ptr<OriginalFold> MakeOriginalFold(
+      std::uint64_t seed) const;
+  [[nodiscard]] virtual std::unique_ptr<TraceFold> MakeScoreFold(
+      std::shared_future<PreparedPtr> prepared, std::uint64_t seed) const;
+
+  /// Score(Prepare(input), input).
+  [[nodiscard]] std::vector<MetricValue> Evaluate(
+      const EvalInput& input) const final;
+  /// One cell fold that runs both halves on the same slices: the
+  /// OriginalFold, then the score fold on its result.
+  [[nodiscard]] std::unique_ptr<TraceFold> MakeTraceFold(
+      std::uint64_t seed) const final;
 };
 
 using EvaluatorFactory =

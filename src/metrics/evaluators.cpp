@@ -20,72 +20,58 @@ namespace {
 // consumer of the grid cell's seed.
 constexpr std::uint64_t kRangeQuerySalt = 0x5251554552590001ULL;
 
-/// Shard-streamed trajectory_stats. Trip lengths are per-trace, so each
-/// lands in its canonical slot and Finalize replays the whole-view trace
-/// order; gyration is per-user and every user's traces share a home shard,
-/// so each radius computes whole from one slice. Both sides project in the
-/// original's frame, built from the engine-folded full-dataset bounding
-/// box — the frame CompareTrajectoryStats builds.
-class TrajectoryStatsFold final : public core::TraceFold {
+/// Which side of a slice a fold reads.
+enum class Side { kOriginal, kPublished };
+
+std::span<const model::TraceView> SideOf(const core::ShardSlice& slice,
+                                         Side side) {
+  return side == Side::kOriginal ? slice.original : slice.published;
+}
+
+/// One side of the shard-streamed trajectory_stats. Trip lengths are
+/// per-trace, so each lands in its canonical slot and Trips() replays the
+/// whole-view trace order; gyration is per-user and every user's traces
+/// share a home shard, so each radius computes whole from one slice. Both
+/// sides project in the original's frame, built from the engine-folded
+/// full-dataset bounding box — the frame PrepareTrajectoryStats builds.
+class TripGyrationAccumulator {
  public:
-  void AccumulateShard(const core::ShardSlice& slice) override {
+  explicit TripGyrationAccumulator(Side side) : side_(side) {}
+
+  void Accumulate(const core::ShardSlice& slice) {
     if (!frame_) {
       frame_.emplace(slice.original_bbox.Center());
-      gyration_original_.assign(slice.user_count, 0.0);
-      gyration_published_.assign(slice.user_count, 0.0);
+      gyration_.assign(slice.user_count, 0.0);
     }
-    for (std::size_t i = 0; i < slice.original.size(); ++i) {
+    const std::span<const model::TraceView> traces = SideOf(slice, side_);
+    const bool published = side_ == Side::kPublished;
+    for (std::size_t i = 0; i < traces.size(); ++i) {
       const std::size_t slot = slice.canonical_index[i];
-      if (slot >= trip_original_.size()) {
-        trip_original_.resize(slot + 1, 0.0);
-        trip_published_.resize(slot + 1, 0.0);
-        published_alive_.resize(slot + 1, 0);
+      if (slot >= trips_.size()) {
+        trips_.resize(slot + 1, 0.0);
+        alive_.resize(slot + 1, 0);
       }
-      trip_original_[slot] = slice.original[i].LengthMeters();
-      if (!slice.published[i].empty()) {
-        trip_published_[slot] = slice.published[i].LengthMeters();
-        published_alive_[slot] = 1;
-      }
+      // The whole-view published dataset drops suppressed (empty) outputs.
+      if (published && traces[i].empty()) continue;
+      trips_[slot] = traces[i].LengthMeters();
+      alive_[slot] = 1;
     }
-    AccumulateGyration(slice.original, *frame_, /*skip_empty=*/false,
-                       gyration_original_);
-    AccumulateGyration(slice.published, *frame_, /*skip_empty=*/true,
-                       gyration_published_);
+    AccumulateGyration(traces, *frame_, /*skip_empty=*/published, gyration_);
   }
 
-  std::vector<core::MetricValue> Finalize() override {
-    // Compacting the canonical slots reproduces TripLengths on each whole
-    // view, suppression drops and the >= 0 filter included.
-    std::vector<double> trips_orig;
-    trips_orig.reserve(trip_original_.size());
-    for (const double length : trip_original_) {
-      if (length >= 0.0) trips_orig.push_back(length);
+  /// Compacting the canonical slots reproduces TripLengths on the whole
+  /// view, suppression drops and the >= 0 filter included.
+  [[nodiscard]] std::vector<double> Trips() const {
+    std::vector<double> trips;
+    trips.reserve(trips_.size());
+    for (std::size_t t = 0; t < trips_.size(); ++t) {
+      if (alive_[t] && trips_[t] >= 0.0) trips.push_back(trips_[t]);
     }
-    std::vector<double> trips_pub;
-    trips_pub.reserve(trip_published_.size());
-    for (std::size_t t = 0; t < trip_published_.size(); ++t) {
-      if (published_alive_[t] && trip_published_[t] >= 0.0) {
-        trips_pub.push_back(trip_published_[t]);
-      }
-    }
-    const double emd = EarthMoversDistance(trips_orig, trips_pub);
-    const util::Summary pub_summary = util::Summary::Of(trips_pub);
-
-    double rel_sum = 0.0;
-    std::size_t rel_n = 0;
-    for (std::size_t u = 0;
-         u < std::min(gyration_original_.size(), gyration_published_.size());
-         ++u) {
-      if (gyration_original_[u] <= 0.0) continue;
-      rel_sum += std::abs(gyration_original_[u] - gyration_published_[u]) /
-                 gyration_original_[u];
-      ++rel_n;
-    }
-    const double rel_err =
-        rel_n == 0 ? 0.0 : rel_sum / static_cast<double>(rel_n);
-    return {{"trip_len_emd_m", emd},
-            {"gyration_rel_err", rel_err},
-            {"trip_len_pub_mean_m", pub_summary.mean}};
+    return trips;
+  }
+  [[nodiscard]] const geo::LocalProjection& frame() const { return *frame_; }
+  [[nodiscard]] std::vector<double> TakeGyration() {
+    return std::move(gyration_);
   }
 
  private:
@@ -114,68 +100,142 @@ class TrajectoryStatsFold final : public core::TraceFold {
     }
   }
 
+  Side side_;
   std::optional<geo::LocalProjection> frame_;
-  /// Canonical-slot trip lengths; `published_alive_` marks non-suppressed
-  /// outputs (the whole-view published dataset keeps exactly those).
-  std::vector<double> trip_original_;
-  std::vector<double> trip_published_;
-  std::vector<unsigned char> published_alive_;
-  std::vector<double> gyration_original_;
-  std::vector<double> gyration_published_;
+  /// Canonical-slot trip lengths; `alive_` marks the slots the whole-view
+  /// dataset of this side keeps.
+  std::vector<double> trips_;
+  std::vector<unsigned char> alive_;
+  std::vector<double> gyration_;
 };
 
-/// Shard-streamed range_queries. The workload samples once, from the
-/// engine-folded full-dataset extents — the identical draw sequence
-/// SampleQueries makes — and per-query event counts are integers, so
-/// summing them shard by shard is exact.
-class RangeQueryFold final : public core::TraceFold {
+std::vector<core::MetricValue> TrajectoryStatsMetrics(
+    const TrajectoryStatsReport& report) {
+  return {{"trip_len_emd_m", report.trip_length_emd},
+          {"gyration_rel_err", report.gyration_relative_error},
+          {"trip_len_pub_mean_m", report.trip_length_published.mean}};
+}
+
+class TrajectoryStatsOriginalFold final : public core::OriginalFold {
  public:
-  RangeQueryFold(const RangeQueryConfig& config, std::uint64_t seed)
-      : config_(config), seed_(seed) {}
+  void AccumulateShard(const core::ShardSlice& slice) override {
+    original_.Accumulate(slice);
+  }
+  core::PreparedPtr Finalize() override {
+    return core::MakePrepared(TrajectoryStatsOriginal{
+        original_.Trips(), original_.frame(), original_.TakeGyration()});
+  }
+
+ private:
+  TripGyrationAccumulator original_{Side::kOriginal};
+};
+
+class TrajectoryStatsScoreFold final : public core::TraceFold {
+ public:
+  explicit TrajectoryStatsScoreFold(
+      std::shared_future<core::PreparedPtr> prepared)
+      : prepared_(std::move(prepared)) {}
 
   void AccumulateShard(const core::ShardSlice& slice) override {
+    published_.Accumulate(slice);
+  }
+  std::vector<core::MetricValue> Finalize() override {
+    return TrajectoryStatsMetrics(SummarizeTrajectoryStats(
+        core::PreparedAs<TrajectoryStatsOriginal>(*prepared_.get()),
+        published_.Trips(), published_.TakeGyration()));
+  }
+
+ private:
+  std::shared_future<core::PreparedPtr> prepared_;
+  TripGyrationAccumulator published_{Side::kPublished};
+};
+
+/// range_queries' prepared side: the workload and its original counts.
+struct RangeQueryOriginal {
+  std::vector<RangeQuery> queries;
+  std::vector<std::size_t> counts;
+};
+
+std::vector<core::MetricValue> RangeQueryMetrics(
+    const RangeQueryReport& report) {
+  return {{"range_err_median", report.relative_error.median},
+          {"range_err_p95", report.relative_error.p95},
+          {"range_err_mean", report.relative_error.mean}};
+}
+
+/// One side of the shard-streamed range_queries. The workload samples
+/// once, from the engine-folded full-dataset extents — the identical draw
+/// sequence SampleQueries makes — and per-query event counts are
+/// integers, so summing them shard by shard is exact.
+class RangeCountAccumulator {
+ public:
+  RangeCountAccumulator(Side side, const RangeQueryConfig& config,
+                        std::uint64_t seed)
+      : side_(side), config_(config), seed_(seed) {}
+
+  void Accumulate(const core::ShardSlice& slice) {
     if (!sampled_) {
       sampled_ = true;
       util::Rng rng(util::DeriveStreamSeed(seed_, kRangeQuerySalt, 0));
       queries_ = SampleQueriesFromExtent(slice.original_bbox,
                                          slice.original_t_min,
                                          slice.original_t_max, config_, rng);
-      count_original_.assign(queries_.size(), 0);
-      count_published_.assign(queries_.size(), 0);
+      counts_.assign(queries_.size(), 0);
     }
-    // One index per side, freed on return. Suppressed outputs are empty
-    // views and index no events — the same zero the whole-view path gets
-    // from dropping them.
-    const RangeCountIndex original(slice.original);
-    const RangeCountIndex published(slice.published);
-    for (std::size_t q = 0; q < queries_.size(); ++q) {
-      count_original_[q] += original.Count(queries_[q]);
-      count_published_[q] += published.Count(queries_[q]);
-    }
+    // Suppressed outputs are empty views and index no events — the same
+    // zero the whole-view path gets from dropping them.
+    const std::vector<std::size_t> shard =
+        CountQueries(SideOf(slice, side_), queries_);
+    for (std::size_t q = 0; q < queries_.size(); ++q) counts_[q] += shard[q];
   }
 
-  std::vector<core::MetricValue> Finalize() override {
-    std::vector<double> errors(queries_.size());
-    for (std::size_t q = 0; q < queries_.size(); ++q) {
-      const double denom =
-          std::max<double>(1.0, static_cast<double>(count_original_[q]));
-      errors[q] = std::abs(static_cast<double>(count_original_[q]) -
-                           static_cast<double>(count_published_[q])) /
-                  denom;
-    }
-    const util::Summary summary = util::Summary::Of(errors);
-    return {{"range_err_median", summary.median},
-            {"range_err_p95", summary.p95},
-            {"range_err_mean", summary.mean}};
+  [[nodiscard]] RangeQueryOriginal Take() {
+    return {std::move(queries_), std::move(counts_)};
   }
 
  private:
+  Side side_;
   RangeQueryConfig config_;
   std::uint64_t seed_;
   bool sampled_ = false;
   std::vector<RangeQuery> queries_;
-  std::vector<std::size_t> count_original_;
-  std::vector<std::size_t> count_published_;
+  std::vector<std::size_t> counts_;
+};
+
+class RangeQueryOriginalFold final : public core::OriginalFold {
+ public:
+  RangeQueryOriginalFold(const RangeQueryConfig& config, std::uint64_t seed)
+      : original_(Side::kOriginal, config, seed) {}
+  void AccumulateShard(const core::ShardSlice& slice) override {
+    original_.Accumulate(slice);
+  }
+  core::PreparedPtr Finalize() override {
+    return core::MakePrepared(original_.Take());
+  }
+
+ private:
+  RangeCountAccumulator original_;
+};
+
+class RangeQueryScoreFold final : public core::TraceFold {
+ public:
+  RangeQueryScoreFold(std::shared_future<core::PreparedPtr> prepared,
+                      const RangeQueryConfig& config, std::uint64_t seed)
+      : prepared_(std::move(prepared)),
+        published_(Side::kPublished, config, seed) {}
+  void AccumulateShard(const core::ShardSlice& slice) override {
+    published_.Accumulate(slice);
+  }
+  std::vector<core::MetricValue> Finalize() override {
+    const RangeQueryOriginal& original =
+        core::PreparedAs<RangeQueryOriginal>(*prepared_.get());
+    return RangeQueryMetrics(SummarizeRangeQueryError(
+        original.counts, published_.Take().counts));
+  }
+
+ private:
+  std::shared_future<core::PreparedPtr> prepared_;
+  RangeCountAccumulator published_;
 };
 
 }  // namespace
@@ -227,39 +287,62 @@ std::string RangeQueryEvaluator::Name() const {
   return "range_queries[n=" + std::to_string(config_.query_count) + "]";
 }
 
-std::vector<core::MetricValue> RangeQueryEvaluator::Evaluate(
+core::PreparedPtr RangeQueryEvaluator::Prepare(
     const core::EvalInput& input) const {
   util::Rng rng(util::DeriveStreamSeed(input.seed, kRangeQuerySalt, 0));
-  const std::vector<RangeQuery> queries =
-      SampleQueries(input.original, config_, rng);
-  const RangeQueryReport report =
-      MeasureRangeQueryError(input.original, input.published, queries);
-  return {{"range_err_median", report.relative_error.median},
-          {"range_err_p95", report.relative_error.p95},
-          {"range_err_mean", report.relative_error.mean}};
+  RangeQueryOriginal original;
+  original.queries = SampleQueries(input.original, config_, rng);
+  original.counts = CountQueries(input.original.traces(), original.queries);
+  return core::MakePrepared(std::move(original));
 }
 
-std::unique_ptr<core::TraceFold> RangeQueryEvaluator::MakeTraceFold(
+std::vector<core::MetricValue> RangeQueryEvaluator::Score(
+    const core::PreparedOriginal& prepared,
+    const core::EvalInput& input) const {
+  const RangeQueryOriginal& original =
+      core::PreparedAs<RangeQueryOriginal>(prepared);
+  return RangeQueryMetrics(SummarizeRangeQueryError(
+      original.counts,
+      CountQueries(input.published.traces(), original.queries)));
+}
+
+std::unique_ptr<core::OriginalFold> RangeQueryEvaluator::MakeOriginalFold(
     std::uint64_t seed) const {
-  return std::make_unique<RangeQueryFold>(config_, seed);
+  return std::make_unique<RangeQueryOriginalFold>(config_, seed);
+}
+
+std::unique_ptr<core::TraceFold> RangeQueryEvaluator::MakeScoreFold(
+    std::shared_future<core::PreparedPtr> prepared,
+    std::uint64_t seed) const {
+  return std::make_unique<RangeQueryScoreFold>(std::move(prepared), config_,
+                                               seed);
 }
 
 std::string TrajectoryStatsEvaluator::Name() const {
   return "trajectory_stats";
 }
 
-std::vector<core::MetricValue> TrajectoryStatsEvaluator::Evaluate(
+core::PreparedPtr TrajectoryStatsEvaluator::Prepare(
     const core::EvalInput& input) const {
-  const TrajectoryStatsReport report =
-      CompareTrajectoryStats(input.original, input.published);
-  return {{"trip_len_emd_m", report.trip_length_emd},
-          {"gyration_rel_err", report.gyration_relative_error},
-          {"trip_len_pub_mean_m", report.trip_length_published.mean}};
+  return core::MakePrepared(PrepareTrajectoryStats(input.original));
 }
 
-std::unique_ptr<core::TraceFold> TrajectoryStatsEvaluator::MakeTraceFold(
+std::vector<core::MetricValue> TrajectoryStatsEvaluator::Score(
+    const core::PreparedOriginal& prepared,
+    const core::EvalInput& input) const {
+  return TrajectoryStatsMetrics(CompareTrajectoryStats(
+      core::PreparedAs<TrajectoryStatsOriginal>(prepared), input.published));
+}
+
+std::unique_ptr<core::OriginalFold>
+TrajectoryStatsEvaluator::MakeOriginalFold(std::uint64_t /*seed*/) const {
+  return std::make_unique<TrajectoryStatsOriginalFold>();
+}
+
+std::unique_ptr<core::TraceFold> TrajectoryStatsEvaluator::MakeScoreFold(
+    std::shared_future<core::PreparedPtr> prepared,
     std::uint64_t /*seed*/) const {
-  return std::make_unique<TrajectoryStatsFold>();
+  return std::make_unique<TrajectoryStatsScoreFold>(std::move(prepared));
 }
 
 KDeltaEvaluator::KDeltaEvaluator(KDeltaConfig config) : config_(config) {}

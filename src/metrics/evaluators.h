@@ -47,17 +47,24 @@ class HeatmapEvaluator final : public core::Evaluator {
 
 /// "range_queries[n=...]": relative-error distribution of a random
 /// spatio-temporal counting workload sampled (deterministically from the
-/// grid cell's seed) on the original dataset.
-class RangeQueryEvaluator final : public core::Evaluator {
+/// grid cell's seed) on the original dataset. Prepared: the workload and
+/// its original counts.
+class RangeQueryEvaluator final : public core::PreparedEvaluator {
  public:
   explicit RangeQueryEvaluator(RangeQueryConfig config = {});
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
+  [[nodiscard]] core::PreparedPtr Prepare(
+      const core::EvalInput& input) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Score(
+      const core::PreparedOriginal& prepared,
       const core::EvalInput& input) const override;
   /// Foldable: the workload samples from the folded full-dataset extents
   /// (SampleQueriesFromExtent) and per-query counts are exact integer sums
   /// over shards.
-  [[nodiscard]] std::unique_ptr<core::TraceFold> MakeTraceFold(
+  [[nodiscard]] std::unique_ptr<core::OriginalFold> MakeOriginalFold(
+      std::uint64_t seed) const override;
+  [[nodiscard]] std::unique_ptr<core::TraceFold> MakeScoreFold(
+      std::shared_future<core::PreparedPtr> prepared,
       std::uint64_t seed) const override;
 
  private:
@@ -65,14 +72,21 @@ class RangeQueryEvaluator final : public core::Evaluator {
 };
 
 /// "trajectory_stats": trip-length EMD and radius-of-gyration error.
-class TrajectoryStatsEvaluator final : public core::Evaluator {
+/// Prepared: the original's trip lengths, frame and radii.
+class TrajectoryStatsEvaluator final : public core::PreparedEvaluator {
  public:
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
+  [[nodiscard]] core::PreparedPtr Prepare(
+      const core::EvalInput& input) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Score(
+      const core::PreparedOriginal& prepared,
       const core::EvalInput& input) const override;
   /// Foldable: trip lengths land in canonical slots and each user's
   /// gyration computes whole inside their home shard.
-  [[nodiscard]] std::unique_ptr<core::TraceFold> MakeTraceFold(
+  [[nodiscard]] std::unique_ptr<core::OriginalFold> MakeOriginalFold(
+      std::uint64_t seed) const override;
+  [[nodiscard]] std::unique_ptr<core::TraceFold> MakeScoreFold(
+      std::shared_future<core::PreparedPtr> prepared,
       std::uint64_t seed) const override;
 };
 

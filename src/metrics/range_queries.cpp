@@ -221,30 +221,41 @@ std::string RangeQueryReport::ToString() const {
   return os.str();
 }
 
+std::vector<std::size_t> CountQueries(
+    std::span<const model::TraceView> traces,
+    const std::vector<RangeQuery>& queries) {
+  const RangeCountIndex index(traces);
+  std::vector<std::size_t> counts(queries.size());
+  util::ParallelForEach(queries.size(), [&](std::size_t q) {
+    counts[q] = index.Count(queries[q]);
+  });
+  return counts;
+}
+
+RangeQueryReport SummarizeRangeQueryError(
+    std::span<const std::size_t> original_counts,
+    std::span<const std::size_t> published_counts) {
+  assert(original_counts.size() == published_counts.size());
+  RangeQueryReport report;
+  report.queries = original_counts.size();
+  std::vector<double> errors(original_counts.size());
+  for (std::size_t q = 0; q < original_counts.size(); ++q) {
+    const auto count_orig = original_counts[q];
+    if (count_orig == 0) ++report.empty_on_original;
+    const double denom = std::max<double>(1.0, static_cast<double>(count_orig));
+    errors[q] = std::abs(static_cast<double>(count_orig) -
+                         static_cast<double>(published_counts[q])) /
+                denom;
+  }
+  report.relative_error = util::Summary::Of(errors);
+  return report;
+}
+
 RangeQueryReport MeasureRangeQueryError(
     const model::DatasetView& original, const model::DatasetView& published,
     const std::vector<RangeQuery>& queries) {
-  RangeQueryReport report;
-  report.queries = queries.size();
-  const RangeCountIndex index_orig(original.traces());
-  const RangeCountIndex index_pub(published.traces());
-  // Queries are independent exact counts; fan them out into pre-sized
-  // slots (fixed merge order keeps the summary byte-identical at any
-  // worker count).
-  std::vector<double> errors(queries.size());
-  std::vector<unsigned char> empty(queries.size(), 0);
-  util::ParallelForEach(queries.size(), [&](std::size_t q) {
-    const auto count_orig = index_orig.Count(queries[q]);
-    const auto count_pub = index_pub.Count(queries[q]);
-    if (count_orig == 0) empty[q] = 1;
-    const double denom = std::max<double>(1.0, static_cast<double>(count_orig));
-    errors[q] = std::abs(static_cast<double>(count_orig) -
-                         static_cast<double>(count_pub)) /
-                denom;
-  });
-  for (const unsigned char e : empty) report.empty_on_original += e;
-  report.relative_error = util::Summary::Of(errors);
-  return report;
+  return SummarizeRangeQueryError(CountQueries(original.traces(), queries),
+                                  CountQueries(published.traces(), queries));
 }
 
 }  // namespace mobipriv::metrics

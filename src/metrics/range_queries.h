@@ -113,10 +113,21 @@ struct RangeQueryReport {
   [[nodiscard]] std::string ToString() const;
 };
 
-/// Runs the workload on both datasets and reports the error distribution.
-/// Each dataset is indexed once (RangeCountIndex); the queries then fan
-/// out on the thread pool into pre-sized slots, so the report is
-/// byte-identical at any worker count.
+/// Exact event count of every query over `traces`: one RangeCountIndex,
+/// then the queries fan out on the thread pool into pre-sized slots, so
+/// the counts are the same at any worker count.
+[[nodiscard]] std::vector<std::size_t> CountQueries(
+    std::span<const model::TraceView> traces,
+    const std::vector<RangeQuery>& queries);
+
+/// The error distribution of one workload from its per-query counts on
+/// each side (parallel spans): |orig - pub| / max(orig, 1) per query.
+[[nodiscard]] RangeQueryReport SummarizeRangeQueryError(
+    std::span<const std::size_t> original_counts,
+    std::span<const std::size_t> published_counts);
+
+/// Runs the workload on both datasets and reports the error distribution:
+/// SummarizeRangeQueryError over the CountQueries of each side.
 [[nodiscard]] RangeQueryReport MeasureRangeQueryError(
     const model::DatasetView& original, const model::DatasetView& published,
     const std::vector<RangeQuery>& queries);

@@ -124,21 +124,31 @@ std::string TrajectoryStatsReport::ToString() const {
   return os.str();
 }
 
-TrajectoryStatsReport CompareTrajectoryStats(
-    const model::DatasetView& original, const model::DatasetView& published) {
-  TrajectoryStatsReport report;
-  const auto trips_orig = TripLengths(original);
-  const auto trips_pub = TripLengths(published);
-  report.trip_length_original = util::Summary::Of(trips_orig);
-  report.trip_length_published = util::Summary::Of(trips_pub);
-  report.trip_length_emd = EarthMoversDistance(trips_orig, trips_pub);
-
+TrajectoryStatsOriginal PrepareTrajectoryStats(
+    const model::DatasetView& original) {
   // Both radii in the original's frame, so a published outlier cannot
   // rescale every user's axes (the streamed fold builds the same frame
   // from the folded original extent).
-  const geo::LocalProjection frame(original.BoundingBox().Center());
-  const auto gyr_orig = AllRadiiOfGyration(original, frame);
-  const auto gyr_pub = AllRadiiOfGyration(published, frame);
+  TrajectoryStatsOriginal prepared{
+      TripLengths(original),
+      geo::LocalProjection(original.BoundingBox().Center()),
+      {}};
+  prepared.gyration = AllRadiiOfGyration(original, prepared.frame);
+  return prepared;
+}
+
+TrajectoryStatsReport SummarizeTrajectoryStats(
+    const TrajectoryStatsOriginal& original,
+    const std::vector<double>& trips_published,
+    const std::vector<double>& gyration_published) {
+  TrajectoryStatsReport report;
+  const std::vector<double>& trips_orig = original.trip_lengths;
+  report.trip_length_original = util::Summary::Of(trips_orig);
+  report.trip_length_published = util::Summary::Of(trips_published);
+  report.trip_length_emd = EarthMoversDistance(trips_orig, trips_published);
+
+  const std::vector<double>& gyr_orig = original.gyration;
+  const std::vector<double>& gyr_pub = gyration_published;
   report.gyration_original = util::Summary::Of(gyr_orig);
   report.gyration_published = util::Summary::Of(gyr_pub);
   double rel_sum = 0.0;
@@ -152,6 +162,19 @@ TrajectoryStatsReport CompareTrajectoryStats(
   report.gyration_relative_error =
       rel_n == 0 ? 0.0 : rel_sum / static_cast<double>(rel_n);
   return report;
+}
+
+TrajectoryStatsReport CompareTrajectoryStats(
+    const TrajectoryStatsOriginal& original,
+    const model::DatasetView& published) {
+  return SummarizeTrajectoryStats(
+      original, TripLengths(published),
+      AllRadiiOfGyration(published, original.frame));
+}
+
+TrajectoryStatsReport CompareTrajectoryStats(
+    const model::DatasetView& original, const model::DatasetView& published) {
+  return CompareTrajectoryStats(PrepareTrajectoryStats(original), published);
 }
 
 }  // namespace mobipriv::metrics

@@ -64,10 +64,32 @@ struct TrajectoryStatsReport {
   [[nodiscard]] std::string ToString() const;
 };
 
+/// Everything the preservation report reads from the original alone.
+struct TrajectoryStatsOriginal {
+  std::vector<double> trip_lengths;  ///< TripLengths(original)
+  /// Centred on original.BoundingBox(): both sides' radii use it.
+  geo::LocalProjection frame;
+  std::vector<double> gyration;  ///< AllRadiiOfGyration(original, frame)
+};
+
+[[nodiscard]] TrajectoryStatsOriginal PrepareTrajectoryStats(
+    const model::DatasetView& original);
+
+/// The report from the published side's trip lengths (TripLengths order)
+/// and per-user radii measured in `original.frame`.
+[[nodiscard]] TrajectoryStatsReport SummarizeTrajectoryStats(
+    const TrajectoryStatsOriginal& original,
+    const std::vector<double>& trips_published,
+    const std::vector<double>& gyration_published);
+
 /// Full preservation report between an original and a published dataset.
 /// Both radii of gyration are measured in the ORIGINAL's frame (centred on
 /// original.BoundingBox()), so published points far from the original
-/// extent change only their own user's radius.
+/// extent change only their own user's radius. The first form takes the
+/// original side prepared once for many published datasets.
+[[nodiscard]] TrajectoryStatsReport CompareTrajectoryStats(
+    const TrajectoryStatsOriginal& original,
+    const model::DatasetView& published);
 [[nodiscard]] TrajectoryStatsReport CompareTrajectoryStats(
     const model::DatasetView& original, const model::DatasetView& published);
 

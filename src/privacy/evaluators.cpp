@@ -50,11 +50,18 @@ std::string UncertaintyEvaluator::Name() const {
   return "uncertainty[" + params.substr(1) + "]";
 }
 
-std::vector<core::MetricValue> UncertaintyEvaluator::Evaluate(
+core::PreparedPtr UncertaintyEvaluator::Prepare(
     const core::EvalInput& input) const {
   const mech::MixZone detector(config_);
-  const UncertaintyReport potential = MeasureMixingUncertainty(
-      input.original, detector.Detect(input.original));
+  return core::MakePrepared(MeasureMixingUncertainty(
+      input.original, detector.Detect(input.original)));
+}
+
+std::vector<core::MetricValue> UncertaintyEvaluator::Score(
+    const core::PreparedOriginal& prepared,
+    const core::EvalInput& input) const {
+  const mech::MixZone detector(config_);
+  const auto& potential = core::PreparedAs<UncertaintyReport>(prepared);
   const UncertaintyReport residual = MeasureMixingUncertainty(
       input.published, detector.Detect(input.published));
   return {

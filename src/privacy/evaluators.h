@@ -44,15 +44,18 @@ class CertificationEvaluator final : public core::Evaluator {
 ///   mix_potential_bits / mix_potential_occurrences
 ///   mix_residual_bits  / mix_residual_occurrences
 /// Detection draws no randomness, so the metrics do not depend on the
-/// seed.
-class UncertaintyEvaluator final : public core::Evaluator {
+/// seed. Prepared: the potential.
+class UncertaintyEvaluator final : public core::PreparedEvaluator {
  public:
   explicit UncertaintyEvaluator(mech::MixZoneConfig config = {});
 
   /// "uncertainty[r=...m,w=...s,min_users=...]" with only non-default
   /// knobs printed (bare "uncertainty" at defaults).
   [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] std::vector<core::MetricValue> Evaluate(
+  [[nodiscard]] core::PreparedPtr Prepare(
+      const core::EvalInput& input) const override;
+  [[nodiscard]] std::vector<core::MetricValue> Score(
+      const core::PreparedOriginal& prepared,
       const core::EvalInput& input) const override;
 
  private:

@@ -433,6 +433,66 @@ TEST(Degradation, FailedEvaluatorKeepsSiblingCells) {
   }
 }
 
+TEST(Degradation, ThrowingPreparedSideFailsEveryCellOfItsColumn) {
+  // A prepared original side that throws is computed once per
+  // (evaluator, seed) column, but every cell of the column reports it as
+  // its own failure — "failed" with the thrown text, never "skipped" —
+  // exactly as when each cell threw from its own Evaluate. A failed stage
+  // still skips its row's cells, prepared or not.
+  DisarmGuard guard;
+  const auto run = [](const std::string& evaluator, std::size_t threads) {
+    fault::Arm(fault::points::kEngineMechanismRun,
+               FailTimes(1000, "cloaking*"));
+    core::ScenarioSpec spec = EngineSpec();
+    spec.evaluators = {"coverage", evaluator, "poi_attack"};
+    spec.seeds = {1, 2};
+    spec.threads = threads;
+    core::ScenarioEngine engine(spec);
+    const std::string csv = engine.Run().ToCsv();
+    fault::DisarmAll();
+    // 2 live rows x 2 seeds throwing cells + the failed stage (x2 seeds);
+    // the failed rows' 2 x 3 cells are skipped.
+    EXPECT_EQ(engine.stats().failed_nodes, 4u + 2u) << evaluator;
+    EXPECT_EQ(engine.stats().skipped_nodes, 6u) << evaluator;
+    return std::make_pair(csv, engine.stats().prepare_nodes);
+  };
+  const auto [reference, no_split] =
+      run("test_original_throws_per_cell", 1);
+  EXPECT_EQ(no_split, 2u);  // poi_attack x 2 seeds
+  EXPECT_NE(reference.find(",failed,test_original_throws: original side"),
+            std::string::npos)
+      << reference;
+  for (const std::size_t threads : {1u, 4u}) {
+    const auto [csv, prepare_nodes] = run("test_original_throws", threads);
+    EXPECT_EQ(prepare_nodes, 4u);
+    EXPECT_EQ(csv, reference) << "threads=" << threads;
+  }
+}
+
+TEST(Degradation, EvaluatorFaultTripsPerPreparedCell) {
+  // engine.evaluator.run still trips once per cell of a prepared
+  // evaluator, not once per prepared column.
+  DisarmGuard guard;
+  std::string reference;
+  for (const std::size_t threads : {1u, 4u}) {
+    fault::Arm(fault::points::kEngineEvaluatorRun,
+               FailTimes(1000, "poi_attack*"));
+    core::ScenarioSpec spec = EngineSpec();
+    spec.evaluators = {"coverage", "poi_attack"};
+    spec.seeds = {1, 2};
+    spec.threads = threads;
+    core::ScenarioEngine engine(spec);
+    const std::string csv = engine.Run().ToCsv();
+    EXPECT_EQ(fault::TripCount(fault::points::kEngineEvaluatorRun), 6u);
+    fault::DisarmAll();
+    EXPECT_EQ(engine.stats().prepare_nodes, 2u);
+    EXPECT_EQ(engine.stats().failed_nodes, 6u);
+    EXPECT_EQ(engine.stats().skipped_nodes, 0u);
+    if (reference.empty()) reference = csv;
+    EXPECT_EQ(csv, reference) << "threads=" << threads;
+  }
+}
+
 TEST(Degradation, WatchdogContainsSlowNodes) {
   DisarmGuard guard;
   const auto run_with_watchdog = [&](std::size_t threads) {
@@ -465,6 +525,32 @@ TEST(Degradation, WatchdogContainsSlowNodes) {
   }
   EXPECT_TRUE(saw_timeout);
   EXPECT_EQ(serial.ToCsv(), run_with_watchdog(4).ToCsv());
+}
+
+TEST(Degradation, WatchdogFailsEveryCellOfASlowPreparedColumn) {
+  // A prepare node over the limit hands the watchdog verdict to every
+  // cell of its column: "failed" with the verdict, never "skipped".
+  const auto run = [](std::size_t threads) {
+    core::ScenarioSpec spec = EngineSpec();
+    spec.source = core::DatasetSourceSpec::Borrowed(TinyWorld());
+    spec.evaluators = {"coverage", "test_slow_prepare[ms=450]"};
+    spec.threads = threads;
+    spec.node_timeout_ms = 150.0;
+    core::ScenarioEngine engine(spec);
+    const core::Report report = engine.Run();
+    EXPECT_EQ(engine.stats().failed_nodes, 3u);
+    EXPECT_EQ(engine.stats().skipped_nodes, 0u);
+    for (const core::ReportRow& row : report.rows()) {
+      if (row.evaluator == "test_slow_prepare[ms=450]") {
+        EXPECT_EQ(row.status, core::RowStatus::kFailed);
+        EXPECT_EQ(row.error, "node exceeded node_timeout (150 ms watchdog)");
+      } else {
+        EXPECT_EQ(row.status, core::RowStatus::kOk) << row.evaluator;
+      }
+    }
+    return report.ToCsv();
+  };
+  EXPECT_EQ(run(1), run(4));
 }
 
 TEST(Degradation, CacheReadRetriesAbsorbTransients) {

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "core/anonymizer.h"
 #include "synth/population.h"
 #include "util/rng.h"
+#include "util/time_utils.h"
 
 namespace mobipriv::attacks {
 namespace {
@@ -45,6 +49,80 @@ TEST(DailyWindowOverlap, MultiDayInterval) {
 
 TEST(DailyWindowOverlap, EmptyInterval) {
   EXPECT_EQ(HomeWorkAttack::DailyWindowOverlap(100, 100, 0, 86400), 0);
+}
+
+/// The per-day loop DailyWindowOverlap used to run: one iteration per day
+/// the interval touches. Only valid where no sum or day start overflows.
+util::Timestamp DailyWindowOverlapByDays(util::Timestamp from,
+                                         util::Timestamp to,
+                                         util::Timestamp window_start,
+                                         util::Timestamp window_end) {
+  if (to <= from) return 0;
+  const auto overlap = [](util::Timestamp a0, util::Timestamp a1,
+                          util::Timestamp b0, util::Timestamp b1) {
+    return std::max<util::Timestamp>(0,
+                                     std::min(a1, b1) - std::max(a0, b0));
+  };
+  util::Timestamp total = 0;
+  const util::Timestamp first_day =
+      util::StartOfDay(from) - util::kSecondsPerDay;
+  const util::Timestamp last_day = util::StartOfDay(to);
+  for (util::Timestamp day = first_day; day <= last_day;
+       day += util::kSecondsPerDay) {
+    if (window_start < window_end) {
+      total += overlap(from, to, day + window_start, day + window_end);
+    } else {
+      total += overlap(from, to, day + window_start,
+                       day + util::kSecondsPerDay);
+      total += overlap(from, to, day + util::kSecondsPerDay,
+                       day + util::kSecondsPerDay + window_end);
+    }
+  }
+  return total;
+}
+
+TEST(DailyWindowOverlap, MatchesThePerDayLoop) {
+  // Random intervals of up to 40 days around the epoch, on both sides of
+  // it, against windows anywhere in the day: wrapping (start > end),
+  // full-day (start == end) and ordinary ones, plus windows at the day's
+  // edges.
+  util::Rng rng(20261019);
+  constexpr util::Timestamp kDay = util::kSecondsPerDay;
+  for (int i = 0; i < 20000; ++i) {
+    const util::Timestamp from = rng.UniformInt(-400 * kDay, 400 * kDay);
+    const util::Timestamp to =
+        from + rng.UniformInt(i % 7 == 0 ? -kDay : 0, 40 * kDay);
+    util::Timestamp start = rng.UniformInt(0, kDay);
+    util::Timestamp end = rng.UniformInt(0, kDay);
+    if (i % 11 == 0) end = start;
+    if (i % 13 == 0) start = 0;
+    if (i % 17 == 0) end = kDay;
+    ASSERT_EQ(HomeWorkAttack::DailyWindowOverlap(from, to, start, end),
+              DailyWindowOverlapByDays(from, to, start, end))
+        << "from=" << from << " to=" << to << " window=[" << start << ", "
+        << end << ")";
+  }
+}
+
+TEST(DailyWindowOverlap, ExtremeSpansFinishWithoutOverflow) {
+  constexpr util::Timestamp kMin = std::numeric_limits<util::Timestamp>::min();
+  constexpr util::Timestamp kMax = std::numeric_limits<util::Timestamp>::max();
+  constexpr util::Timestamp kDay = util::kSecondsPerDay;
+  // 8 h a day over ~1.07e14 days is ~3.1e18 s; the whole range saturates.
+  const util::Timestamp half = HomeWorkAttack::DailyWindowOverlap(
+      kMin / 2, kMax / 2, 9 * 3600, 17 * 3600);
+  EXPECT_GT(half, kMax / 3 - 8 * 3600 * 2);
+  EXPECT_LT(half, kMax / 3 + 8 * 3600 * 2);
+  EXPECT_EQ(HomeWorkAttack::DailyWindowOverlap(kMin, kMax, 19 * 3600,
+                                               9 * 3600),
+            kMax);
+  // Intervals touching the ends of the range.
+  EXPECT_EQ(HomeWorkAttack::DailyWindowOverlap(kMax - 10 * kDay, kMax, 0,
+                                               kDay),
+            10 * kDay);
+  EXPECT_EQ(HomeWorkAttack::DailyWindowOverlap(kMin, kMin + 10 * kDay, 0,
+                                               kDay),
+            10 * kDay);
 }
 
 struct WorldFixture {

@@ -97,9 +97,8 @@ std::vector<std::pair<std::string, model::Dataset>> PathologicalZoo() {
 
 /// Traces spanning more than INT64_MAX seconds, from near INT64_MIN/2 to
 /// near INT64_MAX/2: one with an interior fix at 0, one without. They are
-/// not in the zoo because the time-grid kernels (home_work's day loop,
-/// kdelta's and wait4me's resampling grids) step once per grid cell
-/// across the span.
+/// not in the zoo because two time-grid kernels, kdelta's and wait4me's
+/// resampling grids, step once per grid cell across the span.
 model::Dataset ExtremeTimestamps() {
   constexpr util::Timestamp kMin = std::numeric_limits<util::Timestamp>::min();
   constexpr util::Timestamp kMax = std::numeric_limits<util::Timestamp>::max();
@@ -147,6 +146,28 @@ TEST(PathologicalInputs, ExtremeTimestampsDoNotOverflow) {
     for (const auto& published : output.traces()) {
       EXPECT_TRUE(published.IsTimeOrdered()) << spec;
     }
+  }
+}
+
+TEST(PathologicalInputs, HomeWorkFinishesOnExtremeTimestamps) {
+  // ExtremeTimestamps() plus two users who stay put for half the range
+  // each: stays of ~2^62 s, whose daily-window overlap used to take one
+  // loop iteration per day (~5e13) and now takes constant time.
+  constexpr util::Timestamp kMin = std::numeric_limits<util::Timestamp>::min();
+  constexpr util::Timestamp kMax = std::numeric_limits<util::Timestamp>::max();
+  model::Dataset dataset = ExtremeTimestamps();
+  dataset.AddTraceForUser("w", {{{45.764, 4.8357}, kMin / 2 - 1000},
+                                {{45.764, 4.8357}, -1}});
+  dataset.AddTraceForUser("x", {{{45.776, 4.8443}, 0},
+                                {{45.776, 4.8443}, kMax / 2 + 1000}});
+  const auto frame = attacks::DatasetProjection(dataset);
+  std::vector<attacks::HomeWorkGuess> guesses;
+  ASSERT_NO_THROW(guesses = attacks::HomeWorkAttack().Infer(dataset, frame));
+  ASSERT_EQ(guesses.size(), 4u);
+  for (const attacks::HomeWorkGuess& guess : guesses) {
+    const bool stays_put = guess.user >= 2;
+    EXPECT_EQ(guess.home.has_value(), stays_put) << guess.user;
+    EXPECT_EQ(guess.work.has_value(), stays_put) << guess.user;
   }
 }
 

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 
+#include "attacks/poi_extraction.h"
 #include "core/evaluator.h"
 #include "core/output_cache.h"
 #include "core/scenario.h"
@@ -65,6 +67,100 @@ TEST(ScenarioEngine, GridCoversEveryCell) {
     if (row.metric == "coverage_jaccard") EXPECT_DOUBLE_EQ(row.value, 1.0);
     if (row.metric == "path_mean_m") EXPECT_DOUBLE_EQ(row.value, 0.0);
   }
+}
+
+/// The evaluators that split off a prepared original side.
+const std::vector<std::string>& PreparedEvaluators() {
+  static const std::vector<std::string> evaluators = {
+      "uncertainty", "poi_attack",       "reident",
+      "home_work",   "trajectory_stats", "range_queries[n=32]"};
+  return evaluators;
+}
+
+TEST(ScenarioEngine, PreparedRowsAreIndependentOfTheGrid) {
+  // One original side per (evaluator, seed) column, shared by every row:
+  // each (row, seed) of a 3-row x 2-seed grid must be byte-identical to
+  // that row and seed run alone, at any thread count. The second seed
+  // catches an original side shared across seeds (range_queries'
+  // workload depends on the seed).
+  const std::vector<std::string> rows = BaseSpec().mechanisms;
+  const std::vector<std::uint64_t> seeds = {1, 2};
+  const auto run = [](std::vector<std::string> mechanisms,
+                      std::vector<std::uint64_t> seeds, std::size_t threads) {
+    core::ScenarioSpec spec = BaseSpec();
+    spec.mechanisms = std::move(mechanisms);
+    spec.evaluators = PreparedEvaluators();
+    spec.seeds = std::move(seeds);
+    spec.threads = threads;
+    core::ScenarioEngine engine(spec);
+    const core::Report report = engine.Run();
+    EXPECT_TRUE(report.AllOk());
+    // prepared evaluators x seeds, whatever the row count.
+    const std::size_t prepare_nodes = 6 * spec.seeds.size();
+    EXPECT_EQ(engine.stats().prepare_nodes, prepare_nodes);
+    EXPECT_NE(engine.stats().ToString().find(
+                  " prepare_nodes=" + std::to_string(prepare_nodes) + " "),
+              std::string::npos);
+    return report.ToCsv();
+  };
+  for (const std::size_t threads : {1u, 4u}) {
+    const std::string grid = run(rows, seeds, threads);
+    std::string alone;
+    for (const std::string& row : rows) {
+      for (const std::uint64_t seed : seeds) {
+        const std::string csv = run({row}, {seed}, threads);
+        alone += alone.empty() ? csv : csv.substr(csv.find('\n') + 1);
+      }
+    }
+    EXPECT_EQ(grid, alone) << "threads=" << threads;
+  }
+}
+
+TEST(ScenarioEngine, PreparedScoresMatchEvaluate) {
+  // The engine's prepare-once path reports what each evaluator's own
+  // Evaluate (Score of Prepare) returns for the cell.
+  core::ScenarioSpec spec = BaseSpec();
+  spec.evaluators = PreparedEvaluators();
+  core::ScenarioEngine engine(spec);
+  const core::Report report = engine.Run();
+  std::vector<model::EventStore> terminals;
+  core::ScenarioSpec publish = BaseSpec();
+  publish.evaluators.clear();
+  core::ScenarioEngine publisher(publish);
+  (void)publisher.Run(&terminals);
+  ASSERT_EQ(terminals.size(), 3u);
+  // Canonical row names, in report order (== terminal order).
+  std::vector<std::string> names;
+  for (const core::ReportRow& row : report.rows()) {
+    if (names.empty() || names.back() != row.mechanism) {
+      names.push_back(row.mechanism);
+    }
+  }
+  ASSERT_EQ(names.size(), 3u);
+  std::size_t compared = 0;
+  for (std::size_t r = 0; r < terminals.size(); ++r) {
+    for (const std::string& text : PreparedEvaluators()) {
+      const auto evaluator = core::CreateEvaluator(text);
+      const core::EvalInput input{World(), terminals[r].View(),
+                                  attacks::DatasetProjection(World()), 11};
+      for (const core::MetricValue& value : evaluator->Evaluate(input)) {
+        bool found = false;
+        for (const core::ReportRow& row : report.rows()) {
+          if (row.mechanism != names[r] ||
+              row.evaluator != evaluator->Name() ||
+              row.metric != value.metric) {
+            continue;
+          }
+          found = true;
+          EXPECT_EQ(std::memcmp(&row.value, &value.value, sizeof(double)), 0)
+              << row.mechanism << " " << row.evaluator << " " << row.metric;
+          ++compared;
+        }
+        EXPECT_TRUE(found) << text << " " << value.metric;
+      }
+    }
+  }
+  EXPECT_GT(compared, 3u * 6u);
 }
 
 TEST(ScenarioEngine, MixZoneGateKnobsNameSeparateStages) {

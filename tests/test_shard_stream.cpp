@@ -9,9 +9,12 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/scenario.h"
+#include "core/shard_exec.h"
 #include "mechanisms/registry.h"
 #include "model/sharded_dataset.h"
 #include "model/views.h"
@@ -143,6 +146,117 @@ TEST(ShardStream, PublishesEachStageShardOnce) {
   EXPECT_EQ(engine.stats().streamed_shards, 4u);
   EXPECT_TRUE(report.AllOk()) << report.ToCsv();
   EXPECT_EQ(g_kernel_calls.load(), 2 * World().TraceCount());
+  fs::remove_all(dir);
+}
+
+/// The report without its header line.
+std::string Body(const std::string& csv) {
+  return csv.substr(csv.find('\n') + 1);
+}
+
+/// Runs FoldableSpec() over `dir` with `workers`, checking the stream
+/// engaged, its prepare_nodes and that every row is ok; returns the CSV.
+std::string RunStreamed(const std::string& dir,
+                        std::vector<std::string> mechanisms,
+                        std::vector<std::uint64_t> seeds,
+                        std::size_t workers) {
+  core::ScenarioSpec spec = FoldableSpec();
+  spec.source = core::DatasetSourceSpec::ShardDir(dir);
+  spec.mechanisms = std::move(mechanisms);
+  spec.seeds = std::move(seeds);
+  spec.workers = workers;
+  // 2 prepared evaluators x seeds, whatever the row count.
+  const std::size_t prepare_nodes = 2 * spec.seeds.size();
+  core::ScenarioEngine engine(std::move(spec));
+  const core::Report report = engine.Run();
+  EXPECT_GT(engine.stats().streamed_shards, 0u);
+  EXPECT_EQ(engine.stats().prepare_nodes, prepare_nodes);
+  EXPECT_EQ(engine.stats().workers_spawned > 0, workers > 0);
+  EXPECT_TRUE(report.AllOk());
+  return report.ToCsv();
+}
+
+/// Each (row, seed) of a 3-row x 2-seed grid is byte-identical to that
+/// row and seed run alone: the original side each column shares depends
+/// on nothing a row or another seed adds. The second seed catches an
+/// original side shared across seeds (range_queries' workload depends on
+/// the seed).
+void ExpectRowsIndependent(const std::string& dir, std::size_t workers) {
+  const std::vector<std::string> rows = FoldableSpec().mechanisms;
+  const std::vector<std::uint64_t> seeds = {1, 2};
+  const std::string grid = RunStreamed(dir, rows, seeds, workers);
+  std::string alone;
+  for (const std::string& row : rows) {
+    for (const std::uint64_t seed : seeds) {
+      const std::string csv = RunStreamed(dir, {row}, {seed}, workers);
+      alone += alone.empty() ? csv : Body(csv);
+    }
+  }
+  EXPECT_EQ(grid, alone) << "workers=" << workers;
+}
+
+TEST(ShardStream, RowsAreIndependentOfTheGrid) {
+  const std::string dir = MakeShardDir("mobipriv_stream_rows", 4);
+  ExpectRowsIndependent(dir, 0);
+  fs::remove_all(dir);
+}
+
+TEST(ShardStream, RowsAreIndependentOfTheGridUnderWorkers) {
+  if (core::DefaultWorkerBinary().empty()) {
+    GTEST_SKIP() << "mobipriv_worker binary not found next to the test "
+                    "executable";
+  }
+  const std::string dir = MakeShardDir("mobipriv_stream_rows_workers", 4);
+  ExpectRowsIndependent(dir, 2);
+  fs::remove_all(dir);
+}
+
+TEST(ShardStream, ThrowingOriginalFoldFailsEveryCellOfItsColumn) {
+  // The column's OriginalFold throws on shard 1. Every live cell of the
+  // column fails with its text, as when each cell's own fold threw there,
+  // and as the whole-view DAG reports a throwing Prepare. A stage that
+  // fails on the last shard still skips only its own row's cells.
+  const std::string dir = MakeShardDir("mobipriv_stream_original_throws", 4);
+  const auto plan = core::ProbeShardStream(dir);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_FALSE(plan->origin[3].empty());
+  const std::string failing =
+      "test_fail_on_user[user=" +
+      std::to_string(World().traces()[plan->origin[3].front()].user()) +
+      "]";
+  const auto run = [&](core::DatasetSourceSpec source,
+                       const std::string& evaluator) {
+    core::ScenarioSpec spec = FoldableSpec();
+    spec.source = std::move(source);
+    spec.mechanisms.push_back(failing);
+    spec.evaluators.push_back(evaluator);
+    core::ScenarioEngine engine(std::move(spec));
+    const std::string csv = engine.Run().ToCsv();
+    // 4 rows x 2 seeds; the failing row's 2 stages fail and its 2 x 3
+    // cells are skipped; the 3 x 2 live cells of the throwing column fail.
+    EXPECT_EQ(engine.stats().failed_nodes, 2u + 6u) << evaluator;
+    EXPECT_EQ(engine.stats().skipped_nodes, 6u) << evaluator;
+    return std::make_pair(csv, engine.stats().streamed_shards);
+  };
+  const auto [reference, per_cell_shards] = run(
+      core::DatasetSourceSpec::ShardDir(dir),
+      "test_original_throws_per_cell[at=1]");
+  EXPECT_EQ(per_cell_shards, 4u);
+  EXPECT_NE(reference.find(",failed,test_original_throws: original side"),
+            std::string::npos)
+      << reference;
+  EXPECT_NE(reference.find(",skipped,dependency failed: test_fail_on_user"),
+            std::string::npos)
+      << reference;
+  const auto [streamed, streamed_shards] =
+      run(core::DatasetSourceSpec::ShardDir(dir), "test_original_throws[at=1]");
+  EXPECT_EQ(streamed_shards, 4u);
+  EXPECT_EQ(streamed, reference);
+  const auto [whole, whole_shards] =
+      run(core::DatasetSourceSpec::Borrowed(World()),
+          "test_original_throws[at=1]");
+  EXPECT_EQ(whole_shards, 0u);
+  EXPECT_EQ(whole, reference);
   fs::remove_all(dir);
 }
 
