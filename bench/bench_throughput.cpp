@@ -19,7 +19,6 @@
 #include "core/engine.h"
 #include "core/evaluator.h"
 #include "mechanisms/registry.h"
-#include "geo/distance_batch.h"
 #include "geo/polyline.h"
 #include "mechanisms/cloaking.h"
 #include "mechanisms/geo_indistinguishability.h"
@@ -544,39 +543,13 @@ BENCHMARK(BM_EngineGridChainShared)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
-// ---- SIMD batch kernels (roofline-annotated) --------------------------------
+// ---- SIMD kernels (roofline-annotated) --------------------------------------
 // Each kernel bench sets BOTH counters so the JSON carries a roofline
 // coordinate: items_per_second (elements/s) and bytes_per_second (the
 // kernel's streamed traffic, counted per the attribution schema in
 // bench/README.md — input columns read + output columns written, payload
 // only). The simd_backend counter records which shim backend was compiled
 // in, so an off/auto A-B run labels itself.
-
-/// Deterministic coordinate columns for the batch-distance kernels.
-struct BatchColumns {
-  std::vector<double> a, b;  // x/y (planar) or lat/lng (geodetic)
-};
-
-const BatchColumns& BatchColumnsOfSize(std::size_t n, bool geodetic) {
-  static std::map<std::size_t, BatchColumns> planar, geo_cols;
-  auto& cache = geodetic ? geo_cols : planar;
-  auto it = cache.find(n);
-  if (it == cache.end()) {
-    util::Rng rng(1234 + n);
-    BatchColumns columns;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (geodetic) {
-        columns.a.push_back(45.0 + (rng.NextDouble() - 0.5) * 0.5);
-        columns.b.push_back(4.8 + (rng.NextDouble() - 0.5) * 0.5);
-      } else {
-        columns.a.push_back((rng.NextDouble() - 0.5) * 5000.0);
-        columns.b.push_back((rng.NextDouble() - 0.5) * 5000.0);
-      }
-    }
-    it = cache.emplace(n, std::move(columns)).first;
-  }
-  return it->second;
-}
 
 void AnnotateKernel(benchmark::State& state, std::size_t items,
                     std::size_t bytes) {
@@ -585,70 +558,6 @@ void AnnotateKernel(benchmark::State& state, std::size_t items,
   state.counters["simd_backend"] =
       util::kSimdEnabled ? 1.0 : 0.0;  // 1 = vector ISA, 0 = scalar
 }
-
-void BM_DistanceBatchProjected(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const BatchColumns& columns = BatchColumnsOfSize(n, false);
-  std::vector<double> out(n);
-  std::size_t items = 0;
-  for (auto _ : state) {
-    geo::ProjectedMetricBatch(columns.a.data(), columns.b.data(), n,
-                              geo::Point2{17.0, -23.0}, out.data());
-    benchmark::DoNotOptimize(out.data());
-    items += n;
-  }
-  // Traffic: reads x + y, writes out (3 doubles per element).
-  AnnotateKernel(state, items, items * 3 * sizeof(double));
-}
-BENCHMARK(BM_DistanceBatchProjected)->Arg(4096)->Arg(65536);
-
-void BM_DistanceBatchEquirect(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const BatchColumns& columns = BatchColumnsOfSize(n, true);
-  std::vector<double> out(n);
-  std::size_t items = 0;
-  for (auto _ : state) {
-    geo::EquirectangularBatch(columns.a.data(), columns.b.data(), n,
-                              geo::LatLng{45.76, 4.84}, out.data());
-    benchmark::DoNotOptimize(out.data());
-    items += n;
-  }
-  AnnotateKernel(state, items, items * 3 * sizeof(double));
-}
-BENCHMARK(BM_DistanceBatchEquirect)->Arg(4096)->Arg(65536);
-
-void BM_DistanceBatchHaversine(benchmark::State& state) {
-  // The libm-bound reference point: per-lane scalar by contract, so the
-  // off/auto delta should be ~1x — a control for the other kernel rows.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const BatchColumns& columns = BatchColumnsOfSize(n, true);
-  std::vector<double> out(n);
-  std::size_t items = 0;
-  for (auto _ : state) {
-    geo::HaversineBatch(columns.a.data(), columns.b.data(), n,
-                        geo::LatLng{45.76, 4.84}, out.data());
-    benchmark::DoNotOptimize(out.data());
-    items += n;
-  }
-  AnnotateKernel(state, items, items * 3 * sizeof(double));
-}
-BENCHMARK(BM_DistanceBatchHaversine)->Arg(4096)->Arg(65536);
-
-void BM_DistanceBatchMask(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const BatchColumns& columns = BatchColumnsOfSize(n, false);
-  std::vector<std::uint8_t> mask(n);
-  std::size_t items = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        geo::WithinRadiusMask(columns.a.data(), columns.b.data(), n,
-                              geo::Point2{0.0, 0.0}, 1000.0, mask.data()));
-    items += n;
-  }
-  // Traffic: reads x + y (doubles), writes 1 mask byte per element.
-  AnnotateKernel(state, items, items * (2 * sizeof(double) + 1));
-}
-BENCHMARK(BM_DistanceBatchMask)->Arg(4096)->Arg(65536);
 
 void BM_MixZoneEncounterScan(benchmark::State& state) {
   // The encounter count only (flatten + projection + time-ordered cell
@@ -672,6 +581,29 @@ BENCHMARK(BM_MixZoneEncounterScan)
     ->Arg(10)
     ->Arg(20)
     ->Unit(benchmark::kMillisecond);
+
+/// Mix-zone detection (MixZone::Detect: projection, the cell grid, the
+/// encounter count, zone placement, passages and occurrences) on the world
+/// `publish` mixes: `agents` agents, speed-smoothed at the default 100 m
+/// spacing, the default r = 150 m and w = 600 s. Items are input events.
+void BM_MixZoneDetect(benchmark::State& state) {
+  const bool rss_reset = util::ResetPeakRss();
+  const auto& world = WorldOfSize(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(1);
+  const model::EventStore smoothed =
+      mech::CreateMechanism("speed_smoothing")
+          ->ApplyToStore(world.dataset(), rng);
+  const mech::MixZone mixzone;
+  std::size_t events = 0;
+  for (auto _ : state) {
+    const mech::MixZoneReport report = mixzone.Detect(smoothed.View());
+    benchmark::DoNotOptimize(report.encounters);
+    events += smoothed.EventCount();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  RecordPeakRss(state, rss_reset);
+}
+BENCHMARK(BM_MixZoneDetect)->Arg(900)->Unit(benchmark::kMillisecond);
 
 // ---- ApplyToTraceColumns kernels, SoA in -> SoA out ------------------------
 // The per-trace mechanism kernels measured on the columnar path they were

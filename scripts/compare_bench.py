@@ -63,7 +63,7 @@ DEFAULT_GATED = (
     r"^BM_(FullPipeline/1000|EngineGrid[^/]*/\d+|IngestCsv[^/]*/\d+"
     r"|ReadColumnar/\d+|OpenColumnarMmap[^/]*/\d+|WriteColumnar/\d+"
     r"|GenerateWorld/\d+"
-    r"|DistanceBatch[^/]*/\d+|MixZoneEncounterScan/\d+|Kernel[^/]*/\d+)$"
+    r"|MixZoneEncounterScan/\d+|Kernel[^/]*/\d+)$"
 )
 # mhz_per_cpu drifts a little run to run on throttling hosts; num_cpus
 # must match exactly.

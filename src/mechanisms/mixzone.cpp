@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -61,6 +62,10 @@ struct StitchedColumns {
 /// the slice order does not reach it.
 class EventCellGrid {
  public:
+  /// Neighbors() entries from this one on are the cells after a cell in
+  /// (dx, dy) row-major order: (0, 1), (1, -1), (1, 0) and (1, 1).
+  static constexpr std::size_t kForwardNeighbors = 5;
+
   EventCellGrid(double cell_size, const std::vector<FlatEvent>& flat)
       : cell_size_(cell_size) {
     const std::size_t n = flat.size();
@@ -99,7 +104,7 @@ class EventCellGrid {
     // Per-cell 3x3 neighbour table, resolved once: the detection loop
     // then costs one array load per event instead of nine hash probes.
     // Entry order is (dx, dy) row-major, the order meetings are emitted
-    // in.
+    // in; entry 4 is the cell itself.
     neighbors_.resize(counts.size());
     for (std::size_t c = 0; c < counts.size(); ++c) {
       int k = 0;
@@ -193,6 +198,15 @@ class EventCellGrid {
   [[nodiscard]] std::size_t CellCount() const noexcept {
     return neighbors_.size();
   }
+  /// Grid coordinates of a dense cell: its events satisfy
+  /// CellCoord(x / cell_size) == CellX(cell), and likewise for y.
+  [[nodiscard]] std::int64_t CellX(std::int32_t cell) const {
+    return cell_cx_[static_cast<std::size_t>(cell)];
+  }
+  [[nodiscard]] std::int64_t CellY(std::int32_t cell) const {
+    return cell_cy_[static_cast<std::size_t>(cell)];
+  }
+  [[nodiscard]] double cell_size() const noexcept { return cell_size_; }
   [[nodiscard]] double x(std::size_t i) const { return x_[i]; }
   [[nodiscard]] double y(std::size_t i) const { return y_[i]; }
   [[nodiscard]] util::Timestamp time(std::size_t i) const { return time_[i]; }
@@ -289,18 +303,18 @@ bool GapAtMost(util::Timestamp earlier, util::Timestamp later,
 }
 
 /// Visits, in slice order, every event j in [begin, end) — a time window
-/// of one cell's slice — that meets event `id` at `a`: a higher flat id,
-/// another user, and not skipped by d2 > r2. The position test runs 4
-/// candidates per step; its mask is the exact inverse of the scalar skip,
-/// so NaN coordinates pass it identically. The id and user checks stay
-/// scalar on the surviving lanes.
+/// of one cell's slice — that meets an event of `user` at `a`: another
+/// user, and not skipped by d2 > r2. The position test runs 4 candidates
+/// per step; its mask is the exact inverse of the scalar skip, so NaN
+/// coordinates pass it identically. The user check stays scalar on the
+/// surviving lanes.
 template <typename Visit>
 void ForEachMeeting(const EventCellGrid& grid, std::size_t begin,
-                    std::size_t end, std::uint32_t id, geo::Point2 a,
-                    model::UserId user, double r_sq, Visit&& visit) {
+                    std::size_t end, geo::Point2 a, model::UserId user,
+                    double r_sq, Visit&& visit) {
   using util::F64x4;
   const auto meet = [&](std::size_t j) {
-    if (grid.id(j) > id && grid.user(j) != user) visit(j);
+    if (grid.user(j) != user) visit(j);
   };
   const F64x4 vax = F64x4::Set1(a.x);
   const F64x4 vay = F64x4::Set1(a.y);
@@ -325,40 +339,72 @@ void ForEachMeeting(const EventCellGrid& grid, std::size_t begin,
   }
 }
 
+/// The squared distance as GridIndex tests it: dx * dx + dy * dy.
+double DistanceSq(geo::Point2 p, geo::Point2 q) {
+  const double dx = p.x - q.x;
+  const double dy = p.y - q.y;
+  return dx * dx + dy * dy;
+}
+
 /// Step 1: the number of encounters — meetings of two distinct users'
-/// events within the zone radius and the time window, each counted once,
-/// from its lower flat id. Cells count in parallel: each sweeps its
-/// time-ordered slice against each neighbour's, whose time window only
-/// moves forward, so no window is searched for. The sum does not depend
-/// on the worker count. When `meets` is given, it is sized to the events
-/// and marks every event that meets a higher id (the events step 2
-/// visits).
+/// events within the zone radius and the time window, each counted once.
+/// Cells count in parallel, each over half its neighbourhood: the pairs
+/// within its own slice, from the earlier slice position, and its pairs
+/// with the cells after it (Neighbors() from kForwardNeighbors on).
+/// CellStep wraps, so the neighbour relation is symmetric and every pair
+/// of events in adjacent cells is tested exactly once; the d2 and
+/// |Δt| <= w tests are symmetric bit for bit. Slices are in time order, so
+/// each neighbour's time window only moves forward and is never searched
+/// for. The sum does not depend on the worker count. When `meets` is
+/// given, it is sized to the events and marks the lower flat id of every
+/// meeting pair (the events step 2 visits); the marks are idempotent
+/// relaxed atomic stores, so neither does the marked set.
 std::size_t CountMeetings(const MixZoneConfig& config,
                           const std::vector<FlatEvent>& flat,
                           const EventCellGrid& grid,
                           std::vector<std::uint8_t>* meets = nullptr) {
   if (meets != nullptr) meets->assign(flat.size(), 0);
   const double r_sq = config.zone_radius_m * config.zone_radius_m;
+  const util::Timestamp window = config.time_window_s;
   std::vector<std::size_t> cell_count(grid.CellCount(), 0);
   util::ParallelForEach(grid.CellCount(), [&](std::size_t c) {
     const auto cell = static_cast<std::int32_t>(c);
+    const std::size_t cell_end = grid.CellEnd(cell);
     std::size_t count = 0;
-    for (const std::int32_t other : grid.Neighbors(cell)) {
+    // Counts event i's meetings among [lo, hi) and marks their lower ids.
+    const auto scan = [&](std::size_t i, std::size_t lo, std::size_t hi) {
+      const std::uint32_t id = grid.id(i);
+      ForEachMeeting(grid, lo, hi, {grid.x(i), grid.y(i)}, grid.user(i),
+                     r_sq, [&](std::size_t j) {
+                       ++count;
+                       if (meets != nullptr) {
+                         std::atomic_ref<std::uint8_t>(
+                             (*meets)[std::min(id, grid.id(j))])
+                             .store(1, std::memory_order_relaxed);
+                       }
+                     });
+    };
+    std::size_t hi = grid.CellBegin(cell);
+    for (std::size_t i = grid.CellBegin(cell); i < cell_end; ++i) {
+      const util::Timestamp t_hi = MeetingTimes(grid.time(i), window).second;
+      hi = std::max(hi, i + 1);
+      while (hi < cell_end && grid.time(hi) <= t_hi) ++hi;
+      scan(i, i + 1, hi);
+    }
+    const auto& neighbors = grid.Neighbors(cell);
+    for (std::size_t k = EventCellGrid::kForwardNeighbors; k < neighbors.size();
+         ++k) {
+      const std::int32_t other = neighbors[k];
       if (other < 0) continue;
       const std::size_t other_end = grid.CellEnd(other);
       std::size_t lo = grid.CellBegin(other);
-      std::size_t hi = lo;
-      for (std::size_t i = grid.CellBegin(cell); i < grid.CellEnd(cell);
-           ++i) {
-        const auto [t_lo, t_hi] =
-            MeetingTimes(grid.time(i), config.time_window_s);
+      hi = lo;
+      for (std::size_t i = grid.CellBegin(cell); i < cell_end; ++i) {
+        const auto [t_lo, t_hi] = MeetingTimes(grid.time(i), window);
         while (lo < other_end && grid.time(lo) < t_lo) ++lo;
         hi = std::max(hi, lo);
         while (hi < other_end && grid.time(hi) <= t_hi) ++hi;
-        const std::size_t before = count;
-        ForEachMeeting(grid, lo, hi, grid.id(i), {grid.x(i), grid.y(i)},
-                       grid.user(i), r_sq, [&](std::size_t) { ++count; });
-        if (meets != nullptr && count != before) (*meets)[grid.id(i)] = 1;
+        scan(i, lo, hi);
       }
     }
     cell_count[c] = count;
@@ -371,9 +417,24 @@ std::size_t CountMeetings(const MixZoneConfig& config,
 /// so that no encounter is ever stored. Encounters are generated in one
 /// fixed sequence — events in flat-id order; per event, neighbour cells
 /// in (dx, dy) row-major order; per cell, ascending partner id — and each
-/// midpoint becomes a new zone centre unless an existing centre lies
-/// within the rejection radius R. Only events marked by CountMeetings
-/// have encounters to place.
+/// midpoint becomes a new zone centre unless GridIndex::AnyWithin finds an
+/// existing centre within the rejection radius R. Only events marked by
+/// CountMeetings have encounters to place.
+///
+/// Centres only accumulate, so work whose every midpoint an existing
+/// centre already rejects is skipped (docs/PERFORMANCE.md, "Mix-zone
+/// detection", has the exactness argument). Each event-grid cell lists
+/// the centres near it: all within R + r/2 + R/1024 of any of its events,
+/// so all that can reject one of their midpoints. An event with a listed
+/// centre within R - r/2 - R/1024 is skipped whole. A neighbour cell is
+/// not scanned when a listed centre lies within R - R/1024 of its whole
+/// midpoint box ((a + cell box) / 2, widened by R/1024), and the other
+/// midpoints are tested against the list alone. The R/1024 margins
+/// cover the rounding of the midpoint, cell and distance arithmetic while
+/// the event lies within 2^30 R of the origin and r² is finite and far
+/// from underflow; beyond that — and for NaN or infinite coordinates,
+/// whose NaN midpoints are inserted as centres — every midpoint is probed
+/// in the index.
 std::vector<geo::Point2> PlaceZones(const MixZoneConfig& config,
                                     const std::vector<FlatEvent>& flat,
                                     const EventCellGrid& grid,
@@ -381,35 +442,96 @@ std::vector<geo::Point2> PlaceZones(const MixZoneConfig& config,
   const double radius = config.zone_radius_m;  // r: meeting distance
   const double r_sq = radius * radius;
   const double reject_radius = config.zone_radius_m;  // R
-  // Every encounter midpoint of event a lies within r/2 of a, so a centre
-  // within R - r/2 of a rejects them all and a's scan is skipped. The
-  // R/1024 margin covers the rounding of the midpoint and distance
-  // arithmetic while a lies within 2^30 R of the origin (and r² is
-  // finite); beyond that — and for NaN or infinite coordinates, whose NaN
-  // midpoints are inserted as centres — every midpoint is probed.
-  const double skip_radius =
-      reject_radius - radius / 2.0 - reject_radius / 1024.0;
-  const bool shortcut = skip_radius > 0.0 &&
+  const double reject_sq = reject_radius * reject_radius;
+  const double margin = reject_radius / 1024.0;
+  const double skip_radius = reject_radius - radius / 2.0 - margin;
+  const double skip_sq = skip_radius * skip_radius;
+  const double gather_radius = reject_radius + radius / 2.0 + margin;
+  const double cover_sq = (reject_radius - margin) * (reject_radius - margin);
+  const bool shortcut = skip_radius > 0.0 && r_sq >= 0x1p-1000 &&
                         r_sq < std::numeric_limits<double>::infinity();
   const double bound = shortcut ? reject_radius * 0x1p30 : -1.0;
+  const double cell_size = grid.cell_size();
   std::vector<geo::Point2> centers;
   geo::GridIndex center_index(reject_radius);
+  // Per event-grid cell, the centres whose grid cell lies within `span`
+  // cells of it: every centre within the gather radius of its events,
+  // and so every centre that can reject one of their midpoints.
+  std::vector<std::vector<geo::Point2>> cell_centers(grid.CellCount());
+  const auto span =
+      static_cast<std::int64_t>(gather_radius / cell_size) + 1;
   std::vector<std::uint32_t> partners;
+
+  const auto add_center = [&](geo::Point2 c) {
+    center_index.Insert(c, static_cast<std::uint64_t>(centers.size()));
+    centers.push_back(c);
+    if (!shortcut) return;
+    const std::int64_t cx = geo::CellCoord(c.x / cell_size);
+    const std::int64_t cy = geo::CellCoord(c.y / cell_size);
+    for (std::int64_t dx = -span; dx <= span; ++dx) {
+      for (std::int64_t dy = -span; dy <= span; ++dy) {
+        const std::int32_t cell =
+            grid.Find(geo::CellStep(cx, dx), geo::CellStep(cy, dy));
+        if (cell >= 0) {
+          cell_centers[static_cast<std::size_t>(cell)].push_back(c);
+        }
+      }
+    }
+  };
+  // AnyWithin(mid, R) over a cell's list: the index's d2 <= R2 test, on
+  // the centres of the 3x3 index cells around mid's.
+  const auto adjacent = [&](double p, double q) {
+    return static_cast<std::uint64_t>(geo::CellCoord(p / reject_radius)) -
+               static_cast<std::uint64_t>(geo::CellCoord(q / reject_radius)) +
+               1 <=
+           2;
+  };
+  const auto near_rejects = [&](const std::vector<geo::Point2>& near,
+                                geo::Point2 mid) {
+    return std::any_of(near.begin(), near.end(), [&](geo::Point2 c) {
+      return DistanceSq(c, mid) <= reject_sq && adjacent(c.x, mid.x) &&
+             adjacent(c.y, mid.y);
+    });
+  };
+  // Whether a listed centre rejects every midpoint of `a` with an event of
+  // `cell`: their box's farthest corner is within R - R/1024 of it.
+  const auto covered = [&](const std::vector<geo::Point2>& near,
+                           geo::Point2 a, std::int32_t cell) {
+    const double x0 = static_cast<double>(grid.CellX(cell)) * cell_size;
+    const double y0 = static_cast<double>(grid.CellY(cell)) * cell_size;
+    const double lo_x = (a.x + x0) / 2.0 - margin;
+    const double hi_x = (a.x + x0 + cell_size) / 2.0 + margin;
+    const double lo_y = (a.y + y0) / 2.0 - margin;
+    const double hi_y = (a.y + y0 + cell_size) / 2.0 + margin;
+    return std::any_of(near.begin(), near.end(), [&](geo::Point2 c) {
+      const double fx = std::max(std::abs(c.x - lo_x), std::abs(c.x - hi_x));
+      const double fy = std::max(std::abs(c.y - lo_y), std::abs(c.y - hi_y));
+      return fx * fx + fy * fy <= cover_sq;
+    });
+  };
+
   for (std::uint32_t id = 0; id < flat.size(); ++id) {
     if (meets[id] == 0) continue;
     const FlatEvent& a = flat[id];
-    if (std::abs(a.position.x) <= bound && std::abs(a.position.y) <= bound &&
-        center_index.AnyWithin(a.position, skip_radius)) {
+    const bool bounded = std::abs(a.position.x) <= bound &&
+                         std::abs(a.position.y) <= bound;
+    const std::vector<geo::Point2>& near =
+        cell_centers[static_cast<std::size_t>(grid.EventCell(id))];
+    if (bounded && std::any_of(near.begin(), near.end(), [&](geo::Point2 c) {
+          return DistanceSq(c, a.position) <= skip_sq;
+        })) {
       continue;
     }
     const auto [t_lo, t_hi] = MeetingTimes(a.time, config.time_window_s);
     for (const std::int32_t cell : grid.Neighbors(grid.EventCell(id))) {
-      if (cell < 0) continue;
+      if (cell < 0 || (bounded && covered(near, a.position, cell))) continue;
       const auto [begin, end] = grid.TimeWindow(cell, t_lo, t_hi);
       partners.clear();
-      ForEachMeeting(grid, begin, end, id, a.position, a.user, r_sq,
+      ForEachMeeting(grid, begin, end, a.position, a.user, r_sq,
                      [&](std::size_t j) {
-                       partners.push_back(static_cast<std::uint32_t>(j));
+                       if (grid.id(j) > id) {
+                         partners.push_back(static_cast<std::uint32_t>(j));
+                       }
                      });
       std::sort(partners.begin(), partners.end(),
                 [&](std::uint32_t p, std::uint32_t q) {
@@ -418,9 +540,11 @@ std::vector<geo::Point2> PlaceZones(const MixZoneConfig& config,
       for (const std::uint32_t j : partners) {
         const geo::Point2 mid =
             geo::Midpoint(a.position, {grid.x(j), grid.y(j)});
-        if (center_index.AnyWithin(mid, reject_radius)) continue;
-        center_index.Insert(mid, static_cast<std::uint64_t>(centers.size()));
-        centers.push_back(mid);
+        if (bounded ? near_rejects(near, mid)
+                    : center_index.AnyWithin(mid, reject_radius)) {
+          continue;
+        }
+        add_center(mid);
       }
     }
   }
@@ -456,7 +580,9 @@ struct Occurrence {
   std::size_t zone = 0;  // into MixZoneReport::zones
   std::vector<ZonePassage> passages;
   std::vector<model::UserId> users;  // distinct, ascending
-  util::Timestamp end = 0;           // latest exit among passages
+  /// Latest exit among the passages (a maximum from below, so occurrences
+  /// of negative times keep their order).
+  util::Timestamp end = std::numeric_limits<util::Timestamp>::min();
 };
 
 /// The detection pass (steps 1-3 of mixzone.h): projection, encounter

@@ -6,11 +6,18 @@
 // a well-delimited disc in which nobody is tracked. The mechanism runs two
 // passes. Detection (MixZone::Detect) draws no randomness:
 //   1. a parallel pass counts encounters — events of distinct users within
-//      `zone_radius_m` and `time_window_s` of each other — and marks the
-//      events that have one;
+//      `zone_radius_m` and `time_window_s` of each other, in adjacent cells
+//      of a zone_radius_m grid — and marks the lower-id event of each.
+//      Every cell tests each pair once: within its own time-ordered slice,
+//      and against the four cells after it in (dx, dy) row-major order;
 //   2. a serial first-fit pass over the marked events places zones (discs
-//      of radius zone_radius_m) in one fixed encounter order, storing no
-//      encounter;
+//      of radius zone_radius_m) in one fixed encounter order — event id;
+//      neighbour cell in (dx, dy) row-major order; partner id — storing no
+//      encounter. A midpoint becomes a centre unless an earlier centre lies
+//      within the radius. Centres only accumulate, so events, neighbour
+//      cells and midpoints that the centres already near an event reject
+//      are skipped, with margins that keep the placement exact
+//      (docs/PERFORMANCE.md, "Mix-zone detection");
 //   3. in-zone fixes form passages, grouped into *occurrences* (passages
 //      that overlap once dilated by the time window) of >= min_users
 //      distinct users.

@@ -1,11 +1,8 @@
 // util/simd.h contract tests: every shim op is pinned lane-for-lane,
 // bit-for-bit against the scalar reference semantics documented in the
 // header, over the full IEEE edge-value grid (signed zeros, denormals,
-// NaN, infinities). The distance-batch kernels are then pinned against
-// their documented contracts: bit-identity for HaversineBatch and
-// WithinRadiusMask, <= 4 ULP for ProjectedMetricBatch and
-// EquirectangularBatch (including near-antipodal inputs), and the
-// vectorized GridIndex radius scan against a brute-force reference.
+// NaN, infinities), and the vectorized GridIndex radius scan is pinned
+// against a brute-force reference.
 #include "util/simd.h"
 
 #include <algorithm>
@@ -17,9 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "geo/distance_batch.h"
 #include "geo/grid_index.h"
-#include "geo/latlng.h"
 #include "geo/point2.h"
 #include "util/rng.h"
 
@@ -241,122 +236,6 @@ TEST(SimdShim, MoveMaskSelectAndLogicOnMasks) {
 
   // MoveMask reads sign bits on non-mask values too.
   EXPECT_EQ(util::MoveMask(F64x4::Set(-1.0, +0.0, -0.0, -kQNaN)), 0b1101);
-}
-
-// ---------------------------------------------------------------------------
-// Batch distance kernels against their documented contracts.
-// ---------------------------------------------------------------------------
-
-/// ULP distance between two finite same-sign doubles.
-std::uint64_t UlpDistance(double a, double b) {
-  const auto ia = static_cast<std::int64_t>(Bits(a));
-  const auto ib = static_cast<std::int64_t>(Bits(b));
-  return static_cast<std::uint64_t>(ia > ib ? ia - ib : ib - ia);
-}
-
-/// Deterministic point cloud around an anchor (no wall-clock seeds).
-struct Cloud {
-  std::vector<double> x, y;
-};
-
-Cloud MakeCloud(std::size_t n, double scale, std::uint64_t seed) {
-  util::Rng rng(seed);
-  Cloud cloud;
-  for (std::size_t i = 0; i < n; ++i) {
-    cloud.x.push_back((rng.NextDouble() - 0.5) * scale);
-    cloud.y.push_back((rng.NextDouble() - 0.5) * scale);
-  }
-  return cloud;
-}
-
-TEST(DistanceBatch, ProjectedMetricWithin4Ulp) {
-  // Odd n so the scalar tail executes too.
-  const Cloud cloud = MakeCloud(257, 5000.0, 42);
-  const geo::Point2 anchor{120.0, -340.0};
-  std::vector<double> out(cloud.x.size());
-  geo::ProjectedMetricBatch(cloud.x.data(), cloud.y.data(), cloud.x.size(),
-                            anchor, out.data());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double expect =
-        geo::Distance(geo::Point2{cloud.x[i], cloud.y[i]}, anchor);
-    EXPECT_LE(UlpDistance(out[i], expect), 4u) << "point " << i;
-  }
-  // Exact-zero distance must come out exactly zero.
-  const double zx = anchor.x, zy = anchor.y;
-  double zero_out = 1.0;
-  geo::ProjectedMetricBatch(&zx, &zy, 1, anchor, &zero_out);
-  EXPECT_EQ(Bits(zero_out), Bits(0.0));
-}
-
-TEST(DistanceBatch, EquirectangularWithin4Ulp) {
-  util::Rng rng(7);
-  std::vector<double> lat, lng;
-  for (int i = 0; i < 203; ++i) {
-    lat.push_back(45.0 + (rng.NextDouble() - 0.5) * 0.5);
-    lng.push_back(4.8 + (rng.NextDouble() - 0.5) * 0.5);
-  }
-  const geo::LatLng anchor{45.76, 4.84};
-  std::vector<double> out(lat.size());
-  geo::EquirectangularBatch(lat.data(), lng.data(), lat.size(), anchor,
-                            out.data());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double expect = geo::EquirectangularDistance(
-        geo::LatLng{lat[i], lng[i]}, anchor);
-    EXPECT_LE(UlpDistance(out[i], expect), 4u) << "point " << i;
-  }
-}
-
-TEST(DistanceBatch, HaversineBitIdenticalIncludingAntipodes) {
-  util::Rng rng(11);
-  std::vector<double> lat, lng;
-  // Global sweep plus near-antipodal points of the anchor — the regime
-  // where asin error amplification rules out any reordered evaluation
-  // (why the contract is bit-identity via per-lane scalar calls).
-  for (int i = 0; i < 101; ++i) {
-    lat.push_back((rng.NextDouble() - 0.5) * 180.0);
-    lng.push_back((rng.NextDouble() - 0.5) * 360.0);
-  }
-  const geo::LatLng anchor{45.76, 4.84};
-  for (int i = 0; i < 7; ++i) {
-    lat.push_back(-anchor.lat + (rng.NextDouble() - 0.5) * 1e-6);
-    lng.push_back(anchor.lng + 180.0 + (rng.NextDouble() - 0.5) * 1e-6);
-  }
-  std::vector<double> out(lat.size());
-  geo::HaversineBatch(lat.data(), lng.data(), lat.size(), anchor,
-                      out.data());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double expect =
-        geo::HaversineDistance(geo::LatLng{lat[i], lng[i]}, anchor);
-    EXPECT_EQ(Bits(out[i]), Bits(expect)) << "point " << i;
-  }
-}
-
-TEST(DistanceBatch, WithinRadiusMaskBitIdenticalPredicate) {
-  // Points straddling the radius, plus exact-boundary and NaN entries.
-  const geo::Point2 anchor{10.0, 20.0};
-  const double radius = 100.0;
-  Cloud cloud = MakeCloud(97, 250.0, 99);
-  for (auto& v : cloud.x) v += anchor.x;
-  for (auto& v : cloud.y) v += anchor.y;
-  cloud.x.push_back(anchor.x + radius);  // exactly on the boundary
-  cloud.y.push_back(anchor.y);
-  cloud.x.push_back(kQNaN);  // NaN coordinate: predicate false
-  cloud.y.push_back(anchor.y);
-  std::vector<std::uint8_t> mask(cloud.x.size(), 0xAA);
-  const std::size_t count =
-      geo::WithinRadiusMask(cloud.x.data(), cloud.y.data(), cloud.x.size(),
-                            anchor, radius, mask.data());
-  std::size_t expect_count = 0;
-  for (std::size_t i = 0; i < cloud.x.size(); ++i) {
-    const double dx = cloud.x[i] - anchor.x;
-    const double dy = cloud.y[i] - anchor.y;
-    const bool inside = dx * dx + dy * dy <= radius * radius;
-    expect_count += inside ? 1 : 0;
-    EXPECT_EQ(mask[i], inside ? 1 : 0) << "point " << i;
-  }
-  EXPECT_EQ(count, expect_count);
-  EXPECT_EQ(mask[cloud.x.size() - 2], 1);  // boundary is inclusive
-  EXPECT_EQ(mask[cloud.x.size() - 1], 0);  // NaN never inside
 }
 
 TEST(GridIndexSimd, RadiusScanMatchesBruteForce) {
