@@ -143,4 +143,40 @@ else
   echo "OK: $count spec-grammar lines agree between $spec_header and $spec"
 fi
 
+# 6. The "Spec parameters" table in docs/FORMAT.md must agree with the
+#    keys of the parameter tables under src/ (util::Param rows) — both
+#    directions.
+# (join lines first: a named row may put its key on the next line)
+code_keys=$(find src -name '*.h' -o -name '*.cpp' | sort | xargs cat |
+  tr '\n' ' ' |
+  grep -oE 'util::Param( k[A-Za-z]+)?\{[[:space:]]*"[a-z0-9_]+"' |
+  grep -oE '"[a-z0-9_]+"' | tr -d '"' | sort -u)
+doc_keys=$(awk '/^## Spec parameters$/{f=1;next} /^## /{f=0} f' "$spec" |
+  grep -oE '^\| [a-z0-9_]+ \| `[a-z0-9_]+`' | grep -oE '`[a-z0-9_]+`' |
+  tr -d '`' |
+  sort -u)
+
+keys_ok=1
+if [[ -z "$code_keys" ]]; then
+  echo "FAIL: no util::Param rows found under src/"; fail=1; keys_ok=0
+fi
+while read -r key; do
+  [[ -z "$key" ]] && continue
+  if ! grep -qx "$key" <<<"$doc_keys"; then
+    echo "FAIL: spec key '$key' (a util::Param row under src/) missing from the $spec \"Spec parameters\" table"
+    fail=1; keys_ok=0
+  fi
+done <<<"$code_keys"
+while read -r key; do
+  [[ -z "$key" ]] && continue
+  if ! grep -qx "$key" <<<"$code_keys"; then
+    echo "FAIL: $spec documents spec key '$key' that no util::Param row under src/ declares"
+    fail=1; keys_ok=0
+  fi
+done <<<"$doc_keys"
+if [[ "$keys_ok" == 1 ]]; then
+  count=$(wc -l <<<"$code_keys")
+  echo "OK: $count spec keys agree between src/ and $spec"
+fi
+
 exit $fail

@@ -4,33 +4,12 @@
 
 #include "geo/point2.h"
 #include "metrics/reident_metrics.h"
-#include "util/string_utils.h"
 
 namespace mobipriv::attacks {
 
 // All library mechanisms preserve the user-id space (they intern every
 // input user up front, in id order), so original and published user ids
 // compare directly in the evaluators below.
-
-PoiAttackEvaluator::PoiAttackEvaluator(PoiExtractionConfig extraction,
-                                       double match_radius_m)
-    : extraction_(extraction), match_radius_m_(match_radius_m) {}
-
-std::string PoiAttackEvaluator::Name() const {
-  // Injective on the config (the engine dedupes evaluators by name):
-  // every non-default knob prints.
-  const PoiExtractionConfig defaults;
-  std::string name = "poi_attack[radius=" +
-                     util::FormatDouble(match_radius_m_, 0) + "m";
-  if (extraction_.max_diameter_m != defaults.max_diameter_m) {
-    name += ",diameter=" +
-            util::FormatDouble(extraction_.max_diameter_m, 0) + "m";
-  }
-  if (extraction_.min_duration_s != defaults.min_duration_s) {
-    name += ",dwell=" + std::to_string(extraction_.min_duration_s) + "s";
-  }
-  return name + "]";
-}
 
 core::PreparedPtr PoiAttackEvaluator::Prepare(
     const core::EvalInput& input) const {
@@ -47,7 +26,10 @@ std::vector<core::MetricValue> PoiAttackEvaluator::Score(
     const core::EvalInput& input) const {
   const auto& reference =
       core::PreparedAs<std::vector<ExtractedPoi>>(prepared);
-  const PoiExtractor extractor(extraction_);
+  PoiExtractionConfig extraction;
+  extraction.max_diameter_m = config_.max_diameter_m;
+  extraction.min_duration_s = config_.min_duration_s;
+  const PoiExtractor extractor(extraction);
   const std::vector<ExtractedPoi> published =
       extractor.Extract(input.published, input.frame);
 
@@ -60,7 +42,7 @@ std::vector<core::MetricValue> PoiAttackEvaluator::Score(
     const auto it = published_by_user.find(poi.user);
     if (it == published_by_user.end()) continue;
     for (const geo::Point2& candidate : it->second) {
-      if (geo::Distance(poi.centroid, candidate) <= match_radius_m_) {
+      if (geo::Distance(poi.centroid, candidate) <= config_.match_radius_m) {
         ++survived;
         break;
       }
@@ -103,24 +85,16 @@ std::vector<core::MetricValue> ReidentEvaluator::Score(
           {"reident_linkable_frac", linkable_frac}};
 }
 
-HomeWorkEvaluator::HomeWorkEvaluator(HomeWorkConfig config,
-                                     double match_radius_m)
-    : config_(std::move(config)), match_radius_m_(match_radius_m) {}
-
-std::string HomeWorkEvaluator::Name() const {
-  return "home_work[radius=" + util::FormatDouble(match_radius_m_, 0) + "m]";
-}
-
 core::PreparedPtr HomeWorkEvaluator::Prepare(
     const core::EvalInput& input) const {
-  const HomeWorkAttack attack(config_);
+  const HomeWorkAttack attack(attack_);
   return core::MakePrepared(attack.Infer(input.original, input.frame));
 }
 
 std::vector<core::MetricValue> HomeWorkEvaluator::Score(
     const core::PreparedOriginal& prepared,
     const core::EvalInput& input) const {
-  const HomeWorkAttack attack(config_);
+  const HomeWorkAttack attack(attack_);
   const auto& reference =
       core::PreparedAs<std::vector<HomeWorkGuess>>(prepared);
   const auto published = attack.Infer(input.published, input.frame);
@@ -139,14 +113,14 @@ std::vector<core::MetricValue> HomeWorkEvaluator::Score(
     if (truth.home) {
       ++homes_reference;
       if (match != nullptr && match->home &&
-          geo::Distance(*truth.home, *match->home) <= match_radius_m_) {
+          geo::Distance(*truth.home, *match->home) <= config_.match_radius_m) {
         ++homes_refound;
       }
     }
     if (truth.work) {
       ++works_reference;
       if (match != nullptr && match->work &&
-          geo::Distance(*truth.work, *match->work) <= match_radius_m_) {
+          geo::Distance(*truth.work, *match->work) <= config_.match_radius_m) {
         ++works_refound;
       }
     }

@@ -9,8 +9,37 @@
 #include "attacks/poi_extraction.h"
 #include "attacks/reident.h"
 #include "core/evaluator.h"
+#include "util/params.h"
 
 namespace mobipriv::attacks {
+
+/// "poi_attack" knobs: the match radius and the published-side
+/// extractor's diameter and dwell (defaults: PoiExtractionConfig's).
+struct PoiAttackConfig {
+  double match_radius_m = 250.0;
+  double max_diameter_m = PoiExtractionConfig{}.max_diameter_m;
+  util::Timestamp min_duration_s = PoiExtractionConfig{}.min_duration_s;
+};
+
+inline constexpr util::ParamTable kPoiAttackParams{
+    "poi_attack",
+    util::Param{"radius", &PoiAttackConfig::match_radius_m, "m",
+                util::kNonNegative}
+        .Always(),
+    util::Param{"diameter", &PoiAttackConfig::max_diameter_m, "m",
+                util::kNonNegative},
+    util::Param{"dwell", &PoiAttackConfig::min_duration_s, "s",
+                util::kNonNegative}};
+
+/// "home_work" knob: how close a published guess must land.
+struct HomeWorkMatchConfig {
+  double match_radius_m = 300.0;
+};
+
+inline constexpr util::ParamTable kHomeWorkParams{
+    "home_work", util::Param{"radius", &HomeWorkMatchConfig::match_radius_m,
+                             "m", util::kNonNegative}
+                     .Always()};
 
 /// "poi_attack[radius=...m,diameter=...m,dwell=...s]": POI extraction on
 /// both datasets; reports how many of the POIs extractable from the
@@ -22,20 +51,15 @@ namespace mobipriv::attacks {
 /// who calibrates the clustering diameter to the defense's noise scale.
 /// The paper's core privacy claim is poi_survival ~ 0 for the
 /// constant-speed pipeline. Prepared: the reference POIs.
-class PoiAttackEvaluator final : public core::PreparedEvaluator {
+class PoiAttackEvaluator final
+    : public util::Configured<core::PreparedEvaluator, kPoiAttackParams> {
  public:
-  explicit PoiAttackEvaluator(PoiExtractionConfig extraction = {},
-                              double match_radius_m = 250.0);
-  [[nodiscard]] std::string Name() const override;
+  using Configured::Configured;
   [[nodiscard]] core::PreparedPtr Prepare(
       const core::EvalInput& input) const override;
   [[nodiscard]] std::vector<core::MetricValue> Score(
       const core::PreparedOriginal& prepared,
       const core::EvalInput& input) const override;
-
- private:
-  PoiExtractionConfig extraction_;
-  double match_radius_m_;
 };
 
 /// "reident": POI-profile linkage. Profiles are trained on the original
@@ -59,11 +83,10 @@ class ReidentEvaluator final : public core::PreparedEvaluator {
 /// published guess counts when it lands within the match radius of the
 /// original-data guess for the same user (the quasi-identifier pair).
 /// Prepared: the original-data guesses.
-class HomeWorkEvaluator final : public core::PreparedEvaluator {
+class HomeWorkEvaluator final
+    : public util::Configured<core::PreparedEvaluator, kHomeWorkParams> {
  public:
-  explicit HomeWorkEvaluator(HomeWorkConfig config = {},
-                             double match_radius_m = 300.0);
-  [[nodiscard]] std::string Name() const override;
+  using Configured::Configured;
   [[nodiscard]] core::PreparedPtr Prepare(
       const core::EvalInput& input) const override;
   [[nodiscard]] std::vector<core::MetricValue> Score(
@@ -71,8 +94,7 @@ class HomeWorkEvaluator final : public core::PreparedEvaluator {
       const core::EvalInput& input) const override;
 
  private:
-  HomeWorkConfig config_;
-  double match_radius_m_;
+  HomeWorkConfig attack_;
 };
 
 }  // namespace mobipriv::attacks

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "mechanisms/identity.h"
-#include "util/string_utils.h"
 
 namespace mobipriv::core {
 
@@ -20,31 +19,16 @@ Anonymizer::Anonymizer(AnonymizerConfig config)
     : config_(config), speed_(config.speed), mixzone_(config.mixzone) {}
 
 std::string Anonymizer::Name() const {
-  // Stage flags plus every non-default stage knob: the name must be
-  // injective on the config (the scenario engine memoizes mechanism runs
-  // by name, so two differently-tuned pipelines must never collide) and
-  // round-trippable through mech::CreateMechanism (parameter names match
-  // the registry's "ours" factory).
-  std::string name = "ours[";
-  if (config_.enable_speed_smoothing) name += "speed";
-  if (config_.enable_speed_smoothing && config_.enable_mixzones) name += "+";
-  if (config_.enable_mixzones) name += "mix";
-  const mech::SpeedSmoothingConfig speed_defaults;
-  if (config_.enable_speed_smoothing) {
-    if (config_.speed.spacing_m != speed_defaults.spacing_m) {
-      name += ",eps=" + util::FormatDouble(config_.speed.spacing_m, 0) + "m";
-    }
-    if (config_.speed.min_length_m != speed_defaults.min_length_m) {
-      name +=
-          ",min_len=" + util::FormatDouble(config_.speed.min_length_m, 0) +
-          "m";
-    }
-  }
-  if (config_.enable_mixzones) {
-    name += mech::MixZoneSpecParams(config_.mixzone);
-  }
-  name += "]";
-  return name;
+  const bool speed = config_.enable_speed_smoothing;
+  const bool mix = config_.enable_mixzones;
+  // No stage prints "ours[]", which no spec parses to: bare "ours" runs
+  // both stages.
+  if (!speed && !mix) return "ours[]";
+  util::Spec spec("ours");
+  spec.AddFlag(speed && mix ? "speed+mix" : speed ? "speed" : "mix");
+  if (speed) kOursSpeedParams.Write(config_.speed, spec);
+  if (mix) kOursMixZoneParams.Write(config_.mixzone, spec);
+  return spec.ToString();
 }
 
 model::EventStore Anonymizer::ApplyToStore(const model::DatasetView& input,

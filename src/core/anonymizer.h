@@ -19,6 +19,15 @@ struct AnonymizerConfig {
   mech::MixZoneConfig mixzone;
 };
 
+/// "ours" is its stage flags ("speed+mix", "speed", "mix") plus these two
+/// tables: the speed-smoothing and mix-zone keys, each accepted only when
+/// its stage runs and printed only when its value is not the default.
+inline constexpr util::ParamTable kOursSpeedParams{
+    "ours", mech::kSpeedSpacing, mech::kSpeedMinLength};
+inline constexpr util::ParamTable kOursMixZoneParams{
+    "ours", mech::kMixZoneRadius, mech::kMixZoneWindow,
+    mech::kMixZoneMinUsers, mech::kMixZoneSuppress};
+
 /// Per-run pipeline outcome (stage reports + event accounting).
 struct PipelineReport {
   std::size_t input_events = 0;

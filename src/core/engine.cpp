@@ -315,10 +315,11 @@ struct ScenarioEngine::Compiled {
   static constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
 
   /// One memoized stage node: a distinct (prefix canonical name, seed)
-  /// pair. The instance is built from the stage's ORIGINAL spec text,
-  /// never from the canonical name — Name() prints numbers at fixed
-  /// precision, so re-parsing it could silently change parameters (e.g.
-  /// eps=0.00004 -> "eps=0.0000" -> 0.0).
+  /// pair. Names round-trip and are injective on the config, so the
+  /// canonical name identifies exactly one configured mechanism. The
+  /// instance is still built from the stage's ORIGINAL spec text: a
+  /// factory replaced through RegisterMechanism may key on the text it
+  /// was given rather than on the canonical name.
   struct StagePlan {
     std::string prefix_name;  ///< stage names [0..k] joined with '|'
     std::string spec_text;    ///< original stage spec text (worker dispatch)

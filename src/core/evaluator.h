@@ -26,6 +26,7 @@
 #include "geo/bounding_box.h"
 #include "geo/projection.h"
 #include "model/views.h"
+#include "util/params.h"
 #include "util/spec.h"
 
 namespace mobipriv::core {
@@ -216,11 +217,17 @@ using EvaluatorFactory =
 void RegisterEvaluator(std::string base, EvaluatorFactory factory);
 
 /// Instantiates an evaluator from its spec string. Throws util::SpecError
-/// on malformed specs, unknown bases or unknown parameters.
+/// on malformed specs, unknown bases, unknown parameters or out-of-range
+/// values.
 [[nodiscard]] std::unique_ptr<Evaluator> CreateEvaluator(
     std::string_view spec);
 
 /// Registered base names, sorted.
 [[nodiscard]] std::vector<std::string> RegisteredEvaluatorBases();
+
+/// The parameter table `base` parses (util/params.h): empty for a base
+/// without parameters, an extension or an unknown base.
+[[nodiscard]] std::vector<util::ParamInfo> EvaluatorParams(
+    std::string_view base);
 
 }  // namespace mobipriv::core

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "util/string_utils.h"
+#include "mechanisms/geo_indistinguishability.h"
 
 namespace mobipriv::core {
 
@@ -78,7 +78,7 @@ std::vector<std::string> StandardRosterSpecs(
   std::vector<std::string> specs = {"identity", "ours[speed+mix]",
                                     "ours[speed]", "ours[mix]"};
   for (const double eps : geo_ind_epsilons) {
-    specs.push_back("geo_ind[eps=" + util::FormatDouble(eps, 4) + "]");
+    specs.push_back(mech::GeoIndistinguishability({eps}).Name());
   }
   specs.insert(specs.end(), {"wait4me", "cloaking", "gaussian",
                              "downsampling"});

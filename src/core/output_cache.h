@@ -32,8 +32,10 @@ namespace mobipriv::core {
 /// cache key. A cached output is only as valid as the code that produced
 /// it — bump this on ANY change to a mechanism's algorithm or rng stream
 /// discipline, and every existing entry reads as stale (recomputed, never
-/// reused) instead of silently replaying pre-change outputs.
-inline constexpr std::uint32_t kMechanismCacheEpoch = 1;
+/// reused) instead of silently replaying pre-change outputs. Epoch 2:
+/// names became injective on the config, so an epoch-1 entry may hold the
+/// output of a different config that printed the same name.
+inline constexpr std::uint32_t kMechanismCacheEpoch = 2;
 
 class OutputCache {
  public:

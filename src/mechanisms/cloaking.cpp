@@ -5,16 +5,11 @@
 
 #include "geo/projection.h"
 #include "util/simd.h"
-#include "util/string_utils.h"
 
 namespace mobipriv::mech {
 
-Cloaking::Cloaking(CloakingConfig config) : config_(config) {
+Cloaking::Cloaking(CloakingConfig config) : Configured(config) {
   assert(config_.cell_size_m > 0.0);
-}
-
-std::string Cloaking::Name() const {
-  return "cloaking[cell=" + util::FormatDouble(config_.cell_size_m, 0) + "m]";
 }
 
 void Cloaking::ApplyToTraceColumns(const model::TraceView& trace,

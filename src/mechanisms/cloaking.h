@@ -5,6 +5,7 @@
 #pragma once
 
 #include "mechanisms/mechanism.h"
+#include "util/params.h"
 
 namespace mobipriv::mech {
 
@@ -12,22 +13,20 @@ struct CloakingConfig {
   double cell_size_m = 250.0;  ///< grid cell edge length
 };
 
-class Cloaking final : public PerTraceMechanism {
+inline constexpr util::ParamTable kCloakingParams{
+    "cloaking", util::Param{"cell", &CloakingConfig::cell_size_m, "m",
+                            util::kPositive}
+                    .Always()};
+
+class Cloaking final
+    : public util::Configured<PerTraceMechanism, kCloakingParams> {
  public:
   explicit Cloaking(CloakingConfig config = {});
-
-  [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] const CloakingConfig& config() const noexcept {
-    return config_;
-  }
 
  protected:
   void ApplyToTraceColumns(const model::TraceView& trace,
                            model::TraceBuffer& out,
                            util::Rng& rng) const override;
-
- private:
-  CloakingConfig config_;
 };
 
 }  // namespace mobipriv::mech

@@ -6,12 +6,8 @@
 
 namespace mobipriv::mech {
 
-Downsampling::Downsampling(DownsamplingConfig config) : config_(config) {
+Downsampling::Downsampling(DownsamplingConfig config) : Configured(config) {
   assert(config_.min_interval_s > 0);
-}
-
-std::string Downsampling::Name() const {
-  return "downsampling[dt=" + std::to_string(config_.min_interval_s) + "s]";
 }
 
 void Downsampling::ApplyToTraceColumns(const model::TraceView& trace,

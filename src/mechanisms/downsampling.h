@@ -4,6 +4,7 @@
 #pragma once
 
 #include "mechanisms/mechanism.h"
+#include "util/params.h"
 
 namespace mobipriv::mech {
 
@@ -11,22 +12,20 @@ struct DownsamplingConfig {
   util::Timestamp min_interval_s = 120;  ///< minimum gap between kept fixes
 };
 
-class Downsampling final : public PerTraceMechanism {
+inline constexpr util::ParamTable kDownsamplingParams{
+    "downsampling", util::Param{"dt", &DownsamplingConfig::min_interval_s,
+                                "s", util::kPositive}
+                        .Always()};
+
+class Downsampling final
+    : public util::Configured<PerTraceMechanism, kDownsamplingParams> {
  public:
   explicit Downsampling(DownsamplingConfig config = {});
-
-  [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] const DownsamplingConfig& config() const noexcept {
-    return config_;
-  }
 
  protected:
   void ApplyToTraceColumns(const model::TraceView& trace,
                            model::TraceBuffer& out,
                            util::Rng& rng) const override;
-
- private:
-  DownsamplingConfig config_;
 };
 
 }  // namespace mobipriv::mech

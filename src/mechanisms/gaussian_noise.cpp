@@ -4,16 +4,11 @@
 
 #include "geo/projection.h"
 #include "util/simd.h"
-#include "util/string_utils.h"
 
 namespace mobipriv::mech {
 
-GaussianNoise::GaussianNoise(GaussianNoiseConfig config) : config_(config) {
+GaussianNoise::GaussianNoise(GaussianNoiseConfig config) : Configured(config) {
   assert(config_.sigma_m >= 0.0);
-}
-
-std::string GaussianNoise::Name() const {
-  return "gaussian[sigma=" + util::FormatDouble(config_.sigma_m, 0) + "m]";
 }
 
 void GaussianNoise::ApplyToTraceColumns(const model::TraceView& trace,

@@ -4,6 +4,7 @@
 #pragma once
 
 #include "mechanisms/mechanism.h"
+#include "util/params.h"
 
 namespace mobipriv::mech {
 
@@ -11,22 +12,20 @@ struct GaussianNoiseConfig {
   double sigma_m = 100.0;  ///< noise stddev per axis, metres
 };
 
-class GaussianNoise final : public PerTraceMechanism {
+inline constexpr util::ParamTable kGaussianParams{
+    "gaussian", util::Param{"sigma", &GaussianNoiseConfig::sigma_m, "m",
+                            util::kNonNegative}
+                    .Always()};
+
+class GaussianNoise final
+    : public util::Configured<PerTraceMechanism, kGaussianParams> {
  public:
   explicit GaussianNoise(GaussianNoiseConfig config = {});
-
-  [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] const GaussianNoiseConfig& config() const noexcept {
-    return config_;
-  }
 
  protected:
   void ApplyToTraceColumns(const model::TraceView& trace,
                            model::TraceBuffer& out,
                            util::Rng& rng) const override;
-
- private:
-  GaussianNoiseConfig config_;
 };
 
 }  // namespace mobipriv::mech

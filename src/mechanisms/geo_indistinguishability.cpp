@@ -7,7 +7,6 @@
 
 #include "geo/projection.h"
 #include "util/simd.h"
-#include "util/string_utils.h"
 
 namespace mobipriv::mech {
 
@@ -56,12 +55,8 @@ double SamplePlanarLaplaceRadius(double epsilon, util::Rng& rng) {
 }
 
 GeoIndistinguishability::GeoIndistinguishability(GeoIndConfig config)
-    : config_(config) {
+    : Configured(config) {
   assert(config_.epsilon > 0.0);
-}
-
-std::string GeoIndistinguishability::Name() const {
-  return "geo_ind[eps=" + util::FormatDouble(config_.epsilon, 4) + "]";
 }
 
 void GeoIndistinguishability::ApplyToTraceColumns(

@@ -14,6 +14,7 @@
 #pragma once
 
 #include "mechanisms/mechanism.h"
+#include "util/params.h"
 
 namespace mobipriv::mech {
 
@@ -24,6 +25,12 @@ struct GeoIndConfig {
   double epsilon = 0.01;
 };
 
+inline constexpr util::ParamTable kGeoIndParams{
+    "geo_ind",
+    util::Param{"eps", &GeoIndConfig::epsilon, "", util::kPositive}
+        .Always()
+        .Digits(4)};
+
 /// Lower branch W_{-1}(x) of the Lambert W function for x in [-1/e, 0).
 /// Exposed for direct testing against the defining identity W*e^W = x.
 [[nodiscard]] double LambertWMinus1(double x);
@@ -32,22 +39,15 @@ struct GeoIndConfig {
 [[nodiscard]] double SamplePlanarLaplaceRadius(double epsilon,
                                                util::Rng& rng);
 
-class GeoIndistinguishability final : public PerTraceMechanism {
+class GeoIndistinguishability final
+    : public util::Configured<PerTraceMechanism, kGeoIndParams> {
  public:
   explicit GeoIndistinguishability(GeoIndConfig config = {});
-
-  [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] const GeoIndConfig& config() const noexcept {
-    return config_;
-  }
 
  protected:
   void ApplyToTraceColumns(const model::TraceView& trace,
                            model::TraceBuffer& out,
                            util::Rng& rng) const override;
-
- private:
-  GeoIndConfig config_;
 };
 
 }  // namespace mobipriv::mech

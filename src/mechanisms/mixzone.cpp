@@ -955,35 +955,10 @@ std::string MixZoneReport::ToString() const {
   return os.str();
 }
 
-MixZone::MixZone(MixZoneConfig config) : config_(config) {
+MixZone::MixZone(MixZoneConfig config) : Configured(config) {
   assert(config_.zone_radius_m > 0.0);
   assert(config_.time_window_s > 0);
   assert(config_.min_users >= 2);
-}
-
-std::string MixZoneSpecParams(const MixZoneConfig& config,
-                              bool with_radius_and_window) {
-  const MixZoneConfig defaults;
-  std::string params;
-  if (with_radius_and_window ||
-      config.zone_radius_m != defaults.zone_radius_m) {
-    params += ",r=" + util::FormatDouble(config.zone_radius_m, 0) + "m";
-  }
-  if (with_radius_and_window ||
-      config.time_window_s != defaults.time_window_s) {
-    params += ",w=" + std::to_string(config.time_window_s) + "s";
-  }
-  if (config.min_users != defaults.min_users) {
-    params += ",min_users=" + std::to_string(config.min_users);
-  }
-  if (config.suppress_zone_points != defaults.suppress_zone_points) {
-    params += ",suppress=0";
-  }
-  return params;
-}
-
-std::string MixZone::Name() const {
-  return "mixzone[" + MixZoneSpecParams(config_, true).substr(1) + "]";
 }
 
 model::EventStore MixZone::ApplyToStore(const model::DatasetView& input,

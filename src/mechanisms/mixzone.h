@@ -40,6 +40,7 @@
 #include "geo/point2.h"
 #include "geo/projection.h"
 #include "mechanisms/mechanism.h"
+#include "util/params.h"
 
 namespace mobipriv::mech {
 
@@ -57,12 +58,19 @@ struct MixZoneConfig {
   bool suppress_zone_points = true;
 };
 
-/// `config`'s non-default knobs as ",key=value" spec pieces in the order
-/// r, w, min_users, suppress (r and w always when
-/// `with_radius_and_window`): what every Name() carrying a mix-zone config
-/// prints, so differently-tuned configs never share a name.
-[[nodiscard]] std::string MixZoneSpecParams(const MixZoneConfig& config,
-                                            bool with_radius_and_window = false);
+/// Spec keys of a mix-zone config, shared by "mixzone", "ours" and the
+/// "uncertainty" evaluator.
+inline constexpr util::Param kMixZoneRadius{
+    "r", &MixZoneConfig::zone_radius_m, "m", util::kPositive};
+inline constexpr util::Param kMixZoneWindow{
+    "w", &MixZoneConfig::time_window_s, "s", util::kPositive};
+inline constexpr util::Param kMixZoneMinUsers{
+    "min_users", &MixZoneConfig::min_users, "", util::AtLeast(2)};
+inline constexpr util::Param kMixZoneSuppress{
+    "suppress", &MixZoneConfig::suppress_zone_points};
+inline constexpr util::ParamTable kMixZoneParams{
+    "mixzone", kMixZoneRadius.Always(), kMixZoneWindow.Always(),
+    kMixZoneMinUsers, kMixZoneSuppress};
 
 /// One detected zone with its occurrences (for reports and tests).
 struct MixZoneInfo {
@@ -103,14 +111,9 @@ struct MixZoneReport {
   [[nodiscard]] std::string ToString() const;
 };
 
-class MixZone final : public Mechanism {
+class MixZone final : public util::Configured<Mechanism, kMixZoneParams> {
  public:
   explicit MixZone(MixZoneConfig config = {});
-
-  [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] const MixZoneConfig& config() const noexcept {
-    return config_;
-  }
 
   /// Detection, clustering and reassembly run off the view's columns and
   /// the suppressed/cut traces are assembled directly into EventStore
@@ -137,9 +140,6 @@ class MixZone final : public Mechanism {
   /// output assembly.
   [[nodiscard]] std::size_t CountEncounters(
       const model::DatasetView& input) const;
-
- private:
-  MixZoneConfig config_;
 };
 
 }  // namespace mobipriv::mech

@@ -1,9 +1,5 @@
 #include "mechanisms/registry.h"
 
-#include <algorithm>
-#include <cmath>
-#include <map>
-#include <mutex>
 #include <sstream>
 
 // The "ours" pipeline is assembled in core/ (it composes two mech/
@@ -19,26 +15,15 @@
 #include "mechanisms/mixzone.h"
 #include "mechanisms/speed_smoothing.h"
 #include "mechanisms/wait4me.h"
+#include "util/spec_registry.h"
 
 namespace mobipriv::mech {
 namespace {
 
-struct Registry {
-  std::mutex mutex;
-  std::map<std::string, MechanismFactory, std::less<>> factories;
-};
-
-void FillSpeedConfig(const util::Spec& spec, SpeedSmoothingConfig& config) {
-  config.spacing_m = spec.NumberOf("eps", config.spacing_m);
-  config.min_length_m = spec.NumberOf("min_len", config.min_length_m);
-}
-
 /// "ours[...]": the bracket body is stage flags joined by '+'
-/// ("speed+mix", "speed", "mix") plus optional stage parameters. Stage
-/// knobs reuse the stage mechanisms' parameter names (eps/min_len for
-/// speed smoothing, r/w/min_users for mix zones).
+/// ("speed+mix", "speed", "mix") plus the keys of the stages that run
+/// (core::kOursSpeedParams, core::kOursMixZoneParams).
 std::unique_ptr<Mechanism> MakeOurs(const util::Spec& spec) {
-  core::AnonymizerConfig config;
   bool speed = false;
   bool mix = false;
   bool any_flag = false;
@@ -48,91 +33,48 @@ std::unique_ptr<Mechanism> MakeOurs(const util::Spec& spec) {
     std::stringstream tokens(entry.key);
     std::string token;
     while (std::getline(tokens, token, '+')) {
-      if (token == "speed") {
-        speed = true;
-      } else if (token == "mix") {
-        mix = true;
-      } else {
+      if (token != "speed" && token != "mix") {
         throw util::SpecError("ours: unknown stage \"" + token +
                               "\" (expected speed and/or mix)");
       }
+      (token == "speed" ? speed : mix) = true;
     }
   }
   // Bare "ours" means the full pipeline.
+  core::AnonymizerConfig config;
   config.enable_speed_smoothing = !any_flag || speed;
   config.enable_mixzones = !any_flag || mix;
-  for (const util::Spec::Entry& entry : spec.entries()) {
-    if (!entry.has_value) continue;
-    static constexpr std::string_view kKnown[] = {"eps", "min_len", "r", "w",
-                                                  "min_users", "suppress"};
-    if (std::find(std::begin(kKnown), std::end(kKnown), entry.key) ==
-        std::end(kKnown)) {
-      throw util::SpecError("ours: unknown parameter \"" + entry.key + "\"");
-    }
-  }
-  FillSpeedConfig(spec, config.speed);
-  config.mixzone = ParseMixZoneConfig(spec);
+  // A key of a stage that does not run would change the config but not
+  // the output or the name, so it is rejected like an unknown key.
+  spec.RequireKnownKeys(
+      [&](const util::Spec::Entry& entry) {
+        return !entry.has_value ||
+               (config.enable_speed_smoothing &&
+                core::kOursSpeedParams.Has(entry.key)) ||
+               (config.enable_mixzones &&
+                core::kOursMixZoneParams.Has(entry.key));
+      },
+      "ours");
+  core::kOursSpeedParams.Read(spec, config.speed);
+  core::kOursMixZoneParams.Read(spec, config.mixzone);
   return std::make_unique<core::Anonymizer>(config);
 }
 
-Registry& GlobalRegistry() {
-  static Registry* registry = [] {
-    auto* r = new Registry();
-    auto& f = r->factories;
-    f["identity"] = [](const util::Spec& spec) -> std::unique_ptr<Mechanism> {
-      spec.RequireKnownKeys({}, "identity");
-      return std::make_unique<Identity>();
-    };
-    f["speed_smoothing"] =
-        [](const util::Spec& spec) -> std::unique_ptr<Mechanism> {
-      spec.RequireKnownKeys({"eps", "min_len"}, "speed_smoothing");
-      SpeedSmoothingConfig config;
-      FillSpeedConfig(spec, config);
-      return std::make_unique<SpeedSmoothing>(config);
-    };
-    f["mixzone"] = [](const util::Spec& spec) -> std::unique_ptr<Mechanism> {
-      spec.RequireKnownKeys({"r", "w", "min_users", "suppress"}, "mixzone");
-      return std::make_unique<MixZone>(ParseMixZoneConfig(spec));
-    };
-    f["geo_ind"] = [](const util::Spec& spec) -> std::unique_ptr<Mechanism> {
-      spec.RequireKnownKeys({"eps"}, "geo_ind");
-      GeoIndConfig config;
-      config.epsilon = spec.NumberOf("eps", config.epsilon);
-      return std::make_unique<GeoIndistinguishability>(config);
-    };
-    f["wait4me"] = [](const util::Spec& spec) -> std::unique_ptr<Mechanism> {
-      spec.RequireKnownKeys({"k", "delta", "grid", "overlap"}, "wait4me");
-      Wait4MeConfig config;
-      config.k = static_cast<std::size_t>(
-          spec.IntOf("k", static_cast<std::int64_t>(config.k)));
-      config.delta_m = spec.NumberOf("delta", config.delta_m);
-      config.grid_step_s =
-          static_cast<util::Timestamp>(spec.IntOf("grid", config.grid_step_s));
-      config.min_overlap_fraction =
-          spec.NumberOf("overlap", config.min_overlap_fraction);
-      return std::make_unique<Wait4Me>(config);
-    };
-    f["cloaking"] = [](const util::Spec& spec) -> std::unique_ptr<Mechanism> {
-      spec.RequireKnownKeys({"cell"}, "cloaking");
-      CloakingConfig config;
-      config.cell_size_m = spec.NumberOf("cell", config.cell_size_m);
-      return std::make_unique<Cloaking>(config);
-    };
-    f["gaussian"] = [](const util::Spec& spec) -> std::unique_ptr<Mechanism> {
-      spec.RequireKnownKeys({"sigma"}, "gaussian");
-      GaussianNoiseConfig config;
-      config.sigma_m = spec.NumberOf("sigma", config.sigma_m);
-      return std::make_unique<GaussianNoise>(config);
-    };
-    f["downsampling"] =
-        [](const util::Spec& spec) -> std::unique_ptr<Mechanism> {
-      spec.RequireKnownKeys({"dt"}, "downsampling");
-      DownsamplingConfig config;
-      config.min_interval_s = static_cast<util::Timestamp>(
-          spec.IntOf("dt", config.min_interval_s));
-      return std::make_unique<Downsampling>(config);
-    };
-    f["ours"] = MakeOurs;
+util::SpecRegistry<Mechanism>& GlobalRegistry() {
+  static auto* registry = [] {
+    auto* r = new util::SpecRegistry<Mechanism>("mechanism");
+    r->AddBare<Identity>("identity");
+    r->Add<SpeedSmoothing>();
+    r->Add<MixZone>();
+    r->Add<GeoIndistinguishability>();
+    r->Add<Wait4Me>();
+    r->Add<Cloaking>();
+    r->Add<GaussianNoise>();
+    r->Add<Downsampling>();
+    std::vector<util::ParamInfo> ours = core::kOursSpeedParams.Info();
+    const auto mix = core::kOursMixZoneParams.Info();
+    ours.insert(ours.end(), mix.begin(), mix.end());
+    r->Register("ours", MakeOurs, std::move(ours));
     return r;
   }();
   return *registry;
@@ -140,30 +82,8 @@ Registry& GlobalRegistry() {
 
 }  // namespace
 
-MixZoneConfig ParseMixZoneConfig(const util::Spec& spec) {
-  const auto require = [&](bool valid, const char* key, const char* rule) {
-    if (valid) return;
-    throw util::SpecError("spec " + spec.ToString() + ": parameter " + key +
-                          " must be " + rule);
-  };
-  MixZoneConfig config;
-  config.zone_radius_m = spec.NumberOf("r", config.zone_radius_m);
-  require(std::isfinite(config.zone_radius_m) && config.zone_radius_m > 0.0,
-          "r", "finite and > 0");
-  config.time_window_s = spec.IntOf("w", config.time_window_s);
-  require(config.time_window_s > 0, "w", "> 0");
-  const std::int64_t min_users =
-      spec.IntOf("min_users", static_cast<std::int64_t>(config.min_users));
-  require(min_users >= 2, "min_users", ">= 2");
-  config.min_users = static_cast<std::size_t>(min_users);
-  config.suppress_zone_points = spec.IntOf("suppress", 1) != 0;
-  return config;
-}
-
 void RegisterMechanism(std::string base, MechanismFactory factory) {
-  Registry& registry = GlobalRegistry();
-  const std::lock_guard<std::mutex> lock(registry.mutex);
-  registry.factories[std::move(base)] = std::move(factory);
+  GlobalRegistry().Register(std::move(base), std::move(factory));
 }
 
 std::unique_ptr<Mechanism> CreateMechanism(std::string_view spec_text) {
@@ -175,24 +95,7 @@ std::unique_ptr<Mechanism> CreateMechanism(std::string_view spec_text) {
                           "scenario engine (core::ScenarioEngine), not as "
                           "one mechanism");
   }
-  const util::Spec spec = util::Spec::Parse(spec_text);
-  MechanismFactory factory;
-  {
-    Registry& registry = GlobalRegistry();
-    const std::lock_guard<std::mutex> lock(registry.mutex);
-    const auto it = registry.factories.find(spec.base());
-    if (it == registry.factories.end()) {
-      std::string known;
-      for (const auto& [base, unused] : registry.factories) {
-        if (!known.empty()) known += ", ";
-        known += base;
-      }
-      throw util::SpecError("unknown mechanism \"" + spec.base() +
-                            "\" (registered: " + known + ")");
-    }
-    factory = it->second;
-  }
-  return factory(spec);
+  return GlobalRegistry().Create(util::Spec::Parse(spec_text));
 }
 
 std::string ChainName(std::string_view text) {
@@ -206,12 +109,11 @@ std::string ChainName(std::string_view text) {
 }
 
 std::vector<std::string> RegisteredMechanismBases() {
-  Registry& registry = GlobalRegistry();
-  const std::lock_guard<std::mutex> lock(registry.mutex);
-  std::vector<std::string> bases;
-  bases.reserve(registry.factories.size());
-  for (const auto& [base, unused] : registry.factories) bases.push_back(base);
-  return bases;
+  return GlobalRegistry().Bases();
+}
+
+std::vector<util::ParamInfo> MechanismParams(std::string_view base) {
+  return GlobalRegistry().Params(std::string(base));
 }
 
 }  // namespace mobipriv::mech

@@ -1,24 +1,24 @@
 // String-keyed mechanism registry: every mechanism in the library (and any
 // user-registered extension) can be instantiated from the spec string its
-// Name() prints — Name() is round-trippable:
+// Name() prints. A built-in's keys are one util::ParamTable, so names
+// round-trip and are injective on the config:
 //
 //   CreateMechanism(m->Name())->Name() == m->Name()
 //
-// for every mechanism the library ships. This is what lets an experiment
-// grid be *declarative*: a ScenarioSpec names mechanisms as strings
-// ("geo_ind[eps=0.0100]", "ours[speed]", "wait4me[k=4,delta=500m]") and
-// the engine builds them on demand, replacing the hardcoded roster loops
-// the bench binaries used to copy around (core::StandardRosterSpecs is a
-// canned list of spec strings over this registry).
+// This is what lets an experiment grid be *declarative*: a ScenarioSpec
+// names mechanisms as strings ("geo_ind[eps=0.0100]", "ours[speed]",
+// "wait4me[k=4,delta=500m]"), the engine builds them on demand and
+// memoizes them by name (core::StandardRosterSpecs is a canned list of
+// spec strings over this registry).
 //
 // Grammar: util::Spec ("base[key=value,...]"; numeric values may carry a
 // unit suffix). Spec texts with a top-level '|' are chains
 // ("geo_ind[eps=0.1]|downsampling"). A chain is not a mechanism: it
 // exists only as a scenario-engine plan, one node per stage with its own
 // per-prefix rng stream (core/engine.h), so CreateMechanism rejects it
-// and ChainName gives its canonical name. Unknown bases and unknown
-// parameters throw util::SpecError — a typo'd grid cell fails loudly at
-// compile time, not silently at report time.
+// and ChainName gives its canonical name. Unknown bases, unknown
+// parameters and out-of-range values throw util::SpecError — a typo'd
+// grid cell fails loudly at compile time, not silently at report time.
 #pragma once
 
 #include <functional>
@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "mechanisms/mechanism.h"
-#include "mechanisms/mixzone.h"
+#include "util/params.h"
 #include "util/spec.h"
 
 namespace mobipriv::mech {
@@ -60,14 +60,12 @@ void RegisterMechanism(std::string base, MechanismFactory factory);
 /// util::SpecError like CreateMechanism on any bad stage.
 [[nodiscard]] std::string ChainName(std::string_view text);
 
-/// The mix-zone knobs of `spec` — r (metres), w (seconds), min_users and
-/// suppress, each defaulting to MixZoneConfig's value when absent. The one
-/// parser behind "mixzone", "ours" and the "uncertainty" evaluator; the
-/// caller checks which keys its base accepts. Throws util::SpecError
-/// naming the key unless r is finite and > 0, w > 0 and min_users >= 2.
-[[nodiscard]] MixZoneConfig ParseMixZoneConfig(const util::Spec& spec);
-
 /// Registered base names, sorted (for error messages and --help output).
 [[nodiscard]] std::vector<std::string> RegisteredMechanismBases();
+
+/// The parameter table `base` parses (util/params.h): empty for a base
+/// without parameters, an extension or an unknown base.
+[[nodiscard]] std::vector<util::ParamInfo> MechanismParams(
+    std::string_view base);
 
 }  // namespace mobipriv::mech

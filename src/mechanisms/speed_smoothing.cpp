@@ -5,7 +5,6 @@
 
 #include "geo/polyline.h"
 #include "util/simd.h"
-#include "util/string_utils.h"
 
 namespace mobipriv::mech {
 namespace {
@@ -106,13 +105,8 @@ void SmoothColumns(const model::TraceView& trace, double spacing_m,
 }  // namespace
 
 SpeedSmoothing::SpeedSmoothing(SpeedSmoothingConfig config)
-    : config_(config) {
+    : Configured(config) {
   assert(config_.spacing_m > 0.0);
-}
-
-std::string SpeedSmoothing::Name() const {
-  return "speed_smoothing[eps=" + util::FormatDouble(config_.spacing_m, 0) +
-         "m]";
 }
 
 model::Trace SpeedSmoothing::Smooth(const model::Trace& trace) const {

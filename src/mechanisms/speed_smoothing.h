@@ -31,6 +31,7 @@
 
 #include "geo/projection.h"
 #include "mechanisms/mechanism.h"
+#include "util/params.h"
 
 namespace mobipriv::mech {
 
@@ -45,14 +46,18 @@ struct SpeedSmoothingConfig {
   double min_length_m = 200.0;
 };
 
-class SpeedSmoothing final : public PerTraceMechanism {
+/// Spec keys, shared by "speed_smoothing" and "ours".
+inline constexpr util::Param kSpeedSpacing{
+    "eps", &SpeedSmoothingConfig::spacing_m, "m", util::kPositive};
+inline constexpr util::Param kSpeedMinLength{
+    "min_len", &SpeedSmoothingConfig::min_length_m, "m", util::kNonNegative};
+inline constexpr util::ParamTable kSpeedSmoothingParams{
+    "speed_smoothing", kSpeedSpacing.Always(), kSpeedMinLength};
+
+class SpeedSmoothing final
+    : public util::Configured<PerTraceMechanism, kSpeedSmoothingParams> {
  public:
   explicit SpeedSmoothing(SpeedSmoothingConfig config = {});
-
-  [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] const SpeedSmoothingConfig& config() const noexcept {
-    return config_;
-  }
 
   /// Transforms one trace (exposed for direct use and tests). Returns an
   /// empty trace when the input is dropped by the min-length rule.
@@ -64,9 +69,6 @@ class SpeedSmoothing final : public PerTraceMechanism {
   void ApplyToTraceColumns(const model::TraceView& trace,
                            model::TraceBuffer& out,
                            util::Rng& rng) const override;
-
- private:
-  SpeedSmoothingConfig config_;
 };
 
 }  // namespace mobipriv::mech

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "geo/projection.h"
-#include "util/string_utils.h"
 
 namespace mobipriv::mech {
 namespace {
@@ -26,15 +25,10 @@ double SynchronizedDistance(const std::vector<geo::Point2>& a,
 
 }  // namespace
 
-Wait4Me::Wait4Me(Wait4MeConfig config) : config_(config) {
+Wait4Me::Wait4Me(Wait4MeConfig config) : Configured(config) {
   assert(config_.k >= 2);
   assert(config_.delta_m > 0.0);
   assert(config_.grid_step_s > 0);
-}
-
-std::string Wait4Me::Name() const {
-  return "wait4me[k=" + std::to_string(config_.k) +
-         ",delta=" + util::FormatDouble(config_.delta_m, 0) + "m]";
 }
 
 model::EventStore Wait4Me::ApplyToStore(const model::DatasetView& input,

@@ -17,6 +17,7 @@
 #pragma once
 
 #include "mechanisms/mechanism.h"
+#include "util/params.h"
 
 namespace mobipriv::mech {
 
@@ -29,14 +30,18 @@ struct Wait4MeConfig {
   double min_overlap_fraction = 0.5;
 };
 
-class Wait4Me final : public Mechanism {
+inline constexpr util::ParamTable kWait4MeParams{
+    "wait4me",
+    util::Param{"k", &Wait4MeConfig::k, "", util::AtLeast(2)}.Always(),
+    util::Param{"delta", &Wait4MeConfig::delta_m, "m", util::kPositive}
+        .Always(),
+    util::Param{"grid", &Wait4MeConfig::grid_step_s, "s", util::kPositive},
+    util::Param{"overlap", &Wait4MeConfig::min_overlap_fraction, "",
+                util::kUnitInterval}};
+
+class Wait4Me final : public util::Configured<Mechanism, kWait4MeParams> {
  public:
   explicit Wait4Me(Wait4MeConfig config = {});
-
-  [[nodiscard]] std::string Name() const override;
-  [[nodiscard]] const Wait4MeConfig& config() const noexcept {
-    return config_;
-  }
 
   /// Alignment, clustering and translation build their working sets
   /// (aligned planar tracks) straight from the view's columns — no
@@ -45,9 +50,6 @@ class Wait4Me final : public Mechanism {
   /// utility cost is 1 - output traces / input traces.
   [[nodiscard]] model::EventStore ApplyToStore(const model::DatasetView& input,
                                                util::Rng& rng) const override;
-
- private:
-  Wait4MeConfig config_;
 };
 
 }  // namespace mobipriv::mech

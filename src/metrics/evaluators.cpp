@@ -11,7 +11,6 @@
 #include "metrics/spatial_distortion.h"
 #include "metrics/trajectory_stats.h"
 #include "util/rng.h"
-#include "util/string_utils.h"
 
 namespace mobipriv::metrics {
 namespace {
@@ -255,36 +254,16 @@ std::vector<core::MetricValue> SpatialDistortionEvaluator::Evaluate(
           {"compared_traces", static_cast<double>(summary.compared_traces)}};
 }
 
-CoverageEvaluator::CoverageEvaluator(CoverageConfig config)
-    : config_(config) {}
-
-std::string CoverageEvaluator::Name() const {
-  return "coverage[cell=" + util::FormatDouble(config_.cell_size_m, 0) + "m]";
-}
-
 std::vector<core::MetricValue> CoverageEvaluator::Evaluate(
     const core::EvalInput& input) const {
   return {{"coverage_jaccard",
            CoverageJaccard(input.original, input.published, config_)}};
 }
 
-HeatmapEvaluator::HeatmapEvaluator(HeatmapConfig config) : config_(config) {}
-
-std::string HeatmapEvaluator::Name() const {
-  return "heatmap[cell=" + util::FormatDouble(config_.cell_size_m, 0) + "m]";
-}
-
 std::vector<core::MetricValue> HeatmapEvaluator::Evaluate(
     const core::EvalInput& input) const {
   return {{"heatmap_cosine",
            HeatmapSimilarity(input.original, input.published, config_)}};
-}
-
-RangeQueryEvaluator::RangeQueryEvaluator(RangeQueryConfig config)
-    : config_(config) {}
-
-std::string RangeQueryEvaluator::Name() const {
-  return "range_queries[n=" + std::to_string(config_.query_count) + "]";
 }
 
 core::PreparedPtr RangeQueryEvaluator::Prepare(
@@ -343,22 +322,6 @@ std::unique_ptr<core::TraceFold> TrajectoryStatsEvaluator::MakeScoreFold(
     std::shared_future<core::PreparedPtr> prepared,
     std::uint64_t /*seed*/) const {
   return std::make_unique<TrajectoryStatsScoreFold>(std::move(prepared));
-}
-
-KDeltaEvaluator::KDeltaEvaluator(KDeltaConfig config) : config_(config) {}
-
-std::string KDeltaEvaluator::Name() const {
-  // Injective on the config (the engine dedupes evaluators by name).
-  const KDeltaConfig defaults;
-  std::string name =
-      "kdelta[delta=" + util::FormatDouble(config_.delta_m, 0) + "m";
-  if (config_.grid_step_s != defaults.grid_step_s) {
-    name += ",grid=" + std::to_string(config_.grid_step_s) + "s";
-  }
-  if (config_.tolerance != defaults.tolerance) {
-    name += ",tolerance=" + util::FormatDouble(config_.tolerance, 3);
-  }
-  return name + "]";
 }
 
 std::vector<core::MetricValue> KDeltaEvaluator::Evaluate(

@@ -9,8 +9,30 @@
 #include "metrics/heatmap.h"
 #include "metrics/kdelta.h"
 #include "metrics/range_queries.h"
+#include "util/params.h"
 
 namespace mobipriv::metrics {
+
+inline constexpr util::ParamTable kCoverageParams{
+    "coverage", util::Param{"cell", &CoverageConfig::cell_size_m, "m",
+                            util::kPositive}
+                    .Always()};
+inline constexpr util::ParamTable kHeatmapParams{
+    "heatmap", util::Param{"cell", &HeatmapConfig::cell_size_m, "m",
+                           util::kPositive}
+                   .Always()};
+inline constexpr util::ParamTable kRangeQueryParams{
+    "range_queries", util::Param{"n", &RangeQueryConfig::query_count, "",
+                                 util::AtLeast(1)}
+                         .Always()};
+inline constexpr util::ParamTable kKDeltaParams{
+    "kdelta",
+    util::Param{"delta", &KDeltaConfig::delta_m, "m", util::kNonNegative}
+        .Always(),
+    util::Param{"grid", &KDeltaConfig::grid_step_s, "s", util::kPositive},
+    util::Param{"tolerance", &KDeltaConfig::tolerance, "",
+                util::kUnitInterval}
+        .Digits(3)};
 
 /// "spatial_distortion": path/synchronized error of published vs original
 /// traces (metres) — the paper's headline utility metric.
@@ -22,37 +44,31 @@ class SpatialDistortionEvaluator final : public core::Evaluator {
 };
 
 /// "coverage[cell=...m]": Jaccard similarity of visited grid cells.
-class CoverageEvaluator final : public core::Evaluator {
+class CoverageEvaluator final
+    : public util::Configured<core::Evaluator, kCoverageParams> {
  public:
-  explicit CoverageEvaluator(CoverageConfig config = {});
-  [[nodiscard]] std::string Name() const override;
+  using Configured::Configured;
   [[nodiscard]] std::vector<core::MetricValue> Evaluate(
       const core::EvalInput& input) const override;
-
- private:
-  CoverageConfig config_;
 };
 
 /// "heatmap[cell=...m]": cosine similarity of event-density rasters.
-class HeatmapEvaluator final : public core::Evaluator {
+class HeatmapEvaluator final
+    : public util::Configured<core::Evaluator, kHeatmapParams> {
  public:
-  explicit HeatmapEvaluator(HeatmapConfig config = {});
-  [[nodiscard]] std::string Name() const override;
+  using Configured::Configured;
   [[nodiscard]] std::vector<core::MetricValue> Evaluate(
       const core::EvalInput& input) const override;
-
- private:
-  HeatmapConfig config_;
 };
 
 /// "range_queries[n=...]": relative-error distribution of a random
 /// spatio-temporal counting workload sampled (deterministically from the
 /// grid cell's seed) on the original dataset. Prepared: the workload and
 /// its original counts.
-class RangeQueryEvaluator final : public core::PreparedEvaluator {
+class RangeQueryEvaluator final
+    : public util::Configured<core::PreparedEvaluator, kRangeQueryParams> {
  public:
-  explicit RangeQueryEvaluator(RangeQueryConfig config = {});
-  [[nodiscard]] std::string Name() const override;
+  using Configured::Configured;
   [[nodiscard]] core::PreparedPtr Prepare(
       const core::EvalInput& input) const override;
   [[nodiscard]] std::vector<core::MetricValue> Score(
@@ -66,9 +82,6 @@ class RangeQueryEvaluator final : public core::PreparedEvaluator {
   [[nodiscard]] std::unique_ptr<core::TraceFold> MakeScoreFold(
       std::shared_future<core::PreparedPtr> prepared,
       std::uint64_t seed) const override;
-
- private:
-  RangeQueryConfig config_;
 };
 
 /// "trajectory_stats": trip-length EMD and radius-of-gyration error.
@@ -92,15 +105,12 @@ class TrajectoryStatsEvaluator final : public core::PreparedEvaluator {
 
 /// "kdelta[delta=...m]": measured (k, delta)-anonymity of the published
 /// dataset (single-dataset privacy metric; the original is ignored).
-class KDeltaEvaluator final : public core::Evaluator {
+class KDeltaEvaluator final
+    : public util::Configured<core::Evaluator, kKDeltaParams> {
  public:
-  explicit KDeltaEvaluator(KDeltaConfig config = {});
-  [[nodiscard]] std::string Name() const override;
+  using Configured::Configured;
   [[nodiscard]] std::vector<core::MetricValue> Evaluate(
       const core::EvalInput& input) const override;
-
- private:
-  KDeltaConfig config_;
 };
 
 }  // namespace mobipriv::metrics

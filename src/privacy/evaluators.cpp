@@ -1,30 +1,8 @@
 #include "privacy/evaluators.h"
 
 #include "privacy/uncertainty.h"
-#include "util/string_utils.h"
 
 namespace mobipriv::privacy {
-
-CertificationEvaluator::CertificationEvaluator(CertificationConfig config)
-    : config_(config) {}
-
-std::string CertificationEvaluator::Name() const {
-  const CertificationConfig defaults;
-  std::string params;
-  if (config_.max_spacing_deviation != defaults.max_spacing_deviation) {
-    params += ",spacing=" + util::FormatDouble(config_.max_spacing_deviation);
-  }
-  if (config_.max_interval_deviation_s !=
-      defaults.max_interval_deviation_s) {
-    params += ",interval=" +
-              util::FormatDouble(config_.max_interval_deviation_s, 1) + "s";
-  }
-  if (config_.min_events_checked != defaults.min_events_checked) {
-    params += ",min_events=" + std::to_string(config_.min_events_checked);
-  }
-  if (params.empty()) return "certification";
-  return "certification[" + params.substr(1) + "]";
-}
 
 std::vector<core::MetricValue> CertificationEvaluator::Evaluate(
     const core::EvalInput& input) const {
@@ -39,15 +17,6 @@ std::vector<core::MetricValue> CertificationEvaluator::Evaluate(
            ? 0.0
            : static_cast<double>(report.violations.size()) / checked},
   };
-}
-
-UncertaintyEvaluator::UncertaintyEvaluator(mech::MixZoneConfig config)
-    : config_(config) {}
-
-std::string UncertaintyEvaluator::Name() const {
-  const std::string params = mech::MixZoneSpecParams(config_);
-  if (params.empty()) return "uncertainty";
-  return "uncertainty[" + params.substr(1) + "]";
 }
 
 core::PreparedPtr UncertaintyEvaluator::Prepare(

@@ -5,8 +5,8 @@
 //
 // Both evaluators register in the core evaluator registry under the bases
 // "certification" and "uncertainty"; their Name()s print only non-default
-// parameters and round-trip through core::CreateEvaluator like every
-// built-in.
+// parameters (bare base at defaults) and round-trip through
+// core::CreateEvaluator like every built-in.
 #pragma once
 
 #include "core/evaluator.h"
@@ -15,23 +15,33 @@
 
 namespace mobipriv::privacy {
 
+inline constexpr util::ParamTable kCertificationParams{
+    "certification",
+    util::Param{"spacing", &CertificationConfig::max_spacing_deviation, "",
+                util::kNonNegative}
+        .Digits(4),
+    util::Param{"interval", &CertificationConfig::max_interval_deviation_s,
+                "s", util::kNonNegative}
+        .Digits(1),
+    util::Param{"min_events", &CertificationConfig::min_events_checked}};
+
+/// The mix-zone keys without "suppress": detection never suppresses.
+inline constexpr util::ParamTable kUncertaintyParams{
+    "uncertainty", mech::kMixZoneRadius, mech::kMixZoneWindow,
+    mech::kMixZoneMinUsers};
+
 /// Scores the PUBLISHED dataset against the constant-speed publication
 /// certificate (privacy/certification.h). Metrics:
 ///   cert_certified        1.0 when zero violations, else 0.0
 ///   cert_violations       violation count
 ///   cert_violation_ratio  violations / traces checked (0 when none)
-class CertificationEvaluator final : public core::Evaluator {
+class CertificationEvaluator final
+    : public util::Configured<core::Evaluator, kCertificationParams> {
  public:
-  explicit CertificationEvaluator(CertificationConfig config = {});
+  using Configured::Configured;
 
-  /// "certification[spacing=...,interval=...s,min_events=...]" with only
-  /// non-default knobs printed (bare "certification" at defaults).
-  [[nodiscard]] std::string Name() const override;
   [[nodiscard]] std::vector<core::MetricValue> Evaluate(
       const core::EvalInput& input) const override;
-
- private:
-  CertificationConfig config_;
 };
 
 /// Scores the mixing uncertainty an adversary faces: runs mix-zone
@@ -45,21 +55,16 @@ class CertificationEvaluator final : public core::Evaluator {
 ///   mix_residual_bits  / mix_residual_occurrences
 /// Detection draws no randomness, so the metrics do not depend on the
 /// seed. Prepared: the potential.
-class UncertaintyEvaluator final : public core::PreparedEvaluator {
+class UncertaintyEvaluator final
+    : public util::Configured<core::PreparedEvaluator, kUncertaintyParams> {
  public:
-  explicit UncertaintyEvaluator(mech::MixZoneConfig config = {});
+  using Configured::Configured;
 
-  /// "uncertainty[r=...m,w=...s,min_users=...]" with only non-default
-  /// knobs printed (bare "uncertainty" at defaults).
-  [[nodiscard]] std::string Name() const override;
   [[nodiscard]] core::PreparedPtr Prepare(
       const core::EvalInput& input) const override;
   [[nodiscard]] std::vector<core::MetricValue> Score(
       const core::PreparedOriginal& prepared,
       const core::EvalInput& input) const override;
-
- private:
-  mech::MixZoneConfig config_;
 };
 
 }  // namespace mobipriv::privacy

@@ -147,14 +147,24 @@ std::vector<std::string> SplitTopLevel(std::string_view text, char separator) {
   return pieces;
 }
 
-void Spec::RequireKnownKeys(std::initializer_list<std::string_view> known,
+void Spec::RequireKnownKeys(const std::function<bool(const Entry&)>& known,
                             const std::string& context) const {
   for (const Entry& entry : entries_) {
-    if (std::find(known.begin(), known.end(), entry.key) == known.end()) {
+    if (!known(entry)) {
       throw SpecError(context + ": unknown parameter \"" + entry.key +
                       "\" in spec " + ToString());
     }
   }
+}
+
+void Spec::RequireKnownKeys(std::initializer_list<std::string_view> known,
+                            const std::string& context) const {
+  RequireKnownKeys(
+      [&](const Entry& entry) {
+        return std::find(known.begin(), known.end(), entry.key) !=
+               known.end();
+      },
+      context);
 }
 
 }  // namespace mobipriv::util

@@ -8,14 +8,17 @@
 //   base/key  := [A-Za-z0-9_+.-]+
 //   value     := anything up to the next "," or "]"
 //
-// A spec is what Mechanism::Name() already prints ("geo_ind[eps=0.0100]",
-// "wait4me[k=4,delta=500m]"): this module makes those names parse back.
+// A spec is what Mechanism::Name() prints ("geo_ind[eps=0.0100]",
+// "wait4me[k=4,delta=500m]"). Built-in entries read their keys through
+// one util::ParamTable each (util/params.h), so a name parses back to the
+// config it was printed from and two configs never share a name.
 // A chain composes specs left to right ("geo_ind[eps=0.1]|downsampling"):
 // stage separators are only recognized at the top level, never inside
 // brackets. Numeric values may carry a trailing unit suffix ("500m",
 // "600s") which NumberOf strips — units are documentation, not semantics.
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -69,8 +72,11 @@ class Spec {
   [[nodiscard]] std::int64_t IntOf(std::string_view key,
                                    std::int64_t fallback) const;
 
-  /// Throws SpecError unless every key=value key is in `known` (flags are
-  /// checked against `known` too). `context` prefixes the message.
+  /// Throws SpecError naming the first entry (key=value or flag) that
+  /// `known` rejects. `context` prefixes the message.
+  void RequireKnownKeys(const std::function<bool(const Entry&)>& known,
+                        const std::string& context) const;
+  /// The same for a fixed key list (flags are checked against it too).
   void RequireKnownKeys(std::initializer_list<std::string_view> known,
                         const std::string& context) const;
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/output_cache.h"
 #include "core/scenario.h"
 #include "model/columnar_file.h"
 #include "model/event_store.h"
@@ -161,6 +162,28 @@ TEST_F(CacheFixture, DifferentSeedsGetDistinctEntries) {
   core::ScenarioEngine both(spec);
   (void)both.Run();
   EXPECT_EQ(both.stats().cache_hits, 4u);
+}
+
+TEST_F(CacheFixture, NeighbourSpecNeverReadsAnotherSpecsEntry) {
+  // speed_smoothing drops traces shorter than min_len, so the two specs
+  // publish different data. Their names once collided on
+  // "speed_smoothing[eps=100m]", and the second run then read the first
+  // one's entry.
+  const auto terminal = [&](const std::string& mechanism, bool cached) {
+    core::ScenarioSpec spec = Spec();
+    spec.mechanisms = {mechanism};
+    spec.seeds = {3};
+    if (!cached) spec.mechanism_cache_dir.clear();
+    core::ScenarioEngine engine(spec);
+    std::vector<model::EventStore> terminals;
+    EXPECT_TRUE(engine.Run(&terminals).AllOk());
+    EXPECT_EQ(terminals.size(), 1u);
+    return core::OutputCache::FingerprintView(terminals.front().View());
+  };
+  const std::string tuned = "speed_smoothing[min_len=5000m]";
+  ASSERT_NE(terminal("speed_smoothing", false), terminal(tuned, false));
+  (void)terminal("speed_smoothing", true);
+  EXPECT_EQ(terminal(tuned, true), terminal(tuned, false));
 }
 
 }  // namespace

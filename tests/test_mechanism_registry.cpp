@@ -9,6 +9,7 @@
 #include "mechanisms/mixzone.h"
 #include "mechanisms/speed_smoothing.h"
 #include "mechanisms/wait4me.h"
+#include "support/param_names.h"
 #include "util/spec.h"
 
 namespace mobipriv {
@@ -48,21 +49,42 @@ TEST(Spec, NumberErrors) {
 }
 
 // The registry's core contract: every Name() the library prints parses
-// back into a mechanism printing the same Name().
+// back into a mechanism printing the same Name(), and differently
+// configured mechanisms never share a name — for every registered base
+// and every key of its parameter table.
 TEST(MechanismRegistry, NameRoundTripsForWholeRoster) {
+  test_support::ExpectNamesRoundTripAndAreInjective(
+      mech::RegisteredMechanismBases(),
+      [](const std::string& base) { return mech::MechanismParams(base); },
+      [](const std::string& spec) {
+        return mech::CreateMechanism(spec)->Name();
+      });
   for (const std::string& spec :
-       core::StandardRosterSpecs({0.001, 0.01, 0.1})) {
+       core::StandardRosterSpecs({0.001, 0.01, 0.1, 0.00004})) {
     const std::string name = mech::CreateMechanism(spec)->Name();
-    const auto rebuilt = mech::CreateMechanism(name);
-    EXPECT_EQ(rebuilt->Name(), name) << "spec: " << name;
+    EXPECT_EQ(mech::CreateMechanism(name)->Name(), name) << "spec: " << spec;
   }
-  // Stage mechanisms round-trip too, and a mix zone's name carries its
-  // non-default gate knobs.
+  // Names that were already lossless keep their bytes, and a mix zone's
+  // name carries its non-default gate knobs.
   for (const char* name :
        {"speed_smoothing[eps=100m]", "mixzone[r=150m,w=600s]",
         "mixzone[r=150m,w=600s,min_users=3]",
-        "mixzone[r=150m,w=600s,suppress=0]"}) {
+        "mixzone[r=150m,w=600s,suppress=0]", "geo_ind[eps=0.0100]",
+        "wait4me[k=4,delta=500m]", "ours[speed+mix]"}) {
     EXPECT_EQ(mech::CreateMechanism(name)->Name(), name);
+  }
+  // Names that used to collide on a dropped key or a rounded value.
+  const std::pair<const char*, const char*> renamed[] = {
+      {"speed_smoothing[min_len=5000m]",
+       "speed_smoothing[eps=100m,min_len=5000m]"},
+      {"wait4me[k=2,grid=300]", "wait4me[k=2,delta=500m,grid=300s]"},
+      {"wait4me[k=2,overlap=0.2]", "wait4me[k=2,delta=500m,overlap=0.2]"},
+      {"gaussian[sigma=10.4]", "gaussian[sigma=10.4m]"},
+      {"geo_ind[eps=0.01004]", "geo_ind[eps=0.01004]"},
+      {"geo_ind[eps=0.00004]", "geo_ind[eps=4e-05]"},
+      {"mixzone[r=0.4]", "mixzone[r=0.4m,w=600s]"}};
+  for (const auto& [spec, name] : renamed) {
+    EXPECT_EQ(mech::CreateMechanism(spec)->Name(), name);
   }
 }
 
@@ -126,41 +148,65 @@ TEST(MechanismRegistry, RejectsUnknownBaseAndParams) {
   EXPECT_THROW((void)mech::CreateMechanism("geo_ind[epsilon=1]"),
                util::SpecError);
   EXPECT_THROW((void)mech::CreateMechanism("ours[turbo]"), util::SpecError);
+  // A stage's keys are unknown when the stage does not run.
+  EXPECT_THROW((void)mech::CreateMechanism("ours[mix,eps=50m]"),
+               util::SpecError);
+  EXPECT_THROW((void)mech::CreateMechanism("ours[speed,r=90m]"),
+               util::SpecError);
   EXPECT_THROW((void)mech::CreateMechanism("identity[x=1]"),
                util::SpecError);
 }
 
-// One parser validates the mix-zone knobs of the mechanism, the pipeline
-// and the evaluator alike, and its error names the bad key.
+template <class Create>
+void ExpectRejected(const Create& create, const std::string& spec,
+                    const std::string& key) {
+  try {
+    (void)create(spec);
+    ADD_FAILURE() << spec << " was accepted";
+  } catch (const util::SpecError& error) {
+    EXPECT_NE(std::string(error.what()).find("parameter " + key),
+              std::string::npos)
+        << spec << ": " << error.what();
+  }
+}
+
+// One table row validates the mix-zone knobs of the mechanism, the
+// pipeline and the evaluator alike, and its error names the bad key.
 TEST(MechanismRegistry, RejectsInvalidMixZoneParameters) {
   const std::pair<const char*, const char*> bad[] = {
       {"r=-50", "r"},         {"r=0", "r"},
       {"r=1e999", "r"},       {"w=-5", "w"},
       {"w=0", "w"},           {"min_users=1", "min_users"},
-      {"min_users=0", "min_users"}, {"min_users=-3", "min_users"}};
-  const auto expect_rejected = [](const auto& create, const std::string& spec,
-                                  const std::string& key) {
-    try {
-      (void)create(spec);
-      ADD_FAILURE() << spec << " was accepted";
-    } catch (const util::SpecError& error) {
-      EXPECT_NE(std::string(error.what()).find("parameter " + key),
-                std::string::npos)
-          << spec << ": " << error.what();
-    }
-  };
+      {"min_users=0", "min_users"}, {"min_users=-3", "min_users"},
+      {"suppress=2", "suppress"}};
   for (const auto& [param, key] : bad) {
     const std::string p = param;
     for (const std::string& spec :
          {"mixzone[" + p + "]", "ours[" + p + "]", "ours[mix," + p + "]"}) {
-      expect_rejected(mech::CreateMechanism, spec, key);
+      ExpectRejected(mech::CreateMechanism, spec, key);
     }
-    expect_rejected(core::CreateEvaluator, "uncertainty[" + p + "]", key);
+    if (std::string(key) == "suppress") continue;  // not an uncertainty key
+    ExpectRejected(core::CreateEvaluator, "uncertainty[" + p + "]", key);
   }
   // The smallest valid values pass.
   EXPECT_NO_THROW(
       (void)mech::CreateMechanism("mixzone[r=0.5,w=1,min_users=2]"));
   EXPECT_NO_THROW((void)core::CreateEvaluator("uncertainty[w=1,min_users=2]"));
+}
+
+// Each value was accepted once and then exhausted memory (eps, grid) or
+// published non-finite coordinates (cell, eps); the range column of the
+// parameter table now rejects it when the spec is parsed.
+TEST(MechanismRegistry, RejectsOutOfRangeParameters) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"speed_smoothing[eps=0]", "eps"}, {"wait4me[grid=0]", "grid"},
+      {"cloaking[cell=0]", "cell"},      {"geo_ind[eps=0]", "eps"},
+      {"wait4me[overlap=1.5]", "overlap"}, {"wait4me[k=1]", "k"},
+      {"gaussian[sigma=-1]", "sigma"},   {"downsampling[dt=0]", "dt"},
+      {"ours[eps=0]", "eps"}};
+  for (const auto& [spec, key] : bad) {
+    ExpectRejected(mech::CreateMechanism, spec, key);
+  }
 }
 
 TEST(MechanismRegistry, ExtensionPoint) {

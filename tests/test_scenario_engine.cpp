@@ -14,6 +14,7 @@
 #include "model/columnar_file.h"
 #include "model/event_store.h"
 #include "model/sharded_dataset.h"
+#include "support/param_names.h"
 #include "synth/population.h"
 #include "util/rng.h"
 #include "util/spec.h"
@@ -309,14 +310,68 @@ TEST(ScenarioEngine, InvalidSpecsFailAtCompileTime) {
   spec = BaseSpec();
   spec.mechanisms.clear();
   EXPECT_THROW(core::ScenarioEngine{spec}, util::SpecError);
+
+  // Out-of-range values that used to exhaust memory (grid, n) or score
+  // any noise as a perfect match (cell) fail at compile time, naming the
+  // key.
+  const std::pair<const char*, const char*> bad_evaluators[] = {
+      {"kdelta[grid=0]", "grid"},      {"range_queries[n=-1]", "n"},
+      {"coverage[cell=0]", "cell"},    {"heatmap[cell=0]", "cell"},
+      {"kdelta[tolerance=2]", "tolerance"}, {"poi_attack[radius=-1]", "radius"},
+      {"certification[interval=-1]", "interval"}};
+  for (const auto& [text, key] : bad_evaluators) {
+    spec = BaseSpec();
+    spec.evaluators = {text};
+    try {
+      core::ScenarioEngine engine(spec);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const util::SpecError& error) {
+      EXPECT_NE(std::string(error.what()).find("parameter " +
+                                               std::string(key)),
+                std::string::npos)
+          << text << ": " << error.what();
+    }
+  }
 }
 
+// Every evaluator name parses back to itself, and differently configured
+// evaluators never share a name — for every registered base and every key
+// of its parameter table.
 TEST(ScenarioEngine, EvaluatorNamesRoundTrip) {
-  for (const std::string& base : core::RegisteredEvaluatorBases()) {
-    const auto evaluator = core::CreateEvaluator(base);
-    const auto rebuilt = core::CreateEvaluator(evaluator->Name());
-    EXPECT_EQ(rebuilt->Name(), evaluator->Name()) << base;
-  }
+  test_support::ExpectNamesRoundTripAndAreInjective(
+      core::RegisteredEvaluatorBases(),
+      [](const std::string& base) { return core::EvaluatorParams(base); },
+      [](const std::string& spec) {
+        return core::CreateEvaluator(spec)->Name();
+      });
+}
+
+TEST(ScenarioEngine, SpecsThatUsedToShareANameRunSeparately) {
+  // Each pair differs in a key the old names dropped (min_len, grid,
+  // overlap) or in a fraction they rounded away (sigma, eps, cell).
+  core::ScenarioSpec spec = BaseSpec();
+  spec.mechanisms = {"speed_smoothing",
+                     "speed_smoothing[min_len=5000m]",
+                     "wait4me[k=2]",
+                     "wait4me[k=2,grid=300]",
+                     "wait4me[k=2,overlap=0.2]",
+                     "gaussian[sigma=10]",
+                     "gaussian[sigma=10.4]"};
+  spec.evaluators = {"coverage"};
+  core::ScenarioEngine engine(spec);
+  ASSERT_TRUE(engine.Run().AllOk());
+  EXPECT_EQ(engine.stats().mechanism_nodes, 7u);
+  EXPECT_EQ(engine.stats().grid_cells, 7u);
+
+  spec.mechanisms = {"gaussian[sigma=10]", "gaussian[sigma=10.4]",
+                     "geo_ind[eps=0.01]", "geo_ind[eps=0.01004]"};
+  spec.evaluators = {"spatial_distortion", "coverage[cell=100]",
+                     "coverage[cell=100.4]"};
+  core::ScenarioEngine grid(spec);
+  ASSERT_TRUE(grid.Run().AllOk());
+  EXPECT_EQ(grid.stats().mechanism_nodes, 4u);
+  EXPECT_EQ(grid.stats().grid_cells, 12u);
+  EXPECT_EQ(grid.stats().evaluator_nodes, 12u);
 }
 
 TEST(ScenarioEngine, EvaluatorNamesAreInjectiveOnConfig) {
@@ -337,15 +392,17 @@ TEST(ScenarioEngine, EvaluatorNamesAreInjectiveOnConfig) {
 }
 
 TEST(ScenarioEngine, InstantiatesFromOriginalSpecTextNotLossyName) {
-  // "geo_ind[eps=0.00004]" canonicalizes to the name "geo_ind[eps=0.0000]"
-  // (fixed print precision). Re-parsing the NAME would run epsilon = 0 —
-  // infinite planar-Laplace noise, non-finite coordinates — so finite
-  // report values prove the engine ran the original spec text.
+  // "geo_ind[eps=0.00004]" canonicalizes to the name "geo_ind[eps=4e-05]":
+  // the 4-digit form "0.0000" would not parse back to the same double, so
+  // the name falls back to shortest round-trip form. The engine still
+  // builds each stage from its original spec text; finite report values
+  // show it ran epsilon = 0.00004.
   core::ScenarioSpec spec = BaseSpec();
   spec.mechanisms = {"geo_ind[eps=0.00004]"};
   spec.evaluators = {"spatial_distortion"};
   const core::Report report = core::RunScenario(std::move(spec));
   ASSERT_FALSE(report.rows().empty());
+  EXPECT_EQ(report.rows().front().mechanism, "geo_ind[eps=4e-05]");
   for (const core::ReportRow& row : report.rows()) {
     EXPECT_TRUE(std::isfinite(row.value)) << row.metric;
   }
