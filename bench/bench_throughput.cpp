@@ -543,6 +543,38 @@ BENCHMARK(BM_EngineGridChainShared)
     ->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
+void BM_PublishGrid(benchmark::State& state) {
+  // The publish command's engine shape (anonymize_csv --mechanism
+  // ours[speed+mix,...] --evaluate poi_attack,certification,
+  // spatial_distortion): one mechanism node and three evaluator nodes, so
+  // every node runs on a pool worker and each kernel's ParallelFor fans
+  // out from there. The argument is the thread count; wall time is the
+  // measure (the calling thread only waits for the DAG).
+  const bool rss_reset = util::ResetPeakRss();
+  const util::ScopedParallelism scope(static_cast<std::size_t>(state.range(0)));
+  constexpr std::size_t kAgents = 1000;
+  const std::string& path = ColumnarPathOfSize(kAgents);
+  std::size_t events = 0;
+  for (auto _ : state) {
+    core::ScenarioSpec spec;
+    spec.source = core::DatasetSourceSpec::ColumnarFile(path);
+    spec.mechanisms = {"ours[speed+mix,eps=100m,r=150m,w=600s]"};
+    spec.evaluators = {"poi_attack", "certification", "spatial_distortion"};
+    spec.seeds = {1};
+    core::ScenarioEngine engine(std::move(spec));
+    const core::Report report = engine.Run();
+    benchmark::DoNotOptimize(report.rows().size());
+    events += WorldOfSize(kAgents).dataset().EventCount();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  RecordPeakRss(state, rss_reset);
+}
+BENCHMARK(BM_PublishGrid)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // ---- SIMD kernels (roofline-annotated) --------------------------------------
 // Each kernel bench sets BOTH counters so the JSON carries a roofline
 // coordinate: items_per_second (elements/s) and bytes_per_second (the

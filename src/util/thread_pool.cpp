@@ -4,20 +4,16 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 
 namespace mobipriv::util {
 namespace {
 
 /// True while the current thread is executing a ParallelFor chunk; nested
-/// parallel regions then degrade to inline loops.
+/// parallel regions then degrade to inline loops. This is the one inline
+/// rule: a chunk body never waits for other threads, which is what lets
+/// a lane that fans out from a pool worker block on its claimed chunks.
 thread_local bool t_in_parallel_region = false;
-
-/// True on pool worker threads. A worker must never block waiting for
-/// other pool tasks (every worker could be doing the same — e.g. scenario
-/// DAG nodes whose kernels call ParallelFor — and the queue would
-/// deadlock), so ParallelFor degrades to an inline loop on workers too:
-/// tasks submitted directly to the pool are the parallelism grain.
-thread_local bool t_is_pool_worker = false;
 
 /// 0 = no override (use the default below).
 std::atomic<std::size_t> g_parallelism_override{0};
@@ -71,7 +67,6 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::WorkerLoop() {
-  t_is_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -117,7 +112,7 @@ void ParallelFor(std::size_t n,
     body(0, n);
   };
   const std::size_t lanes = ParallelismLevel();
-  if (lanes <= 1 || n == 1 || t_in_parallel_region || t_is_pool_worker) {
+  if (lanes <= 1 || n == 1 || t_in_parallel_region) {
     // Effective worker count 1 (or already inside a parallel region):
     // plain loop, zero pool round-trips, no shared state.
     run_inline();
@@ -138,50 +133,57 @@ void ParallelFor(std::size_t n,
   }
   const std::size_t helpers = std::min(lanes - 1, chunks - 1);
 
+  // The caller waits for its chunks, not for its helpers: a helper that
+  // the pool starts after the last chunk was claimed finds nothing to do
+  // and leaves without touching `body`. Only the state below, kept alive
+  // by the shared_ptr each lane holds, outlives the call.
   struct Shared {
     std::atomic<std::size_t> next_chunk{0};
-    std::atomic<std::size_t> active;
+    std::atomic<bool> failed{false};
     std::mutex mutex;
     std::condition_variable done;
-    std::exception_ptr error;
-    explicit Shared(std::size_t lanes_in_flight) : active(lanes_in_flight) {}
+    std::size_t finished = 0;  // guarded by mutex
+    std::exception_ptr error;  // guarded by mutex
   };
-  // Helpers may still be draining when the caller returns would be a
-  // use-after-free; shared_ptr keeps the state alive until the last lane
-  // leaves (the caller still waits for all chunks to finish).
-  auto shared = std::make_shared<Shared>(helpers + 1);
+  auto shared = std::make_shared<Shared>();
 
-  const auto run_lane = [shared, &body, n, grain, chunks]() {
+  const auto run_lane = [shared, body = &body, n, grain, chunks] {
+    Shared& s = *shared;
     const bool was_in_region = t_in_parallel_region;
     t_in_parallel_region = true;
     for (;;) {
-      const std::size_t chunk = shared->next_chunk.fetch_add(1);
+      const std::size_t chunk = s.next_chunk.fetch_add(1);
       if (chunk >= chunks) break;
-      const std::size_t begin = chunk * grain;
-      const std::size_t end = std::min(n, begin + grain);
-      try {
-        body(begin, end);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(shared->mutex);
-        if (!shared->error) shared->error = std::current_exception();
-        // Poison the counter so remaining chunks are skipped.
-        shared->next_chunk.store(chunks);
+      // After a failure the remaining chunks are claimed and counted but
+      // not run, so the caller's wait still ends.
+      std::exception_ptr error;
+      if (!s.failed.load(std::memory_order_relaxed)) {
+        const std::size_t begin = chunk * grain;
+        try {
+          (*body)(begin, std::min(n, begin + grain));
+        } catch (...) {
+          error = std::current_exception();
+        }
       }
+      const std::lock_guard<std::mutex> lock(s.mutex);
+      if (error && !s.error) {
+        s.error = error;
+        s.failed.store(true, std::memory_order_relaxed);
+      }
+      if (++s.finished == chunks) s.done.notify_one();
     }
     t_in_parallel_region = was_in_region;
-    {
-      const std::lock_guard<std::mutex> lock(shared->mutex);
-      shared->active.fetch_sub(1);
-    }
-    shared->done.notify_one();
   };
 
   auto& pool = ThreadPool::Global();
   for (std::size_t h = 0; h < helpers; ++h) pool.Submit(run_lane);
   run_lane();
 
+  // Every chunk is claimed by now, each by a thread that is running it.
+  // Chunk bodies never wait (nested calls run inline), so this wait ends
+  // even when the caller is a pool worker and every other worker is busy.
   std::unique_lock<std::mutex> lock(shared->mutex);
-  shared->done.wait(lock, [&] { return shared->active.load() == 0; });
+  shared->done.wait(lock, [&] { return shared->finished == chunks; });
   if (shared->error) std::rethrow_exception(shared->error);
 }
 

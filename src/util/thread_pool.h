@@ -6,9 +6,14 @@
 //      depend on. Callers pre-split work into index ranges and write results
 //      into pre-sized slots, so the output is byte-identical whatever the
 //      worker count (including 1, i.e. fully serial).
-//   2. *No oversubscription*: one process-wide pool, created lazily; nested
-//      ParallelFor calls run inline on the calling worker instead of
-//      deadlocking or spawning more threads.
+//   2. *No oversubscription, no deadlock*: one process-wide pool, created
+//      lazily. Only a ParallelFor called from inside a chunk body runs
+//      inline. Any other call fans out, a pool worker's included (a
+//      scenario DAG node's kernel): it submits helper lanes, claims chunks
+//      itself and then waits only until every claimed chunk has finished,
+//      never for a helper to start. That wait always ends: each claimed
+//      chunk belongs to a thread that is running it, and a chunk body
+//      never waits for anything, because its own nested calls are inline.
 //   3. *Zero cost when serial*: with an effective parallelism of 1 (single
 //      core, MOBIPRIV_THREADS=1 or ScopedParallelism(1)) ParallelFor is a
 //      plain loop — no pool, no atomics, no thread hop.
@@ -90,7 +95,9 @@ class ScopedParallelism {
 /// (atomic counter) for load balance; `grain` is the minimum chunk size
 /// (0 = pick automatically). The call returns after every index is
 /// processed; the first exception thrown by any chunk is rethrown on the
-/// caller. Nested calls (from inside a chunk body) run inline.
+/// caller. Nested calls (from inside a chunk body) run inline; a call from
+/// a pool worker fans out like any other and waits only for the chunks
+/// that running lanes have claimed, so idle workers help a busy one.
 void ParallelFor(std::size_t n,
                  const std::function<void(std::size_t, std::size_t)>& body,
                  std::size_t grain = 0);

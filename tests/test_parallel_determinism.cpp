@@ -8,16 +8,27 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <iterator>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "attacks/poi_extraction.h"
 #include "attacks/reident.h"
 #include "core/anonymizer.h"
+#include "core/engine.h"
 #include "core/scenario.h"
 #include "mechanisms/geo_indistinguishability.h"
+#include "model/columnar_file.h"
 #include "model/geolife.h"
 #include "model/io.h"
 #include "model/sharded_dataset.h"
@@ -341,6 +352,211 @@ TEST(ParallelDeterminism, ParallelForPropagatesExceptions) {
                               if (i == 517) throw std::runtime_error("boom");
                             }),
       std::runtime_error);
+}
+
+// ---- Nested fan-out: ParallelFor called on a pool worker -------------------
+// A scenario DAG node runs on a pool worker, and its kernels' ParallelFor
+// calls must still spread over idle workers. Only calls made inside a
+// chunk body stay inline.
+
+constexpr auto kFanOutBound = std::chrono::seconds(10);
+/// How long a test waits for its pool tasks. A task still running then is
+/// deadlocked; the test aborts, because the pool's destructor would join
+/// the stuck worker and hang the binary at exit.
+constexpr auto kTaskBound = std::chrono::seconds(60);
+
+/// Runs `task` on a pool worker and returns its result.
+template <typename Result>
+Result RunOnPoolWorker(std::function<Result()> task) {
+  auto promise = std::make_shared<std::promise<Result>>();
+  std::future<Result> future = promise->get_future();
+  util::ThreadPool::Global().Submit([promise, task = std::move(task)] {
+    try {
+      promise->set_value(task());
+    } catch (...) {
+      promise->set_exception(std::current_exception());
+    }
+  });
+  if (future.wait_for(kTaskBound) != std::future_status::ready) {
+    ADD_FAILURE() << "pool task still running after " << kTaskBound.count()
+                  << " s";
+    std::abort();
+  }
+  return future.get();
+}
+
+TEST(NestedParallelism, PoolWorkerParallelForFansOut) {
+  const util::ScopedParallelism four(4);
+  // Each chunk records its thread and then waits, at most kFanOutBound,
+  // until a second thread has entered a chunk of the same call. When the
+  // worker ran the call inline, the first chunk gives up after the bound
+  // and the rest see the flag and do not wait again.
+  const std::size_t distinct = RunOnPoolWorker<std::size_t>([] {
+    std::mutex mutex;
+    std::condition_variable entered;
+    std::set<std::thread::id> threads;
+    bool gave_up = false;
+    util::ParallelForEach(64, [&](std::size_t) {
+      std::unique_lock<std::mutex> lock(mutex);
+      threads.insert(std::this_thread::get_id());
+      entered.notify_all();
+      if (!entered.wait_for(lock, kFanOutBound, [&] {
+            return threads.size() >= 2 || gave_up;
+          })) {
+        gave_up = true;
+      }
+    });
+    return threads.size();
+  });
+  EXPECT_GE(distinct, 2u) << "every chunk ran on the submitting worker";
+}
+
+TEST(NestedParallelism, SaturatedPoolKeepsChunkCallsInlineAndFinishes) {
+  const util::ScopedParallelism four(4);
+  constexpr std::size_t kOuter = 32;
+  constexpr std::size_t kInner = 16;
+  const std::size_t tasks = 4 * util::ThreadPool::Global().WorkerCount();
+
+  struct Task {
+    std::vector<std::atomic<int>> hits =
+        std::vector<std::atomic<int>>(kOuter * kInner);
+    std::atomic<bool> inner_left_thread{false};
+  };
+  std::vector<std::shared_ptr<Task>> states;
+  std::vector<std::future<void>> done;
+  for (std::size_t t = 0; t < tasks; ++t) {
+    auto state = std::make_shared<Task>();
+    auto promise = std::make_shared<std::promise<void>>();
+    done.push_back(promise->get_future());
+    states.push_back(state);
+    util::ThreadPool::Global().Submit([state, promise] {
+      util::ParallelForEach(kOuter, [&](std::size_t outer) {
+        const std::thread::id chunk_thread = std::this_thread::get_id();
+        util::ParallelForEach(kInner, [&](std::size_t inner) {
+          if (std::this_thread::get_id() != chunk_thread) {
+            state->inner_left_thread.store(true);
+          }
+          state->hits[outer * kInner + inner].fetch_add(1);
+        });
+      });
+      promise->set_value();
+    });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + kTaskBound;
+  for (std::size_t t = 0; t < tasks; ++t) {
+    if (done[t].wait_until(deadline) != std::future_status::ready) {
+      ADD_FAILURE() << "task " << t << " of " << tasks << " never finished";
+      std::abort();
+    }
+  }
+  for (std::size_t t = 0; t < tasks; ++t) {
+    EXPECT_FALSE(states[t]->inner_left_thread.load()) << "task " << t;
+    for (std::size_t i = 0; i < kOuter * kInner; ++i) {
+      ASSERT_EQ(states[t]->hits[i].load(), 1) << "task " << t << " index "
+                                              << i;
+    }
+  }
+}
+
+TEST(NestedParallelism, ChunkExceptionOnPoolWorkerReachesOnlyItsCall) {
+  const util::ScopedParallelism four(4);
+  // A second pool task runs its own calls while the first one throws:
+  // the exception must not leak into it.
+  auto bystander = std::async(std::launch::async, [] {
+    return RunOnPoolWorker<long>([] {
+      long sum = 0;
+      for (int round = 0; round < 20; ++round) {
+        std::vector<long> values(2000);
+        util::ParallelForEach(values.size(), [&](std::size_t i) {
+          values[i] = static_cast<long>(i);
+        });
+        for (const long v : values) sum += v;
+      }
+      return sum;
+    });
+  });
+  const std::string outcome = RunOnPoolWorker<std::string>([] {
+    std::string caught;
+    try {
+      util::ParallelForEach(1000, [](std::size_t i) {
+        if (i == 517) throw std::runtime_error("boom");
+      });
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+    // The same worker's next call still covers every index once.
+    std::vector<std::atomic<int>> hits(1000);
+    util::ParallelForEach(hits.size(),
+                          [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      if (hits[i].load() != 1) return "index " + std::to_string(i);
+    }
+    return caught;
+  });
+  EXPECT_EQ(outcome, "boom");
+  EXPECT_EQ(bystander.get(), 20L * (1999L * 2000L / 2));
+}
+
+// ---- Byte identity of the grids whose nodes now fan out --------------------
+
+/// A dense little city: enough encounters for mix zones to form.
+const model::Dataset& GridWorld() {
+  static const synth::SyntheticWorld* world = [] {
+    synth::PopulationConfig config;
+    config.agents = 60;
+    config.days = 1;
+    config.seed = 6;
+    return new synth::SyntheticWorld(config);
+  }();
+  return world->dataset();
+}
+
+/// The report CSV followed by every terminal store's `.mpc` bytes.
+std::string GridBytes(core::ScenarioSpec spec, std::size_t threads) {
+  spec.threads = threads;
+  core::ScenarioEngine engine(std::move(spec));
+  std::vector<model::EventStore> terminals;
+  const core::Report report = engine.Run(&terminals);
+  EXPECT_TRUE(report.AllOk()) << "threads=" << threads;
+  std::string bytes = report.ToCsv();
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("mobipriv_grid_bytes_" + std::to_string(::getpid()) + ".mpc");
+  for (const model::EventStore& terminal : terminals) {
+    EXPECT_GT(terminal.EventCount(), 0u);
+    model::WriteColumnar(terminal, path.string());
+    std::ifstream in(path, std::ios::binary);
+    bytes.append(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  std::filesystem::remove(path);
+  return bytes;
+}
+
+void ExpectGridThreadInvariant(const core::ScenarioSpec& spec) {
+  const std::string serial = GridBytes(spec, 1);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    EXPECT_TRUE(GridBytes(spec, threads) == serial) << "threads=" << threads;
+  }
+}
+
+TEST(GridDeterminism, PublishGridIsThreadCountInvariant) {
+  core::ScenarioSpec spec;
+  spec.source = core::DatasetSourceSpec::Borrowed(GridWorld());
+  spec.mechanisms = {"ours[speed+mix,eps=100m,r=150m,w=600s]"};
+  spec.evaluators = {"poi_attack", "certification", "spatial_distortion"};
+  spec.seeds = {4};
+  ExpectGridThreadInvariant(spec);
+}
+
+TEST(GridDeterminism, SharedPrefixChainGridIsThreadCountInvariant) {
+  core::ScenarioSpec spec;
+  spec.source = core::DatasetSourceSpec::Borrowed(GridWorld());
+  spec.mechanisms = {"geo_ind[eps=0.05]|downsampling[dt=120]|mixzone[r=100m]",
+                     "geo_ind[eps=0.05]|downsampling[dt=120]|cloaking"};
+  spec.evaluators = {"spatial_distortion", "coverage"};
+  spec.seeds = {4};
+  ExpectGridThreadInvariant(spec);
 }
 
 }  // namespace
